@@ -159,7 +159,10 @@ class HttpBackend:
             else:
                 if response.status_code == 200:
                     try:
-                        return response.json()["choices"][0]["message"]["content"]
+                        content = response.json()["choices"][0]["message"]["content"]
+                        if not isinstance(content, str):
+                            raise TypeError(f"reply content is {type(content).__name__}")
+                        return content
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         last_error = exc
                 elif response.status_code == 429 or response.status_code >= 500:

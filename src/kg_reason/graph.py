@@ -6,12 +6,18 @@ whitespace trimmed, underscores unified with spaces), so ``William Anders``
 and ``William_Anders`` name the same entity. Relation labels are compared
 case-sensitively and verbatim.
 
+A triple's id is its load position in ``triples``. The adjacency indexes
+map entity -> relation -> other endpoint -> position, so duplicate checks,
+:meth:`KnowledgeGraph.position` and load-order matching all read them.
+
 Graphs are immutable once built and safe for concurrent readers.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
+import gc
+from collections import defaultdict, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,9 +68,6 @@ class Interner:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return self.lookup(label) is not None
-
 
 class KnowledgeGraph:
     """Indexed triple store. Use :func:`load_graph` or :meth:`from_triples`."""
@@ -74,11 +77,11 @@ class KnowledgeGraph:
         self._relations = Interner()
         self._types = Interner(canonical_label)
         self.triples: tuple[Triple, ...] = ()
-        self.out_index: dict[int, dict[int, set[int]]] = {}
-        self.in_index: dict[int, dict[int, set[int]]] = {}
+        # head -> relation -> tail -> position, and tail -> relation -> head -> position
+        self.out_index: dict[int, dict[int, dict[int, int]]] = {}
+        self.in_index: dict[int, dict[int, dict[int, int]]] = {}
         self.entity_types: dict[int, frozenset[int]] = {}
         self.duplicate_count = 0
-        self._positions: dict[Triple, int] = {}
 
     @classmethod
     def from_triples(
@@ -87,28 +90,45 @@ class KnowledgeGraph:
         entity_types: Iterable[tuple[str, str]] = (),
     ) -> "KnowledgeGraph":
         """Build a graph from label triples and optional (entity, type) pairs."""
-        g = cls()
-        ordered: list[Triple] = []
-        for head, relation, tail in triples:
-            t = Triple(
-                g._entities.intern(head),
-                g._relations.intern(relation),
-                g._entities.intern(tail),
+        # The build only allocates, so a cyclic GC pass would free nothing.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = cls()
+            # per-build caches, so each distinct spelling is canonicalized once
+            entity_id, relation_id, type_id = (
+                functools.cache(table.intern) for table in (g._entities, g._relations, g._types)
             )
-            if t in g._positions:
-                g.duplicate_count += 1
-                continue
-            g._positions[t] = len(ordered)
-            ordered.append(t)
-            g.out_index.setdefault(t.head, {}).setdefault(t.relation, set()).add(t.tail)
-            g.in_index.setdefault(t.tail, {}).setdefault(t.relation, set()).add(t.head)
-        g.triples = tuple(ordered)
-        typed: dict[int, set[int]] = {}
-        for entity, type_label in entity_types:
-            eid = g._entities.intern(entity)
-            typed.setdefault(eid, set()).add(g._types.intern(type_label))
-        g.entity_types = {eid: frozenset(ts) for eid, ts in typed.items()}
-        return g
+            out_index, in_index, ordered = g.out_index, g.in_index, []
+            for head, relation, tail in triples:
+                h, r, t = entity_id(head), relation_id(relation), entity_id(tail)
+                by_relation = out_index.get(h)
+                if by_relation is None:
+                    by_relation = out_index[h] = {}
+                tails = by_relation.get(r)
+                if tails is None:
+                    tails = by_relation[r] = {}
+                elif t in tails:
+                    g.duplicate_count += 1
+                    continue
+                position = tails[t] = len(ordered)
+                ordered.append(tuple.__new__(Triple, (h, r, t)))
+                by_relation = in_index.get(t)
+                if by_relation is None:
+                    in_index[t] = {r: {h: position}}
+                elif r in by_relation:
+                    by_relation[r][h] = position
+                else:
+                    by_relation[r] = {h: position}
+            g.triples = tuple(ordered)
+            typed: defaultdict[int, set[int]] = defaultdict(set)
+            for entity, type_label in entity_types:
+                typed[entity_id(entity)].add(type_id(type_label))
+            g.entity_types = {eid: frozenset(ts) for eid, ts in typed.items()}
+            return g
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     # label/id plumbing -------------------------------------------------
 
@@ -136,11 +156,8 @@ class KnowledgeGraph:
     def maybe_type_id(self, label: str) -> int | None:
         return self._types.lookup(label)
 
-    def intern_type(self, label: str) -> int:
-        return self._types.intern(label)
-
     def has_entity(self, label: str) -> bool:
-        return label in self._entities
+        return self._entities.lookup(label) is not None
 
     def entity_labels(self) -> set[str]:
         return set(self._entities.labels())
@@ -157,7 +174,7 @@ class KnowledgeGraph:
 
     def position(self, t: Triple) -> int:
         """Load-order position of a triple."""
-        return self._positions[t]
+        return self.out_index[t.head][t.relation][t.tail]
 
     def num_entities(self) -> int:
         return len(self._entities)
@@ -174,10 +191,9 @@ class KnowledgeGraph:
 
     def neighbor_ids(self, eid: int) -> set[int]:
         nbrs: set[int] = set()
-        for targets in self.out_index.get(eid, {}).values():
-            nbrs.update(targets)
-        for sources in self.in_index.get(eid, {}).values():
-            nbrs.update(sources)
+        for index in (self.out_index, self.in_index):
+            for others in index.get(eid, {}).values():
+                nbrs.update(others)
         return nbrs
 
 
@@ -193,12 +209,6 @@ class TypeGraph:
 
     def resolve_type(self, label: str) -> int | None:
         return self.graph.maybe_type_id(label)
-
-    def has_type(self, label: str) -> bool:
-        return self.graph.maybe_type_id(label) is not None
-
-    def type_labels(self) -> set[str]:
-        return {self.graph.type_label(t) for t in self.type_relations}
 
     def relation_ids_for(self, tid: int) -> frozenset[int]:
         return self.type_relations.get(tid, frozenset())
@@ -226,16 +236,16 @@ def _read_tsv(path: str, width: int):
         raise GraphLoadError(path, None, str(exc)) from exc
     with handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
-            fields = line.split("\t")
+            # the field strip also removes the line ending
+            fields = raw.split("\t")
             if len(fields) != width:
                 raise GraphLoadError(
                     path, lineno, f"expected {width} tab-separated fields, got {len(fields)}"
                 )
-            stripped = tuple(f.strip() for f in fields)
-            if any(not f for f in stripped):
+            stripped = tuple(map(str.strip, fields))
+            if not all(stripped):
                 raise GraphLoadError(path, lineno, "empty field")
             yield stripped
 
@@ -301,9 +311,8 @@ def relations_within_n_hops(g: KnowledgeGraph, seed: str, n: int) -> set[str]:
                 distances[nbr] = distances[node] + 1
                 frontier.append(nbr)
     rels: set[int] = set()
-    for node, dist in distances.items():
-        if dist <= n - 1:
-            rels.update(g.incident_relation_ids(node, "both"))
+    for node in distances:  # every node reached is within n - 1 hops
+        rels.update(g.incident_relation_ids(node, "both"))
     return {g.relation_label(r) for r in rels}
 
 
@@ -323,12 +332,12 @@ def match_triples_by_id(
     g: KnowledgeGraph, endpoint_ids: set[int], relation_ids: set[int]
 ) -> list[Triple]:
     """Index-backed form of :func:`triples_matching` over interned ids."""
-    found: set[Triple] = set()
+    positions: set[int] = set()
     for eid in endpoint_ids:
-        for rid, tails in g.out_index.get(eid, {}).items():
-            if rid in relation_ids:
-                found.update(Triple(eid, rid, t) for t in tails)
-        for rid, heads in g.in_index.get(eid, {}).items():
-            if rid in relation_ids:
-                found.update(Triple(h, rid, eid) for h in heads)
-    return sorted(found, key=g.position)
+        for index in (g.out_index, g.in_index):
+            by_relation = index.get(eid)
+            if by_relation:
+                for rid in by_relation.keys() & relation_ids:
+                    positions.update(by_relation[rid].values())
+    triples = g.triples
+    return [triples[p] for p in sorted(positions)]

@@ -99,7 +99,6 @@ class EvidenceGraph:
 
     graph: KnowledgeGraph
     triples: tuple[Triple, ...]
-    per_subsentence: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -283,7 +282,6 @@ class Pipeline:
         g = self.graph
         bindings: dict[str, set[int]] = {}
         positions: set[int] = set()
-        per_sub_positions: dict[int, list[int]] = {}
         for sub in subsentences:
             relations = retrieved[sub.index].relations
             relation_ids = {
@@ -311,19 +309,8 @@ class Pipeline:
             for m in sub.mentions:
                 if m.kind == VARIABLE:
                     bindings[m.ref] = endpoint_ids - anchors
-            sub_positions = [g.position(t) for t in matched]
-            per_sub_positions[sub.index] = sub_positions
-            positions.update(sub_positions)
-        ordered = sorted(positions)
-        index_of = {pos: i for i, pos in enumerate(ordered)}
-        evidence = EvidenceGraph(
-            graph=g,
-            triples=tuple(g.triples[pos] for pos in ordered),
-            per_subsentence={
-                idx: tuple(index_of[p] for p in sorted(set(pos_list)))
-                for idx, pos_list in per_sub_positions.items()
-            },
-        )
+            positions.update(g.out_index[h][r][t] for h, r, t in matched)
+        evidence = EvidenceGraph(g, tuple(g.triples[pos] for pos in sorted(positions)))
         if trace is not None:
             trace.assembly = {
                 "triples": evidence.labels(),

@@ -179,6 +179,24 @@ def test_http_backend_retries_server_errors_then_succeeds(monkeypatch):
     assert backend.complete("p", "inference") == "late"
 
 
+@pytest.mark.parametrize("content", [None, ["True"], 1])
+def test_http_backend_non_string_content_retries_then_fails(monkeypatch, content):
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        return _Response(payload={"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    backend = HttpBackend(
+        BackendConfig(endpoint="http://example.test", max_retries=1), backoff_base=0.0
+    )
+    with pytest.raises(BackendError) as err:
+        backend.complete("p", "inference")
+    assert len(calls) == 2
+    assert "reply content is" in str(err.value)
+
+
 def test_http_backend_client_error_fails_fast(monkeypatch):
     calls = []
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,11 +67,69 @@ def test_load_drops_duplicates_with_count(tmp_path):
     assert g.duplicate_count == 1
 
 
+@given(st.integers(0, 10_000))
+def test_positions_keep_first_occurrences_with_injected_duplicates(seed):
+    rng = random.Random(seed)
+    _, _, triples, _ = random_graph_data(rng, 20, 8, 60)
+    stream = list(triples)
+    for _ in range(rng.randint(0, 30)):
+        # a later copy, spelled with the whitespace that canonicalization trims
+        j = rng.randrange(len(stream))
+        h, r, t = (x.strip() for x in stream[j])
+        stream.insert(rng.randint(j + 1, len(stream)), (f" {h}", f"{r} ", f"{t}\t"))
+    first: dict[tuple[str, str, str], None] = {}
+    for h, r, t in stream:
+        first.setdefault((h.strip(), r.strip(), t.strip()), None)
+    g = KnowledgeGraph.from_triples(stream)
+    assert [g.triple_labels(t) for t in g.triples] == list(first)
+    assert g.duplicate_count == len(stream) - len(first)
+    for i, t in enumerate(g.triples):
+        assert g.position(t) == i
+
+
+@contextmanager
+def gc_set_to(enabled):
+    caller_state = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if caller_state else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_caller_gc_state(tmp_path, enabled):
+    good = write_graph(tmp_path, ["a\tr\tb", "b\tr\tc"], name="good.tsv")
+    bad = write_graph(tmp_path, ["a\tr\tb", "b\tr\tc", "broken line"], name="bad.tsv")
+    with gc_set_to(enabled):
+        load_graph(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(GraphLoadError) as err:
+            load_graph(bad)
+        assert err.value.line == 3
+        assert gc.isenabled() is enabled
+
+
+def test_gc_paused_while_triples_and_types_are_read():
+    seen = []
+
+    def rows(items):
+        for item in items:
+            seen.append(gc.isenabled())
+            yield item
+
+    with gc_set_to(True):
+        KnowledgeGraph.from_triples(rows([("a", "r", "b")]), rows([("a", "T")]))
+        assert gc.isenabled()
+    assert seen == [False, False]
+
+
 def test_load_malformed_line_reports_line_number(tmp_path):
-    path = write_graph(tmp_path, ["a\tr\tb", "broken line"])
-    with pytest.raises(GraphLoadError) as err:
-        load_graph(path)
-    assert err.value.line == 2
+    for bad in ("broken line", "a\t \tb"):
+        path = write_graph(tmp_path, ["a\tr\tb", bad])
+        with pytest.raises(GraphLoadError) as err:
+            load_graph(path)
+        assert err.value.line == 2
 
 
 def test_load_empty_file_is_an_error(tmp_path):
