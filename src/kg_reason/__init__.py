@@ -6,8 +6,6 @@ graph, and asks a completion backend for the final verdict or answer.
 """
 
 from .backends import (
-    API_KEY_ENV,
-    Backend,
     BackendConfig,
     HttpBackend,
     MockBackend,
@@ -16,25 +14,18 @@ from .backends import (
 )
 from .candidates import (
     Mention,
-    RelationCandidates,
     extract_nhop_candidates,
     extract_relation_candidates,
     resolve_mention,
 )
 from .errors import KGReasonError, PipelineError
 from .evaluation import (
-    EvalReport,
-    QAExample,
-    VerificationExample,
-    ablate,
     evaluate,
     load_qa_dataset,
     load_verification_dataset,
 )
 from .graph import (
     KnowledgeGraph,
-    Triple,
-    TypeGraph,
     build_type_graph,
     canonical_label,
     load_graph,
@@ -46,22 +37,17 @@ from .graph import (
 from .parsing import (
     REFUTED,
     SUPPORTED,
-    AnswerCandidate,
-    RetrievedRelations,
-    SubSentence,
-    Verdict,
     parse_answer,
     parse_relations,
     parse_segmentation,
     parse_verdict,
 )
-from .pipeline import Conclusion, EvidenceGraph, Pipeline, Query, StageTrace, linearize
+from .pipeline import Pipeline, Query, linearize
 from .prompts import (
     QA_INFERENCE_TEMPLATE,
     RETRIEVAL_TEMPLATE,
     SEGMENTATION_TEMPLATE,
     VERIFICATION_INFERENCE_TEMPLATE,
-    PromptTemplate,
     render_entity_set,
     render_prompt,
     render_relation_list,
@@ -71,13 +57,7 @@ from .prompts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "API_KEY_ENV",
-    "AnswerCandidate",
-    "Backend",
     "BackendConfig",
-    "Conclusion",
-    "EvalReport",
-    "EvidenceGraph",
     "HttpBackend",
     "KGReasonError",
     "KnowledgeGraph",
@@ -85,24 +65,13 @@ __all__ = [
     "MockBackend",
     "Pipeline",
     "PipelineError",
-    "PromptTemplate",
-    "QAExample",
     "QA_INFERENCE_TEMPLATE",
     "Query",
     "REFUTED",
     "RETRIEVAL_TEMPLATE",
-    "RelationCandidates",
-    "RetrievedRelations",
     "SEGMENTATION_TEMPLATE",
     "SUPPORTED",
-    "StageTrace",
-    "SubSentence",
-    "Triple",
-    "TypeGraph",
     "VERIFICATION_INFERENCE_TEMPLATE",
-    "Verdict",
-    "VerificationExample",
-    "ablate",
     "build_type_graph",
     "canonical_label",
     "evaluate",

@@ -182,10 +182,3 @@ def make_backend(config: BackendConfig) -> Backend:
     if config.endpoint.startswith("mock:"):
         return MockBackend.from_path(config.endpoint[len("mock:"):])
     return HttpBackend(config)
-
-
-def as_backend(backend: "Backend | BackendConfig") -> Backend:
-    """Accept either a ready backend or a config to build one from."""
-    if isinstance(backend, BackendConfig):
-        return make_backend(backend)
-    return backend

@@ -64,7 +64,6 @@ class RelationCandidates:
     """Candidate relation labels for one sub-sentence, sorted by label."""
 
     relations: tuple[str, ...]
-    source_subsentence: int | None = None
 
     def __bool__(self) -> bool:
         return bool(self.relations)

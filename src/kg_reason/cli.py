@@ -9,12 +9,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import re
 import sys
 
 from .backends import BackendConfig, make_backend
-from .candidates import CONCRETE, VARIABLE, resolve_mention
+from .candidates import VARIABLE
 from .errors import (
     BackendError,
     DatasetLoadError,
@@ -25,14 +25,18 @@ from .errors import (
     UnknownEntityError,
 )
 from .evaluation import (
+    QAExample,
+    VerificationExample,
     ablate,
+    build_query,
     evaluate,
     load_qa_dataset,
     load_verification_dataset,
+    split_seed,
     write_report,
 )
 from .graph import build_type_graph, load_graph
-from .pipeline import Pipeline, Query, linearize
+from .pipeline import Pipeline, linearize
 
 DEFAULT_K_VERIFICATION = 5
 DEFAULT_K_QA = 3
@@ -114,61 +118,44 @@ def _default_k(args: argparse.Namespace, qa: bool) -> int:
     return DEFAULT_K_QA if qa else DEFAULT_K_VERIFICATION
 
 
-def _dump_trace(trace, path: str | None, extra: dict) -> None:
-    if path is None or trace is None:
+def _cmd_query(args: argparse.Namespace) -> int:
+    """``verify`` and ``answer``: one example through the evaluation query builder."""
+    qa = args.command == "answer"
+    if qa:
+        text, seed = split_seed(args.question)
+        example = QAExample(args.question, text, seed, args.hops, ())
+    else:
+        example = VerificationExample(args.claim, tuple(args.entities), "")
+    g = load_graph(args.graph, args.types)
+    tg = build_type_graph(g)
+    backend = make_backend(_backend_config(args))
+    query = build_query(example, g, tg)
+    for mention in query.mentions:
+        if mention.kind == VARIABLE:
+            raise UnknownEntityError(mention.surface)
+    pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
+    source = args.question if qa else args.claim
+    record: dict = {"input": source, "k": pipeline.k, "shots": pipeline.shots}
+    try:
+        conclusion = pipeline.run(query)
+    except PipelineError as exc:
+        record["error"] = {"stage": exc.stage, "message": str(exc.cause)}
+        _dump_trace(args.trace, record, exc.trace)
+        raise
+    record["predicted"] = conclusion.result.entity if qa else conclusion.result.label
+    print(record["predicted"])
+    if not qa:
+        print(f"Evidence: {linearize(conclusion.evidence)}")
+    _dump_trace(args.trace, record, conclusion.trace)
+    return 0
+
+
+def _dump_trace(path: str | None, record: dict, trace) -> None:
+    if path is None:
         return
-    record = dict(extra)
     record["trace"] = trace.to_record()
     with open(path, "a", encoding="utf-8") as out:
         out.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph, args.types)
-    tg = build_type_graph(g)
-    backend = make_backend(_backend_config(args))
-    mentions = tuple(resolve_mention(label, g, tg) for label in args.entities)
-    for mention, label in zip(mentions, args.entities):
-        if mention.kind == VARIABLE:
-            raise UnknownEntityError(label)
-    query = Query.claim(args.claim, mentions)
-    pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa=False), shots=args.shots)
-    try:
-        conclusion = pipeline.run(query)
-    except PipelineError as exc:
-        _dump_trace(exc.trace, args.trace, {"input": args.claim, "error": str(exc)})
-        raise
-    print(conclusion.result.label)
-    print(f"Evidence: {linearize(conclusion.evidence)}")
-    _dump_trace(
-        conclusion.trace, args.trace, {"input": args.claim, "predicted": conclusion.result.label}
-    )
-    return 0
-
-
-def _cmd_answer(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph, args.types)
-    tg = build_type_graph(g)
-    backend = make_backend(_backend_config(args))
-    seeds = re.findall(r"\[([^\[\]]+)\]", args.question)
-    if len(seeds) != 1:
-        raise QueryError("the question must carry exactly one [bracketed] seed entity")
-    text = args.question.replace(f"[{seeds[0]}]", seeds[0])
-    seed = resolve_mention(seeds[0], g, tg)
-    if seed.kind != CONCRETE:
-        raise UnknownEntityError(seeds[0])
-    query = Query.question(text, seed, args.hops)
-    pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa=True), shots=args.shots)
-    try:
-        conclusion = pipeline.run(query)
-    except PipelineError as exc:
-        _dump_trace(exc.trace, args.trace, {"input": args.question, "error": str(exc)})
-        raise
-    print(conclusion.result.entity)
-    _dump_trace(
-        conclusion.trace, args.trace, {"input": args.question, "predicted": conclusion.result.entity}
-    )
-    return 0
 
 
 def _load_dataset(args: argparse.Namespace):
@@ -189,7 +176,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         dataset,
         g,
         tg,
-        _backend_config(args),
+        make_backend(_backend_config(args)),
         k=_default_k(args, qa=args.task == "qa"),
         shots=args.shots,
         width=args.width,
@@ -214,7 +201,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         dataset,
         g,
         tg,
-        _backend_config(args),
+        functools.partial(make_backend, _backend_config(args)),
         k_values=k_values,
         shot_values=shot_values,
         width=args.width,
@@ -232,8 +219,8 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "answer": _cmd_answer,
+    "verify": _cmd_query,
+    "answer": _cmd_query,
     "eval": _cmd_eval,
     "ablate": _cmd_ablate,
 }

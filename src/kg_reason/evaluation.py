@@ -16,16 +16,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import Backend, BackendConfig, as_backend
+from .backends import Backend
 from .candidates import resolve_mention
-from .errors import DatasetLoadError, KGReasonError, PipelineError
+from .errors import DatasetLoadError, KGReasonError, PipelineError, QueryError
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED
 from .pipeline import Pipeline, Query
 
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
-_STAGES = ("segmentation", "retrieval", "inference")
+_STAGES = ("query", "segmentation", "retrieval", "inference")
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,17 @@ def _read_jsonl(path: str):
 _BRACKETED_SEED = re.compile(r"\[([^\[\]]+)\]")
 
 
+def split_seed(question: str) -> tuple[str, str]:
+    """Split a question into its prompt text (brackets removed) and its seed.
+
+    Raises :class:`QueryError` unless exactly one ``[bracketed]`` seed is present.
+    """
+    seeds = _BRACKETED_SEED.findall(question)
+    if len(seeds) != 1:
+        raise QueryError(f"expected exactly one bracketed seed, got {len(seeds)}")
+    return _BRACKETED_SEED.sub(lambda m: m.group(1), question).strip(), seeds[0]
+
+
 def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
     """Load ``question<TAB>answer|answer`` lines; the seed sits in brackets."""
     examples: list[QAExample] = []
@@ -112,16 +123,14 @@ def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
             if len(parts) != 2:
                 raise DatasetLoadError(path, lineno, "expected question<TAB>answers")
             question, answer_field = parts
-            seeds = _BRACKETED_SEED.findall(question)
-            if len(seeds) != 1:
-                raise DatasetLoadError(
-                    path, lineno, f"expected exactly one bracketed seed, got {len(seeds)}"
-                )
+            try:
+                text, seed = split_seed(question)
+            except QueryError as exc:
+                raise DatasetLoadError(path, lineno, str(exc)) from exc
             answers = tuple(a.strip() for a in answer_field.split("|") if a.strip())
             if not answers:
                 raise DatasetLoadError(path, lineno, "no gold answers")
-            text = _BRACKETED_SEED.sub(lambda m: m.group(1), question).strip()
-            examples.append(QAExample(question, text, seeds[0], hops, answers))
+            examples.append(QAExample(question, text, seed, hops, answers))
     if not examples:
         raise DatasetLoadError(path, None, "dataset is empty")
     return examples
@@ -183,7 +192,7 @@ def evaluate(
     dataset: Sequence[VerificationExample] | Sequence[QAExample],
     g: KnowledgeGraph,
     tg: TypeGraph,
-    backend: Backend | BackendConfig,
+    backend: Backend,
     *,
     k: int,
     shots: int = 12,
@@ -193,21 +202,26 @@ def evaluate(
     """Run the pipeline over the dataset and aggregate metrics.
 
     Per-example failures are data: they score as incorrect and increment
-    the failing stage's counter. When ``trace_path`` is given, one JSON
-    record per example is appended in dataset order.
+    the failing stage's counter; an example that cannot be turned into a
+    query fails at the "query" stage. When ``trace_path`` is given, one JSON
+    record per example, tagged with ``k`` and ``shots``, is appended in
+    dataset order. The report's ``config["backend"]`` reads
+    ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
+    backend's class name otherwise.
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    if isinstance(backend, BackendConfig):
-        backend_desc = f"{backend.endpoint} ({backend.model})"
+    config = getattr(backend, "config", None)
+    if config is not None:
+        backend_desc = f"{config.endpoint} ({config.model})"
     else:
         backend_desc = type(backend).__name__
-    backend = as_backend(backend)
     pipeline = Pipeline(g, tg, backend, k=k, shots=shots)
     is_qa = isinstance(dataset[0], QAExample)
 
     def run_one(example) -> dict:
-        record: dict = {"input": example.question if is_qa else example.claim}
+        source = example.question if is_qa else example.claim
+        record: dict = {"input": source, "k": k, "shots": shots}
         try:
             query = build_query(example, g, tg)
             conclusion = pipeline.run(query)
@@ -219,9 +233,8 @@ def evaluate(
             )
             return record
         except KGReasonError as exc:
-            # query construction failures land before the first stage
             record.update(
-                error={"stage": "segmentation", "message": str(exc)},
+                error={"stage": "query", "message": str(exc)},
                 correct=False,
                 trace=None,
             )
@@ -289,40 +302,27 @@ def ablate(
     dataset: Sequence[VerificationExample] | Sequence[QAExample],
     g: KnowledgeGraph,
     tg: TypeGraph,
-    backend_source: BackendConfig | Callable[[], Backend],
+    make_backend: Callable[[], Backend],
     *,
     k_values: Sequence[int],
     shot_values: Sequence[int],
     width: int = 1,
     trace_path: str | None = None,
 ) -> list[EvalReport]:
-    """One evaluate run per (k, shots) grid cell, each on a fresh backend.
+    """One evaluate run per (k, shots) grid cell, k-major.
 
-    ``backend_source`` must produce a new backend per cell so scripted
-    sequence replay starts over; a config or a zero-argument factory works.
+    ``make_backend`` is called once per cell, so each cell gets a fresh
+    backend and scripted sequence replay starts over.
     """
     if not k_values or not shot_values:
         raise ValueError("k_values and shot_values must be non-empty")
-    reports: list[EvalReport] = []
-    for k in k_values:
-        for shots in shot_values:
-            if isinstance(backend_source, BackendConfig):
-                backend = as_backend(backend_source)
-            else:
-                backend = backend_source()
-            reports.append(
-                evaluate(
-                    dataset,
-                    g,
-                    tg,
-                    backend,
-                    k=k,
-                    shots=shots,
-                    width=width,
-                    trace_path=trace_path,
-                )
-            )
-    return reports
+    return [
+        evaluate(
+            dataset, g, tg, make_backend(), k=k, shots=shots, width=width, trace_path=trace_path
+        )
+        for k in k_values
+        for shots in shot_values
+    ]
 
 
 def write_report(report: EvalReport, path: str) -> None:

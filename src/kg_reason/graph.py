@@ -27,7 +27,7 @@ from .errors import GraphLoadError, UnknownEntityError
 
 def canonical_label(label: str) -> str:
     """Canonical comparison form for entity and type labels."""
-    return label.strip().replace("_", " ")
+    return label.replace("_", " ").strip()
 
 
 class Triple(NamedTuple):

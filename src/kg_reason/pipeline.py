@@ -31,7 +31,7 @@ from .errors import (
     RetrievalError,
     SegmentationParseError,
 )
-from .graph import KnowledgeGraph, Triple, TypeGraph, build_type_graph, match_triples_by_id
+from .graph import KnowledgeGraph, Triple, TypeGraph, match_triples_by_id
 from .parsing import (
     AnswerCandidate,
     RetrievedRelations,
@@ -83,7 +83,7 @@ class Query:
         if not text.strip():
             raise QueryError("question text is empty")
         if seed.kind != CONCRETE:
-            raise QueryError("a question needs exactly one concrete seed mention")
+            raise QueryError(f"a question needs a concrete seed, got {seed.kind} {seed.surface!r}")
         if hops not in (1, 2, 3):
             raise QueryError(f"hops must be 1, 2 or 3, got {hops}")
         return cls(QUESTION, text, (seed,), hops)
@@ -162,16 +162,14 @@ class Pipeline:
     def __init__(
         self,
         graph: KnowledgeGraph,
-        type_graph: TypeGraph | None = None,
-        backend: Backend | None = None,
+        type_graph: TypeGraph,
+        backend: Backend,
         *,
         k: int = 5,
         shots: int = 12,
     ):
-        if backend is None:
-            raise ValueError("a completion backend is required")
         self.graph = graph
-        self.type_graph = type_graph if type_graph is not None else build_type_graph(graph)
+        self.type_graph = type_graph
         self.backend = backend
         self.k = k
         self.shots = shots
@@ -229,11 +227,11 @@ class Pipeline:
             shared = extract_nhop_candidates(query.seed.surface, query.hops, self.graph)
         retrieved: dict[int, RetrievedRelations] = {}
         for sub in subsentences:
-            if shared is not None:
-                offered = RelationCandidates(shared.relations, sub.index)
-            else:
-                pool = extract_relation_candidates(sub.mentions, self.graph, self.type_graph)
-                offered = RelationCandidates(pool.relations, sub.index)
+            offered = (
+                shared
+                if shared is not None
+                else extract_relation_candidates(sub.mentions, self.graph, self.type_graph)
+            )
             if not offered.relations:
                 raise RetrievalError(
                     f"no candidate relations for sub-sentence {sub.index}: {sub.text!r}"

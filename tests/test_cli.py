@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kg_reason.cli import main
 
 from helpers import FIXTURES
@@ -46,6 +48,23 @@ def test_answer_prints_the_entity(capsys):
     )
     assert code == 0
     assert capsys.readouterr().out.strip() == "Short"
+
+
+@pytest.mark.parametrize(
+    "question", ["what type of film is Six Shooter?", "is [Six Shooter] a [Short]?"]
+)
+def test_answer_without_exactly_one_seed_is_a_data_error(question, capsys):
+    code = main(
+        [
+            "answer",
+            "--graph", METAQA,
+            "--backend", f"mock:{FIXTURES / 'mock_cli_answer.jsonl'}",
+            "--question", question,
+            "--hops", "1",
+        ]
+    )
+    assert code == 2
+    assert "bracketed seed" in capsys.readouterr().err
 
 
 def test_missing_graph_flag_is_a_usage_error(capsys):
@@ -104,9 +123,14 @@ def test_unparseable_response_is_a_data_error(tmp_path):
     script.write_text(
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
     )
-    args = verify_args()
+    trace_path = tmp_path / "trace.jsonl"
+    args = verify_args() + ["--trace", str(trace_path)]
     args[args.index(f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}")] = f"mock:{script}"
     assert main(args) == 2
+    (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert record["error"]["stage"] == "inference"
+    assert record["error"]["message"]
+    assert record["trace"]["inference"]["response"] == "Maybe."
 
 
 def test_eval_writes_report_and_exits_zero(tmp_path, capsys):

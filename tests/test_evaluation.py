@@ -11,9 +11,9 @@ from kg_reason import (
     load_qa_dataset,
     load_verification_dataset,
 )
-from kg_reason.backends import MockBackend, MockEntry
-from kg_reason.errors import DatasetLoadError
-from kg_reason.evaluation import ablate, build_query
+from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry
+from kg_reason.errors import DatasetLoadError, QueryError
+from kg_reason.evaluation import ablate, build_query, split_seed
 
 from helpers import (
     EXPECTED_QA_ANSWERS,
@@ -106,6 +106,15 @@ def test_qa_line_with_no_seed_is_a_load_error(tmp_path):
     path.write_text("what does X do?\tZ\n", encoding="utf-8")
     with pytest.raises(DatasetLoadError):
         load_qa_dataset(str(path), 1)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_split_seed_agrees_with_the_loader(hops):
+    for example in load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops):
+        assert split_seed(example.question) == (example.text, example.seed)
+    for bad in ("what does X do?", "what do [X] and [Y] do?"):
+        with pytest.raises(QueryError):
+            split_seed(bad)
 
 
 def test_helen_mack_style_line(tmp_path):
@@ -256,7 +265,7 @@ def test_query_builder_rejects_nothing_but_stage_counts_catch_failures(
     tmp_path, factkg_graph, factkg_type_graph
 ):
     # an unresolvable claim (entities absent from graph and type map) fails
-    # before segmentation and is counted there
+    # before segmentation and is counted under the "query" stage
     path = tmp_path / "d.jsonl"
     path.write_text(
         '{"claim": "Ghost claim.", "entities": ["NoSuchEntity"], "label": "Supported"}\n',
@@ -266,7 +275,23 @@ def test_query_builder_rejects_nothing_but_stage_counts_catch_failures(
     backend = MockBackend([])
     report = evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5)
     assert report.correct == 0
-    assert report.stage_failures["segmentation"] == 1
+    assert report.stage_failures["query"] == 1
+    assert report.stage_failures["segmentation"] == 0
+
+
+def test_backend_echo_names_endpoint_and_model_or_class(tmp_path, factkg_graph, factkg_type_graph):
+    # the ghost claim fails at the query stage, so no request is ever sent
+    path = tmp_path / "d.jsonl"
+    path.write_text(
+        '{"claim": "Ghost claim.", "entities": ["NoSuchEntity"], "label": "Supported"}\n',
+        encoding="utf-8",
+    )
+    examples = load_verification_dataset(str(path))
+    http = HttpBackend(BackendConfig(endpoint="http://localhost:1", model="m1", max_retries=0))
+    report = evaluate(examples, factkg_graph, factkg_type_graph, http, k=5)
+    assert report.config["backend"] == "http://localhost:1 (m1)"
+    report = evaluate(examples, factkg_graph, factkg_type_graph, MockBackend([]), k=5)
+    assert report.config["backend"] == "MockBackend"
 
 
 # --- ablation grid ----------------------------------------------------------------
@@ -286,6 +311,40 @@ def test_ablate_grid_size_and_config_echo(metaqa_graph, metaqa_type_graph):
     assert len(reports) == 3
     assert [r.config["k"] for r in reports] == [1, 3, 5]
     assert all(r.config["shots"] == 12 for r in reports)
+
+
+def test_ablate_builds_one_backend_per_cell(metaqa_graph, metaqa_type_graph):
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
+    built = []
+
+    def make_backend():
+        built.append(FirstKBackend(seg))
+        return built[-1]
+
+    ablate(
+        examples, metaqa_graph, metaqa_type_graph, make_backend, k_values=[1, 3], shot_values=[4, 12]
+    )
+    assert len(built) == 4
+    assert len({id(b) for b in built}) == 4
+
+
+def test_ablate_trace_records_name_their_cell(tmp_path, metaqa_graph, metaqa_type_graph):
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
+    trace_path = tmp_path / "trace.jsonl"
+    ablate(
+        examples,
+        metaqa_graph,
+        metaqa_type_graph,
+        lambda: FirstKBackend(seg),
+        k_values=[1, 3],
+        shot_values=[12],
+        trace_path=str(trace_path),
+    )
+    records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert [r["k"] for r in records] == [1] * len(examples) + [3] * len(examples)
+    assert all(r["shots"] == 12 for r in records)
 
 
 def test_ablate_mean_evidence_non_decreasing_in_k(metaqa_graph, metaqa_type_graph):

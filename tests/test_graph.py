@@ -168,6 +168,14 @@ def test_canonicalization_unifies_space_and_underscore():
     assert canonical_label(" William_Anders ") == "William Anders"
 
 
+def test_canonicalization_is_idempotent_on_edge_underscores():
+    g = KnowledgeGraph.from_triples([("_a", "r", "b"), ("a", "r", "c")])
+    assert g.num_entities() == 3
+    for label in ("_a", "a_", "__a_b__", " _a_ ", "_", "a__b"):
+        once = canonical_label(label)
+        assert canonical_label(once) == once, label
+
+
 def test_relation_labels_are_case_sensitive():
     g = KnowledgeGraph.from_triples([("a", "birthPlace", "b"), ("a", "birthplace", "c")])
     assert g.relation_labels() == {"birthPlace", "birthplace"}
