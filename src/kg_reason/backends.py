@@ -15,6 +15,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from http.cookiejar import DefaultCookiePolicy
 from typing import Protocol
 
 import requests
@@ -123,10 +124,20 @@ class HttpBackend:
 
     Sends the rendered prompt as a single user message. The bearer token is
     read from the ``KG_REASON_API_KEY`` environment variable when present.
+    Each calling thread sends through its own ``requests.Session``, created on
+    the thread's first call, so its calls reuse one keep-alive connection; the
+    session and its connection go when the thread ends. A 429 or 503 reply
+    carrying a delta-seconds ``Retry-After`` sets the wait before the next
+    attempt, capped at the timeout.
     """
 
     config: BackendConfig
     backoff_base: float = field(default=0.5, repr=False)
+    # Per thread: a Session is not thread-safe, and a connection left open
+    # after its thread ends can hold one of the server's slots.
+    _local: threading.local = field(
+        default_factory=threading.local, init=False, repr=False, compare=False
+    )
 
     def _url(self) -> str:
         base = self.config.endpoint.rstrip("/")
@@ -135,6 +146,15 @@ class HttpBackend:
         if base.endswith("/v1"):
             return base + "/chat/completions"
         return base + CHAT_COMPLETIONS_PATH
+
+    def _session(self) -> requests.Session:
+        """The calling thread's session, created on its first call."""
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            # Stateless like a one-off request: store no cookie a server sets.
+            session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=()))
+        return session
 
     def complete(self, prompt: str, stage: str) -> str:
         payload = {
@@ -147,11 +167,13 @@ class HttpBackend:
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        session = self._session()
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
+            retry_after = None
             try:
-                response = requests.post(
+                response = session.post(
                     self._url(), json=payload, headers=headers, timeout=self.config.timeout
                 )
             except requests.RequestException as exc:
@@ -167,14 +189,25 @@ class HttpBackend:
                         last_error = exc
                 elif response.status_code == 429 or response.status_code >= 500:
                     last_error = BackendError(f"server returned {response.status_code}")
+                    if response.status_code in (429, 503):
+                        retry_after = _delta_seconds(response.headers.get("Retry-After"))
                 else:
                     # client errors do not resolve by retrying
                     raise BackendError(
                         f"request rejected with {response.status_code}: {response.text[:200]}"
                     )
             if attempt < attempts - 1:
-                time.sleep(self.backoff_base * (2**attempt))
+                if retry_after is None:
+                    time.sleep(self.backoff_base * (2**attempt))
+                else:
+                    time.sleep(min(retry_after, self.config.timeout))
         raise BackendError(f"request failed after {attempts} attempts: {last_error}")
+
+
+def _delta_seconds(value: str | None) -> int | None:
+    """A ``Retry-After`` in its delta-seconds form (RFC 9110 §10.2.3), else None."""
+    value = (value or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 def make_backend(config: BackendConfig) -> Backend:

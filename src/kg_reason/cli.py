@@ -14,7 +14,7 @@ import json
 import sys
 
 from .backends import BackendConfig, make_backend
-from .candidates import VARIABLE
+from .candidates import VARIABLE, resolve_mention
 from .errors import (
     BackendError,
     DatasetLoadError,
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .evaluation import (
     QAExample,
-    VerificationExample,
     ablate,
     build_query,
     evaluate,
@@ -36,7 +35,7 @@ from .evaluation import (
     write_report,
 )
 from .graph import build_type_graph, load_graph
-from .pipeline import Pipeline, linearize
+from .pipeline import Pipeline, Query, linearize
 
 DEFAULT_K_VERIFICATION = 5
 DEFAULT_K_QA = 3
@@ -119,20 +118,22 @@ def _default_k(args: argparse.Namespace, qa: bool) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    """``verify`` and ``answer``: one example through the evaluation query builder."""
+    """``verify`` and ``answer``: build one query, run it, print the result."""
     qa = args.command == "answer"
     if qa:
         text, seed = split_seed(args.question)
-        example = QAExample(args.question, text, seed, args.hops, ())
-    else:
-        example = VerificationExample(args.claim, tuple(args.entities), "")
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
     backend = make_backend(_backend_config(args))
-    query = build_query(example, g, tg)
-    for mention in query.mentions:
-        if mention.kind == VARIABLE:
-            raise UnknownEntityError(mention.surface)
+    if qa:
+        query = build_query(QAExample(args.question, text, seed, args.hops, ()), g, tg)
+    else:
+        # Unlike a dataset claim, a claim given here must name only known entities.
+        mentions = tuple(resolve_mention(label, g, tg) for label in args.entities)
+        for mention in mentions:
+            if mention.kind == VARIABLE:
+                raise UnknownEntityError(mention.surface)
+        query = Query.claim(args.claim, mentions)
     pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
     source = args.question if qa else args.claim
     record: dict = {"input": source, "k": pipeline.k, "shots": pipeline.shots}

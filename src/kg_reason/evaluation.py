@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import Backend
-from .candidates import resolve_mention
-from .errors import DatasetLoadError, KGReasonError, PipelineError, QueryError
+from .candidates import VARIABLE, resolve_mention
+from .errors import DatasetLoadError, KGReasonError, PipelineError, QueryError, UnknownEntityError
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED
 from .pipeline import Pipeline, Query
@@ -180,11 +180,17 @@ class EvalReport:
 def build_query(
     example: VerificationExample | QAExample, g: KnowledgeGraph, tg: TypeGraph
 ) -> Query:
-    """Turn a dataset example into a pipeline query."""
+    """Turn a dataset example into a pipeline query.
+
+    A claim entity that names nothing in the graph becomes a variable; a
+    question seed that names nothing raises :class:`UnknownEntityError`.
+    """
     if isinstance(example, VerificationExample):
         mentions = tuple(resolve_mention(label, g, tg) for label in example.entities)
         return Query.claim(example.claim, mentions)
     seed = resolve_mention(example.seed, g, tg)
+    if seed.kind == VARIABLE:
+        raise UnknownEntityError(example.seed)
     return Query.question(example.text, seed, example.hops)
 
 

@@ -67,6 +67,20 @@ def test_answer_without_exactly_one_seed_is_a_data_error(question, capsys):
     assert "bracketed seed" in capsys.readouterr().err
 
 
+def test_answer_with_unknown_seed_names_the_entity(capsys):
+    code = main(
+        [
+            "answer",
+            "--graph", METAQA,
+            "--backend", f"mock:{FIXTURES / 'mock_cli_answer.jsonl'}",
+            "--question", "what type of film is [Nobody Here]?",
+            "--hops", "1",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "error: unknown entity: 'Nobody Here'"
+
+
 def test_missing_graph_flag_is_a_usage_error(capsys):
     code = main(["verify", "--claim", "x", "--entities", "y", "--backend", "mock:z"])
     assert code == 1
