@@ -29,10 +29,6 @@ from .graph import (
     build_type_graph,
     canonical_label,
     load_graph,
-    relations_of_entity,
-    relations_of_type,
-    relations_within_n_hops,
-    triples_matching,
 )
 from .parsing import (
     REFUTED,
@@ -87,13 +83,9 @@ __all__ = [
     "parse_segmentation",
     "parse_verdict",
     "prompt_hash",
-    "relations_of_entity",
-    "relations_of_type",
-    "relations_within_n_hops",
     "render_entity_set",
     "render_prompt",
     "render_relation_list",
     "render_triple_list",
     "resolve_mention",
-    "triples_matching",
 ]

@@ -85,7 +85,11 @@ class MockBackend:
     @classmethod
     def from_path(cls, path: str) -> "MockBackend":
         entries: list[MockEntry] = []
-        with open(path, encoding="utf-8") as handle:
+        try:
+            handle = open(path, encoding="utf-8")
+        except OSError as exc:
+            raise MockScriptError("-", "-", str(exc)) from exc
+        with handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line:

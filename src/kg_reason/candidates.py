@@ -65,9 +65,6 @@ class RelationCandidates:
 
     relations: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return bool(self.relations)
-
 
 def extract_relation_candidates(
     mentions: Iterable[Mention], g: KnowledgeGraph, tg: TypeGraph
@@ -89,7 +86,7 @@ def extract_relation_candidates(
     type_ids: list[int] = []
     for m in mentions:
         if m.kind == CONCRETE:
-            rels = g.incident_relation_ids(m.ref, "both")
+            rels = g.incident_relation_ids(m.ref)
             entity_pool = rels if entity_pool is None else entity_pool & rels
         elif m.kind == TYPE_REF:
             type_ids.append(m.ref)
@@ -102,15 +99,14 @@ def extract_relation_candidates(
         result = type_pool if entity_pool is None else entity_pool & type_pool
     else:
         result = entity_pool
-    labels = sorted(g.relation_label(r) for r in result)
-    return RelationCandidates(tuple(labels))
+    return RelationCandidates(tuple(sorted(g.relation_label(r) for r in result)))
 
 
 def extract_nhop_candidates(
-    seed: str, hops: int, g: KnowledgeGraph
+    seed_id: int, hops: int, g: KnowledgeGraph
 ) -> RelationCandidates:
-    """Candidate pool for a question: relations within ``hops`` of the seed."""
+    """Candidate pool for a question: relations within ``hops`` of the seed entity."""
     if hops not in (1, 2, 3):
         raise CandidateError(f"hop count must be 1, 2 or 3, got {hops}")
-    labels = sorted(relations_within_n_hops(g, seed, hops))
-    return RelationCandidates(tuple(labels))
+    rels = relations_within_n_hops(g, seed_id, hops)
+    return RelationCandidates(tuple(sorted(g.relation_label(r) for r in rels)))

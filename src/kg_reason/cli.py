@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
 from .candidates import VARIABLE, resolve_mention
@@ -36,6 +37,7 @@ from .evaluation import (
 )
 from .graph import build_type_graph, load_graph
 from .pipeline import Pipeline, Query, linearize
+from .prompts import MAX_SHOTS
 
 DEFAULT_K_VERIFICATION = 5
 DEFAULT_K_QA = 3
@@ -55,6 +57,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_in(low: int, high: int | None = None) -> Callable[[str], int]:
+    """argparse type: an integer from ``low`` to ``high`` (unbounded if None)."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    return integer
+
+
+def _int_list(item: Callable[[str], int]) -> Callable[[str], list[int]]:
+    """argparse type: a non-empty comma-separated list, each entry checked by ``item``."""
+
+    def integer_list(text: str) -> list[int]:
+        values = [item(v) for v in text.split(",") if v]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return integer_list
+
+
+_K = _int_in(1)
+_SHOTS = _int_in(1, MAX_SHOTS)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kg-reason", description="Knowledge-graph reasoning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,10 +101,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--model", default="gpt-3.5-turbo")
         p.add_argument("--temperature", type=float, default=0.2)
         p.add_argument("--top-p", type=float, default=0.1)
-        p.add_argument("--retries", type=int, default=2)
+        p.add_argument("--retries", type=_int_in(0), default=2)
         p.add_argument("--timeout", type=float, default=30.0)
-        p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-        p.add_argument("--k", type=int)
+        p.add_argument("--shots", type=_SHOTS, default=DEFAULT_SHOTS)
+        p.add_argument("--k", type=_K)
         p.add_argument("--trace", help="append per-query trace records to this file")
 
     verify = sub.add_parser("verify", help="verify one claim")
@@ -92,11 +123,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--task", required=True, choices=("verification", "qa"))
         p.add_argument("--dataset", required=True)
         p.add_argument("--hops", type=int, choices=(1, 2, 3))
-        p.add_argument("--width", type=int, default=1, help="worker pool width")
+        p.add_argument("--width", type=_int_in(1), default=1, help="worker pool width")
         p.add_argument("--report", help="write the machine-readable report here")
         if name == "ablate":
-            p.add_argument("--k-values", required=True, help="comma-separated, e.g. 1,3,5")
-            p.add_argument("--shot-values", required=True, help="comma-separated, e.g. 4,8,12")
+            p.add_argument(
+                "--k-values", required=True, type=_int_list(_K), help="comma-separated, e.g. 1,3,5"
+            )
+            p.add_argument(
+                "--shot-values", required=True, type=_int_list(_SHOTS), help="e.g. 4,8,12"
+            )
     return parser
 
 
@@ -193,18 +228,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
-    try:
-        k_values = [int(v) for v in args.k_values.split(",") if v]
-        shot_values = [int(v) for v in args.shot_values.split(",") if v]
-    except ValueError as exc:
-        raise _UsageError(f"bad grid value: {exc}")
     reports = ablate(
         dataset,
         g,
         tg,
         functools.partial(make_backend, _backend_config(args)),
-        k_values=k_values,
-        shot_values=shot_values,
+        k_values=args.k_values,
+        shot_values=args.shot_values,
         width=args.width,
         trace_path=args.trace,
     )

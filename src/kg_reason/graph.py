@@ -7,8 +7,9 @@ and ``William_Anders`` name the same entity. Relation labels are compared
 case-sensitively and verbatim.
 
 A triple's id is its load position in ``triples``. The adjacency indexes
-map entity -> relation -> other endpoint -> position, so duplicate checks,
-:meth:`KnowledgeGraph.position` and load-order matching all read them.
+map entity -> relation -> other endpoint -> position, so duplicate checks
+and load-order matching both read them. Queries take and return ids and
+positions; labels are resolved and rendered by the callers.
 
 Graphs are immutable once built and safe for concurrent readers.
 """
@@ -22,7 +23,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import GraphLoadError, UnknownEntityError
+from .errors import GraphLoadError
 
 
 def canonical_label(label: str) -> str:
@@ -61,12 +62,6 @@ class Interner:
 
     def label(self, ident: int) -> str:
         return self._labels[ident]
-
-    def labels(self) -> list[str]:
-        return list(self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
 
 
 class KnowledgeGraph:
@@ -132,12 +127,6 @@ class KnowledgeGraph:
 
     # label/id plumbing -------------------------------------------------
 
-    def entity_id(self, label: str) -> int:
-        found = self._entities.lookup(label)
-        if found is None:
-            raise UnknownEntityError(label)
-        return found
-
     def maybe_entity_id(self, label: str) -> int | None:
         return self._entities.lookup(label)
 
@@ -150,20 +139,8 @@ class KnowledgeGraph:
     def maybe_relation_id(self, label: str) -> int | None:
         return self._relations.lookup(label)
 
-    def type_label(self, ident: int) -> str:
-        return self._types.label(ident)
-
     def maybe_type_id(self, label: str) -> int | None:
         return self._types.lookup(label)
-
-    def has_entity(self, label: str) -> bool:
-        return self._entities.lookup(label) is not None
-
-    def entity_labels(self) -> set[str]:
-        return set(self._entities.labels())
-
-    def relation_labels(self) -> set[str]:
-        return set(self._relations.labels())
 
     def triple_labels(self, t: Triple) -> tuple[str, str, str]:
         return (
@@ -172,22 +149,11 @@ class KnowledgeGraph:
             self.entity_label(t.tail),
         )
 
-    def position(self, t: Triple) -> int:
-        """Load-order position of a triple."""
-        return self.out_index[t.head][t.relation][t.tail]
-
-    def num_entities(self) -> int:
-        return len(self._entities)
-
     # id-level queries ---------------------------------------------------
 
-    def incident_relation_ids(self, eid: int, direction: str = "both") -> set[int]:
-        rels: set[int] = set()
-        if direction in ("outgoing", "both"):
-            rels.update(self.out_index.get(eid, {}))
-        if direction in ("incoming", "both"):
-            rels.update(self.in_index.get(eid, {}))
-        return rels
+    def incident_relation_ids(self, eid: int) -> set[int]:
+        """Relations on edges where the entity is head or tail."""
+        return self.out_index.get(eid, {}).keys() | self.in_index.get(eid, {}).keys()
 
     def neighbor_ids(self, eid: int) -> set[int]:
         nbrs: set[int] = set()
@@ -205,7 +171,6 @@ class TypeGraph:
 
     graph: KnowledgeGraph
     type_relations: dict[int, frozenset[int]]
-    empty: bool = False
 
     def resolve_type(self, label: str) -> int | None:
         return self.graph.maybe_type_id(label)
@@ -250,48 +215,23 @@ def _read_tsv(path: str, width: int):
             yield stripped
 
 
-def relations_of_entity(
-    g: KnowledgeGraph, entity: str, direction: str = "both"
-) -> set[str]:
-    """Labels of relations on edges where the entity is head or tail.
-
-    Raises :class:`UnknownEntityError` for labels not interned in the graph.
-    """
-    if direction not in ("outgoing", "incoming", "both"):
-        raise ValueError(f"bad direction: {direction!r}")
-    eid = g.entity_id(entity)
-    return {g.relation_label(r) for r in g.incident_relation_ids(eid, direction)}
-
-
 def build_type_graph(g: KnowledgeGraph) -> TypeGraph:
     """Project the graph onto its type vocabulary.
 
     Each type maps to the union of relations incident (either direction) to
     the entities carrying it. A graph without type assignments produces an
-    empty projection flagged with ``empty=True``.
+    empty projection.
     """
     acc: dict[int, set[int]] = {}
     for eid, tids in g.entity_types.items():
-        rels = g.incident_relation_ids(eid, "both")
+        rels = g.incident_relation_ids(eid)
         for tid in tids:
             acc.setdefault(tid, set()).update(rels)
-    return TypeGraph(
-        graph=g,
-        type_relations={t: frozenset(r) for t, r in acc.items()},
-        empty=not g.entity_types,
-    )
+    return TypeGraph(graph=g, type_relations={t: frozenset(r) for t, r in acc.items()})
 
 
-def relations_of_type(tg: TypeGraph, type_label: str) -> set[str]:
-    """Relation labels recorded for a type; empty set for unknown types."""
-    tid = tg.graph.maybe_type_id(type_label)
-    if tid is None:
-        return set()
-    return {tg.graph.relation_label(r) for r in tg.type_relations.get(tid, frozenset())}
-
-
-def relations_within_n_hops(g: KnowledgeGraph, seed: str, n: int) -> set[str]:
-    """Labels of relations on edges reachable within n undirected hops.
+def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]:
+    """Ids of relations on edges reachable within n undirected hops.
 
     An edge is within hop i when one endpoint sits at distance i - 1 from
     the seed, so the result is the union of relations incident to every
@@ -299,7 +239,6 @@ def relations_within_n_hops(g: KnowledgeGraph, seed: str, n: int) -> set[str]:
     """
     if n < 1:
         raise ValueError("hop count must be >= 1")
-    seed_id = g.entity_id(seed)
     distances = {seed_id: 0}
     frontier = deque([seed_id])
     while frontier:
@@ -312,26 +251,17 @@ def relations_within_n_hops(g: KnowledgeGraph, seed: str, n: int) -> set[str]:
                 frontier.append(nbr)
     rels: set[int] = set()
     for node in distances:  # every node reached is within n - 1 hops
-        rels.update(g.incident_relation_ids(node, "both"))
-    return {g.relation_label(r) for r in rels}
-
-
-def triples_matching(
-    g: KnowledgeGraph, endpoints: Iterable[str], relations: Iterable[str]
-) -> list[Triple]:
-    """Triples whose relation is in ``relations`` and whose head or tail is
-    in ``endpoints``, deduplicated, in load order. Unknown labels simply
-    match nothing.
-    """
-    endpoint_ids = {e for e in (g.maybe_entity_id(x) for x in endpoints) if e is not None}
-    relation_ids = {r for r in (g.maybe_relation_id(x) for x in relations) if r is not None}
-    return match_triples_by_id(g, endpoint_ids, relation_ids)
+        rels.update(g.incident_relation_ids(node))
+    return rels
 
 
 def match_triples_by_id(
     g: KnowledgeGraph, endpoint_ids: set[int], relation_ids: set[int]
-) -> list[Triple]:
-    """Index-backed form of :func:`triples_matching` over interned ids."""
+) -> list[int]:
+    """Load positions, ascending and deduplicated, of the triples whose
+    relation is in ``relation_ids`` and whose head or tail is in
+    ``endpoint_ids``. Ids the graph never handed out match nothing.
+    """
     positions: set[int] = set()
     for eid in endpoint_ids:
         for index in (g.out_index, g.in_index):
@@ -339,5 +269,4 @@ def match_triples_by_id(
             if by_relation:
                 for rid in by_relation.keys() & relation_ids:
                     positions.update(by_relation[rid].values())
-    triples = g.triples
-    return [triples[p] for p in sorted(positions)]
+    return sorted(positions)

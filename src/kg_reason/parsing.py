@@ -12,7 +12,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .candidates import Mention, RelationCandidates
+from .candidates import Mention
 from .errors import (
     AnswerGroundingError,
     RelationParseError,
@@ -126,7 +126,7 @@ _QUOTED = re.compile(r"'([^']*)'|\"([^\"]*)\"")
 
 def parse_relations(
     response: str,
-    offered: RelationCandidates | Sequence[str],
+    offered: Sequence[str],
     k: int,
     notes: list[str] | None = None,
 ) -> RetrievedRelations:
@@ -140,7 +140,6 @@ def parse_relations(
     """
     if k < 1:
         raise RelationParseError(f"k must be >= 1, got {k}")
-    pool = tuple(offered.relations if isinstance(offered, RelationCandidates) else offered)
     match = _BRACKETED.search(response)
     if match is None:
         raise RelationParseError("no bracketed list in response")
@@ -148,7 +147,7 @@ def parse_relations(
     items = [a or b for a, b in _QUOTED.findall(inner)]
     if not items:
         items = [piece.strip() for piece in inner.split(",") if piece.strip()]
-    offered_set = set(pool)
+    offered_set = set(offered)
     kept: list[str] = []
     for item in items:
         if item in offered_set:
@@ -158,7 +157,7 @@ def parse_relations(
             _note(notes, f"dropped relation not in the offered set: {item!r}")
     if not kept:
         _note(notes, "no offered relation matched; falling back to the first k offered")
-        kept = list(pool[:k])
+        kept = list(offered[:k])
     return RetrievedRelations(tuple(kept[:k]), k)
 
 
@@ -180,36 +179,37 @@ def parse_verdict(response: str) -> Verdict:
 
 
 def parse_answer(
-    response: str, evidence: Sequence[tuple[str, str, str]]
+    response: str, evidence: Sequence[tuple[str, str, str]], seed: str | None = None
 ) -> AnswerCandidate:
     """Ground the response in the evidence endpoints.
 
     The answer is the longest evidence endpoint label (canonicalized,
-    case-insensitive) found anywhere in the response; the full response is
-    kept as the rationale. Raises :class:`AnswerGroundingError` when the
-    evidence is empty or no endpoint is mentioned.
+    case-insensitive) that the response mentions as whole tokens; the
+    question's ``seed`` counts only when no other endpoint is mentioned.
+    The full response is kept as the rationale. Raises
+    :class:`AnswerGroundingError` when the evidence is empty or no endpoint
+    is mentioned.
     """
     if not evidence:
         raise AnswerGroundingError("cannot ground an answer in empty evidence")
-    endpoints: list[str] = []
-    seen: set[str] = set()
+    labels: dict[str, str] = {}  # comparison form -> first spelling in the evidence
     for head, _, tail in evidence:
-        for label in (head, tail):
-            key = canonical_label(label)
-            if key not in seen:
-                seen.add(key)
-                endpoints.append(label)
+        labels.setdefault(canonical_label(head).lower(), head)
+        labels.setdefault(canonical_label(tail).lower(), tail)
     haystack = canonical_label(response).lower()
-    best: str | None = None
-    best_len = -1
-    for label in endpoints:
-        needle = canonical_label(label).lower()
-        if needle and needle in haystack and len(needle) > best_len:
-            best = label
-            best_len = len(needle)
-    if best is None:
+    # the substring test first, so only labels present compile a pattern
+    mentioned = [
+        needle
+        for needle in labels
+        if needle
+        and needle in haystack
+        and re.search(rf"(?<!\w){re.escape(needle)}(?!\w)", haystack)
+    ]
+    if not mentioned:
         raise AnswerGroundingError("no evidence entity appears in the response")
-    return AnswerCandidate(entity=best, rationale=response)
+    seed_key = canonical_label(seed).lower() if seed is not None else None
+    others = [needle for needle in mentioned if needle != seed_key]
+    return AnswerCandidate(entity=labels[max(others or mentioned, key=len)], rationale=response)
 
 
 def _note(notes: list[str] | None, message: str) -> None:

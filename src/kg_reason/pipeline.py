@@ -106,10 +106,6 @@ class EvidenceGraph:
     def labels(self) -> list[tuple[str, str, str]]:
         return [self.graph.triple_labels(t) for t in self.triples]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.triples
-
 
 def linearize(evidence: EvidenceGraph) -> str:
     """Render the evidence triples for prompt inclusion; ``[]`` when empty."""
@@ -176,13 +172,12 @@ class Pipeline:
 
     # stages --------------------------------------------------------------
 
-    def segment(self, query: Query, trace: StageTrace | None = None) -> list[SubSentence]:
+    def segment(self, query: Query, trace: StageTrace) -> list[SubSentence]:
         """Split the query into sub-sentences via the segmentation prompt.
 
         One-hop questions whose response fails the grammar degrade to a
         single sub-sentence spanning the whole question.
         """
-        trace = trace if trace is not None else StageTrace()
         prompt = render_prompt(
             SEGMENTATION_TEMPLATE,
             {
@@ -214,17 +209,16 @@ class Pipeline:
         self,
         subsentences: list[SubSentence],
         query: Query,
-        trace: StageTrace | None = None,
+        trace: StageTrace,
     ) -> dict[int, RetrievedRelations]:
         """Pick up to k relations per sub-sentence from its candidate pool.
 
         Claims build the pool per sub-sentence from its mentions; questions
         share the n-hop pool of the seed across all sub-sentences.
         """
-        trace = trace if trace is not None else StageTrace()
         shared: RelationCandidates | None = None
         if query.kind == QUESTION:
-            shared = extract_nhop_candidates(query.seed.surface, query.hops, self.graph)
+            shared = extract_nhop_candidates(query.seed.ref, query.hops, self.graph)
         retrieved: dict[int, RetrievedRelations] = {}
         for sub in subsentences:
             offered = (
@@ -247,7 +241,7 @@ class Pipeline:
             )
             response = self.backend.complete(prompt, RETRIEVAL)
             notes: list[str] = []
-            parsed = parse_relations(response, offered, self.k, notes)
+            parsed = parse_relations(response, offered.relations, self.k, notes)
             retrieved[sub.index] = parsed
             trace.retrieval.append(
                 {
@@ -266,7 +260,7 @@ class Pipeline:
         subsentences: list[SubSentence],
         retrieved: dict[int, RetrievedRelations],
         query: Query,
-        trace: StageTrace | None = None,
+        trace: StageTrace,
     ) -> EvidenceGraph:
         """Collect matching triples sub-sentence by sub-sentence.
 
@@ -281,12 +275,7 @@ class Pipeline:
         bindings: dict[str, set[int]] = {}
         positions: set[int] = set()
         for sub in subsentences:
-            relations = retrieved[sub.index].relations
-            relation_ids = {
-                r
-                for r in (g.maybe_relation_id(label) for label in relations)
-                if r is not None
-            }
+            relation_ids = set(map(g.maybe_relation_id, retrieved[sub.index].relations)) - {None}
             anchors: set[int] = set()
             for m in sub.mentions:
                 if m.kind == CONCRETE:
@@ -301,33 +290,31 @@ class Pipeline:
             type_ids = {m.ref for m in sub.mentions if m.kind == TYPE_REF}
             if type_ids:
                 matched = [
-                    t for t in matched if _endpoints_fit_types(g, t, anchors, type_ids)
+                    p for p in matched if _endpoints_fit_types(g, g.triples[p], anchors, type_ids)
                 ]
-            endpoint_ids = {e for t in matched for e in (t.head, t.tail)}
+            endpoint_ids = {e for p in matched for e in g.triples[p][::2]}  # heads and tails
             for m in sub.mentions:
                 if m.kind == VARIABLE:
                     bindings[m.ref] = endpoint_ids - anchors
-            positions.update(g.out_index[h][r][t] for h, r, t in matched)
+            positions.update(matched)
         evidence = EvidenceGraph(g, tuple(g.triples[pos] for pos in sorted(positions)))
-        if trace is not None:
-            trace.assembly = {
-                "triples": evidence.labels(),
-                "empty_evidence": evidence.is_empty,
-                "bindings": {
-                    name: sorted(g.entity_label(e) for e in values)
-                    for name, values in bindings.items()
-                },
-            }
+        trace.assembly = {
+            "triples": evidence.labels(),
+            "empty_evidence": not evidence.triples,
+            "bindings": {
+                name: sorted(g.entity_label(e) for e in values)
+                for name, values in bindings.items()
+            },
+        }
         return evidence
 
     def infer(
         self,
         query: Query,
         evidence: EvidenceGraph,
-        trace: StageTrace | None = None,
+        trace: StageTrace,
     ) -> Conclusion:
         """Derive a verdict (claims) or a grounded answer entity (questions)."""
-        trace = trace if trace is not None else StageTrace()
         template = (
             QA_INFERENCE_TEMPLATE if query.kind == QUESTION else VERIFICATION_INFERENCE_TEMPLATE
         )
@@ -339,7 +326,9 @@ class Pipeline:
         response = self.backend.complete(prompt, INFERENCE)
         trace.inference = {"prompt": prompt, "response": response}
         if query.kind == QUESTION:
-            result: Verdict | AnswerCandidate = parse_answer(response, evidence.labels())
+            result: Verdict | AnswerCandidate = parse_answer(
+                response, evidence.labels(), query.seed.surface
+            )
             trace.inference["answer"] = result.entity
         else:
             result = parse_verdict(response)

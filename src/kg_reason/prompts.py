@@ -29,10 +29,6 @@ class PromptTemplate:
     examples: tuple[str, ...]
     footer: str
 
-    @property
-    def placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER.findall(self.header + self.footer))
-
 
 def quote_label(label: str) -> str:
     """Single-quote a label, switching to double quotes around apostrophes."""

@@ -36,12 +36,12 @@ from kg_reason import (
     parse_relations,
     parse_segmentation,
     parse_verdict,
-    relations_within_n_hops,
     render_prompt,
     resolve_mention,
 )
 from kg_reason.errors import CandidateError, ParseError
 from kg_reason.evaluation import build_query
+from kg_reason.graph import relations_within_n_hops
 
 from helpers import (
     CountingBackend,
@@ -86,7 +86,7 @@ def test_candidate_extraction_matches_oracle_on_randomized_graphs():
             g = KnowledgeGraph.from_triples(triples, _type_pairs(type_map))
             tg = build_type_graph(g)
             type_labels = sorted(set().union(*type_map.values())) if type_map else []
-            present = [e for e in entities if g.has_entity(e)]
+            present = [e for e in entities if g.maybe_entity_id(e) is not None]
             specs = []
             force_all_types = runs % 5 == 0 and len(type_labels) >= 2
             for position in range(rng.randint(1, 2)):
@@ -101,7 +101,7 @@ def test_candidate_extraction_matches_oracle_on_randomized_graphs():
             mentions = []
             for kind, label in specs:
                 if kind == "entity":
-                    mentions.append(Mention.concrete(label, g.entity_id(label)))
+                    mentions.append(Mention.concrete(label, g.maybe_entity_id(label)))
                 elif kind == "type":
                     mentions.append(Mention.type_ref(label, g.maybe_type_id(label)))
                 else:
@@ -129,12 +129,13 @@ def test_nhop_retrieval_matches_path_enumeration_on_random_graphs():
             entities, _, triples, _ = random_graph_data(rng, 20, 8, 40)
             g = KnowledgeGraph.from_triples(triples)
             seed = rng.choice(entities)
-            if not g.has_entity(seed):
+            if g.maybe_entity_id(seed) is None:
                 seed = g.triple_labels(g.triples[0])[0]
+            seed_id = g.maybe_entity_id(seed)
             for n in (1, 2, 3):
-                got = relations_within_n_hops(g, seed, n)
+                got = {g.relation_label(r) for r in relations_within_n_hops(g, seed_id, n)}
                 assert got == enumerate_nhop_relations(triples, seed, n)
-                shortcut = extract_nhop_candidates(seed, n, g)
+                shortcut = extract_nhop_candidates(seed_id, n, g)
                 assert set(shortcut.relations) == got
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

@@ -11,10 +11,10 @@ from kg_reason import (
     build_type_graph,
     extract_nhop_candidates,
     extract_relation_candidates,
-    relations_of_entity,
     resolve_mention,
 )
 from kg_reason.errors import CandidateError, UnknownEntityError
+from kg_reason.evaluation import QAExample, build_query
 
 from helpers import candidate_oracle, enumerate_nhop_relations, random_graph_data
 
@@ -25,7 +25,13 @@ def graph_with_types(triples, type_pairs=()):
 
 
 def concrete(g, label):
-    return Mention.concrete(label, g.entity_id(label))
+    eid = g.maybe_entity_id(label)
+    assert eid is not None, label
+    return Mention.concrete(label, eid)
+
+
+def present_entities(g, entities):
+    return [e for e in entities if g.maybe_entity_id(e) is not None]
 
 
 def type_ref(g, label):
@@ -46,7 +52,7 @@ def test_resolve_mention_canonicalizes():
     g, tg = graph_with_types([("Big Star", "r", "B")])
     m = resolve_mention("Big_Star", g, tg)
     assert m.kind == "concrete"
-    assert m.ref == g.entity_id("Big Star")
+    assert m.ref == g.maybe_entity_id("Big Star")
 
 
 # --- claim-style extraction ------------------------------------------------------
@@ -111,8 +117,9 @@ def test_no_mentions_is_an_error():
 
 def test_unknown_entity_surfaces_at_resolution():
     g, tg = graph_with_types([("A", "r1", "X")])
-    with pytest.raises(UnknownEntityError):
-        concrete(g, "unknown")
+    # resolution never raises; an unknown label is a variable, with no id
+    assert resolve_mention("unknown", g, tg) == Mention.variable("unknown")
+    assert g.maybe_entity_id("unknown") is None
 
 
 def _random_mentions(rng, g, tg, entities, type_labels):
@@ -120,8 +127,8 @@ def _random_mentions(rng, g, tg, entities, type_labels):
     mentions = []
     for _ in range(rng.randint(1, 2)):
         roll = rng.random()
-        if roll < 0.5 and any(g.has_entity(e) for e in entities):
-            label = rng.choice([e for e in entities if g.has_entity(e)])
+        if roll < 0.5 and present_entities(g, entities):
+            label = rng.choice(present_entities(g, entities))
             specs.append(("entity", label))
             mentions.append(concrete(g, label))
         elif roll < 0.85 and type_labels:
@@ -150,7 +157,7 @@ def test_extraction_matches_scan_oracle(seed):
     assert set(got.relations) == expected
     assert got.relations == tuple(sorted(got.relations))
     # subset law
-    assert set(got.relations) <= g.relation_labels()
+    assert set(got.relations) <= {r for _, r, _ in triples}
 
 
 @given(st.integers(0, 20_000))
@@ -158,7 +165,7 @@ def test_adding_a_concrete_mention_never_grows_the_pool(seed):
     rng = random.Random(seed)
     entities, _, triples, _ = random_graph_data(rng, 20, 8, 60)
     g, tg = graph_with_types(triples)
-    present = [e for e in entities if g.has_entity(e)]
+    present = present_entities(g, entities)
     if len(present) < 2:
         return
     a, b = rng.sample(present, 2)
@@ -172,10 +179,10 @@ def test_single_mention_identity(seed):
     rng = random.Random(seed)
     entities, _, triples, _ = random_graph_data(rng, 20, 8, 60)
     g, tg = graph_with_types(triples)
-    present = [e for e in entities if g.has_entity(e)]
-    entity = rng.choice(present)
+    entity = rng.choice(present_entities(g, entities))
     got = extract_relation_candidates([concrete(g, entity)], g, tg)
-    assert set(got.relations) == relations_of_entity(g, entity, "both")
+    incident = g.incident_relation_ids(g.maybe_entity_id(entity))
+    assert set(got.relations) == {g.relation_label(r) for r in incident}
 
 
 # --- question-style extraction ------------------------------------------------------
@@ -189,8 +196,9 @@ def test_nhop_chain_fixture():
             ("movie2", "release_year", "year"),
         ]
     )
-    assert extract_nhop_candidates("movie", 1, g).relations == ("starred_actors",)
-    assert extract_nhop_candidates("movie", 3, g).relations == (
+    movie = g.maybe_entity_id("movie")
+    assert extract_nhop_candidates(movie, 1, g).relations == ("starred_actors",)
+    assert extract_nhop_candidates(movie, 3, g).relations == (
         "release_year",
         "starred_actors",
     )
@@ -199,13 +207,15 @@ def test_nhop_chain_fixture():
 def test_nhop_requires_known_hop_count():
     g, _ = graph_with_types([("a", "r", "b")])
     with pytest.raises(CandidateError):
-        extract_nhop_candidates("a", 4, g)
+        extract_nhop_candidates(g.maybe_entity_id("a"), 4, g)
 
 
 def test_nhop_unknown_seed_propagates():
-    g, _ = graph_with_types([("a", "r", "b")])
-    with pytest.raises(UnknownEntityError):
-        extract_nhop_candidates("zz", 1, g)
+    # an unknown seed stops at query building and never reaches the pool
+    g, tg = graph_with_types([("a", "r", "b")])
+    with pytest.raises(UnknownEntityError) as err:
+        build_query(QAExample("what is [zz]?", "what is zz?", "zz", 1, ()), g, tg)
+    assert "zz" in str(err.value)
 
 
 @given(st.integers(0, 20_000), st.integers(1, 3))
@@ -214,8 +224,8 @@ def test_nhop_matches_path_enumeration(seed, hops):
     entities, _, triples, _ = random_graph_data(rng, 15, 6, 30)
     g, _ = graph_with_types(triples)
     start = rng.choice(entities)
-    if not g.has_entity(start):
+    if g.maybe_entity_id(start) is None:
         return
-    got = extract_nhop_candidates(start, hops, g)
+    got = extract_nhop_candidates(g.maybe_entity_id(start), hops, g)
     assert set(got.relations) == enumerate_nhop_relations(triples, start, hops)
     assert got.relations == tuple(sorted(got.relations))

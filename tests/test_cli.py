@@ -125,6 +125,55 @@ def test_exhausted_mock_script_is_a_backend_error(tmp_path):
     assert main(args) == 3
 
 
+def test_missing_mock_script_is_a_backend_error(capsys):
+    assert main(verify_args("no_such_script.jsonl")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: ")
+    assert "no_such_script.jsonl" in err
+    assert len(err.splitlines()) == 1
+
+
+def grid_args(command):
+    args = [
+        command,
+        "--task", "verification",
+        "--dataset", str(FIXTURES / "verification.jsonl"),
+        "--graph", FACTKG,
+        "--types", FACTKG_TYPES,
+        "--backend", f"mock:{FIXTURES / 'mock_factkg.jsonl'}",
+    ]
+    if command == "ablate":
+        args += ["--k-values", "5", "--shot-values", "12"]
+    return args
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("eval", "--shots", "13"),
+        ("eval", "--shots", "0"),
+        ("eval", "--k", "0"),
+        ("eval", "--width", "0"),
+        ("eval", "--width", "-3"),
+        ("eval", "--retries", "-1"),
+        ("verify", "--k", "-1"),
+        ("verify", "--shots", "13"),
+        # the later value of a repeated flag wins over grid_args' own
+        ("ablate", "--k-values", ","),
+        ("ablate", "--k-values", "3,0"),
+        ("ablate", "--shot-values", ","),
+        ("ablate", "--shot-values", "12,13"),
+    ],
+)
+def test_out_of_range_number_is_a_usage_error(command, flag, value, capsys):
+    args = verify_args() if command == "verify" else grid_args(command)
+    assert main(args + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"usage error: argument {flag}: ")
+
+
 def test_unparseable_response_is_a_data_error(tmp_path):
     script = tmp_path / "bad.jsonl"
     records = [

@@ -7,17 +7,9 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, strategies as st
 
-from kg_reason import (
-    KnowledgeGraph,
-    build_type_graph,
-    canonical_label,
-    load_graph,
-    relations_of_entity,
-    relations_of_type,
-    relations_within_n_hops,
-    triples_matching,
-)
-from kg_reason.errors import GraphLoadError, UnknownEntityError
+from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, load_graph
+from kg_reason.errors import GraphLoadError
+from kg_reason.graph import match_triples_by_id, relations_within_n_hops
 
 from helpers import (
     FIXTURES,
@@ -35,6 +27,33 @@ def write_graph(tmp_path, lines, name="g.tsv"):
     return str(path)
 
 
+# The graph answers in ids; these resolve the test's labels on the way in
+# and render relation ids on the way out, so the oracles can compare labels.
+
+
+def relation_labels(g, relation_ids):
+    return {g.relation_label(r) for r in relation_ids}
+
+
+def entity_relations(g, entity):
+    return relation_labels(g, g.incident_relation_ids(g.maybe_entity_id(entity)))
+
+
+def type_relations(tg, type_label):
+    tid = tg.resolve_type(type_label)
+    return set() if tid is None else relation_labels(tg.graph, tg.relation_ids_for(tid))
+
+
+def nhop_relations(g, seed, n):
+    return relation_labels(g, relations_within_n_hops(g, g.maybe_entity_id(seed), n))
+
+
+def matching(g, endpoints, relations):
+    endpoint_ids = {e for e in map(g.maybe_entity_id, endpoints) if e is not None}
+    relation_ids = {r for r in map(g.maybe_relation_id, relations) if r is not None}
+    return match_triples_by_id(g, endpoint_ids, relation_ids)
+
+
 # --- loading ----------------------------------------------------------------
 
 
@@ -46,11 +65,12 @@ def test_load_two_triples(tmp_path):
     g = load_graph(path)
     assert len(g.triples) == 2
     # one id per distinct label: the shared entity interns once
-    assert g.num_entities() == 3
-    assert g.entity_labels() == {"William_Anders", "Fighter_pilot", "Apollo_8"}
+    ids = [g.maybe_entity_id(e) for e in ("William_Anders", "Fighter_pilot", "Apollo_8")]
+    assert sorted(ids) == [0, 1, 2]
+    assert [g.entity_label(i) for i in ids] == ["William_Anders", "Fighter_pilot", "Apollo_8"]
     # relation labels live in their own vocabulary, not among entities
-    assert g.relation_labels() == {"occupation", "crewMembers"}
-    assert not g.has_entity("occupation")
+    assert relation_labels(g, (t.relation for t in g.triples)) == {"occupation", "crewMembers"}
+    assert g.maybe_entity_id("occupation") is None
 
 
 def test_load_drops_duplicates_with_count(tmp_path):
@@ -84,7 +104,7 @@ def test_positions_keep_first_occurrences_with_injected_duplicates(seed):
     assert [g.triple_labels(t) for t in g.triples] == list(first)
     assert g.duplicate_count == len(stream) - len(first)
     for i, t in enumerate(g.triples):
-        assert g.position(t) == i
+        assert i in match_triples_by_id(g, {t.head}, {t.relation})
 
 
 @contextmanager
@@ -148,8 +168,8 @@ def test_types_file_interns_isolated_entities(tmp_path):
     triples = write_graph(tmp_path, ["a\tr\tb"])
     types = write_graph(tmp_path, ["lonely\tsome type"], name="t.tsv")
     g = load_graph(triples, types)
-    assert g.has_entity("lonely")
-    assert relations_of_entity(g, "lonely") == set()
+    assert g.maybe_entity_id("lonely") is not None
+    assert entity_relations(g, "lonely") == set()
 
 
 def test_multi_type_entities(tmp_path):
@@ -157,20 +177,21 @@ def test_multi_type_entities(tmp_path):
     types = write_graph(tmp_path, ["a\tt1", "a\tt2"], name="t.tsv")
     g = load_graph(triples, types)
     tg = build_type_graph(g)
-    assert relations_of_type(tg, "t1") == {"r"}
-    assert relations_of_type(tg, "t2") == {"r"}
+    assert type_relations(tg, "t1") == {"r"}
+    assert type_relations(tg, "t2") == {"r"}
 
 
 def test_canonicalization_unifies_space_and_underscore():
     g = KnowledgeGraph.from_triples([("William Anders", "r", "b"), ("William_Anders", "q", "c")])
-    assert g.num_entities() == 3
-    assert relations_of_entity(g, "William_Anders") == {"r", "q"}
+    assert g.maybe_entity_id("William Anders") == g.maybe_entity_id("William_Anders") == 0
+    assert g.maybe_entity_id("c") == 2
+    assert entity_relations(g, "William_Anders") == {"r", "q"}
     assert canonical_label(" William_Anders ") == "William Anders"
 
 
 def test_canonicalization_is_idempotent_on_edge_underscores():
     g = KnowledgeGraph.from_triples([("_a", "r", "b"), ("a", "r", "c")])
-    assert g.num_entities() == 3
+    assert [g.maybe_entity_id(e) for e in ("_a", "a", "b", "c")] == [0, 0, 1, 2]
     for label in ("_a", "a_", "__a_b__", " _a_ ", "_", "a__b"):
         once = canonical_label(label)
         assert canonical_label(once) == once, label
@@ -178,7 +199,8 @@ def test_canonicalization_is_idempotent_on_edge_underscores():
 
 def test_relation_labels_are_case_sensitive():
     g = KnowledgeGraph.from_triples([("a", "birthPlace", "b"), ("a", "birthplace", "c")])
-    assert g.relation_labels() == {"birthPlace", "birthplace"}
+    ids = [g.maybe_relation_id(r) for r in ("birthPlace", "birthplace", "BirthPlace")]
+    assert ids == [0, 1, None]
 
 
 def test_determinism_two_loads_agree(tmp_path):
@@ -190,27 +212,14 @@ def test_determinism_two_loads_agree(tmp_path):
     assert [g1.triple_labels(t) for t in g1.triples] == [g2.triple_labels(t) for t in g2.triples]
 
 
-# --- relations_of_entity ------------------------------------------------------
+# --- an entity's relations ---------------------------------------------------
 
 
 def test_relations_of_entity_union_of_directions():
     g = KnowledgeGraph.from_triples([("A", "r1", "B"), ("C", "r2", "A")])
-    assert relations_of_entity(g, "A", "both") == {"r1", "r2"}
-    assert relations_of_entity(g, "A", "outgoing") == {"r1"}
-    assert relations_of_entity(g, "A", "incoming") == {"r2"}
-
-
-def test_relations_of_entity_unknown_label():
-    g = KnowledgeGraph.from_triples([("a", "r", "b")])
-    with pytest.raises(UnknownEntityError) as err:
-        relations_of_entity(g, "nobody")
-    assert "nobody" in str(err.value)
-
-
-def test_relations_of_entity_bad_direction():
-    g = KnowledgeGraph.from_triples([("a", "r", "b")])
-    with pytest.raises(ValueError):
-        relations_of_entity(g, "a", "sideways")
+    assert entity_relations(g, "A") == {"r1", "r2"}
+    assert entity_relations(g, "B") == {"r1"}
+    assert entity_relations(g, "C") == {"r2"}
 
 
 @given(st.integers(0, 10_000))
@@ -219,12 +228,9 @@ def test_relations_of_entity_matches_scan(seed):
     entities, _, triples, type_map = random_graph_data(rng, 20, 8, 60)
     g = KnowledgeGraph.from_triples(triples, _pairs(type_map))
     entity = rng.choice(entities)
-    if not g.has_entity(entity):
+    if g.maybe_entity_id(entity) is None:
         return
-    for direction in ("outgoing", "incoming", "both"):
-        assert relations_of_entity(g, entity, direction) == scan_relations_of_entity(
-            triples, entity, direction
-        )
+    assert entity_relations(g, entity) == scan_relations_of_entity(triples, entity)
 
 
 def _pairs(type_map):
@@ -237,7 +243,7 @@ def _pairs(type_map):
 def test_type_graph_single_edge_projection():
     g = KnowledgeGraph.from_triples([("A", "r1", "B")], [("A", "T1")])
     tg = build_type_graph(g)
-    assert relations_of_type(tg, "T1") == {"r1"}
+    assert type_relations(tg, "T1") == {"r1"}
 
 
 def test_type_graph_union_over_entities_of_same_type():
@@ -245,20 +251,20 @@ def test_type_graph_union_over_entities_of_same_type():
         [("A", "r1", "B"), ("C", "r2", "D")], [("A", "T1"), ("C", "T1")]
     )
     tg = build_type_graph(g)
-    assert relations_of_type(tg, "T1") == {"r1", "r2"}
+    assert type_relations(tg, "T1") == {"r1", "r2"}
 
 
-def test_type_graph_empty_types_is_flagged_not_an_error():
+def test_type_graph_without_types_is_empty_not_an_error():
     g = KnowledgeGraph.from_triples([("a", "r", "b")])
     tg = build_type_graph(g)
-    assert tg.empty
     assert tg.type_relations == {}
 
 
 def test_relations_of_unknown_type_is_empty():
     g = KnowledgeGraph.from_triples([("a", "r", "b")], [("a", "T1")])
     tg = build_type_graph(g)
-    assert relations_of_type(tg, "never heard of it") == set()
+    assert tg.resolve_type("never heard of it") is None
+    assert type_relations(tg, "never heard of it") == set()
 
 
 @given(st.integers(0, 10_000))
@@ -269,7 +275,7 @@ def test_type_graph_matches_nested_loop_oracle(seed):
     tg = build_type_graph(g)
     oracle = nested_loop_type_relations(triples, type_map)
     for type_label in set().union(*type_map.values()) if type_map else set():
-        assert relations_of_type(tg, type_label) == oracle.get(type_label, set())
+        assert type_relations(tg, type_label) == oracle.get(type_label, set())
 
 
 @given(st.integers(0, 10_000))
@@ -279,8 +285,8 @@ def test_type_graph_soundness(seed):
     _, _, triples, type_map = random_graph_data(rng, 15, 6, 40)
     g = KnowledgeGraph.from_triples(triples, _pairs(type_map))
     tg = build_type_graph(g)
-    for tid, rel_ids in tg.type_relations.items():
-        type_label = g.type_label(tid)
+    for type_label in set().union(*type_map.values()) if type_map else set():
+        rel_ids = tg.relation_ids_for(tg.resolve_type(type_label))
         carriers = [e for e, tls in type_map.items() if type_label in tls]
         incident = set().union(*(scan_relations_of_entity(triples, e) for e in carriers))
         assert {g.relation_label(r) for r in rel_ids} <= incident
@@ -291,25 +297,19 @@ def test_type_graph_soundness(seed):
 
 def test_nhop_chain():
     g = KnowledgeGraph.from_triples([("A", "r1", "B"), ("B", "r2", "C")])
-    assert relations_within_n_hops(g, "A", 1) == {"r1"}
-    assert relations_within_n_hops(g, "A", 2) == {"r1", "r2"}
+    assert nhop_relations(g, "A", 1) == {"r1"}
+    assert nhop_relations(g, "A", 2) == {"r1", "r2"}
 
 
 def test_nhop_treats_edges_as_undirected():
     g = KnowledgeGraph.from_triples([("B", "r1", "A"), ("C", "r2", "B")])
-    assert relations_within_n_hops(g, "A", 2) == {"r1", "r2"}
+    assert nhop_relations(g, "A", 2) == {"r1", "r2"}
 
 
 def test_nhop_rejects_zero():
     g = KnowledgeGraph.from_triples([("a", "r", "b")])
     with pytest.raises(ValueError):
-        relations_within_n_hops(g, "a", 0)
-
-
-def test_nhop_unknown_seed():
-    g = KnowledgeGraph.from_triples([("a", "r", "b")])
-    with pytest.raises(UnknownEntityError):
-        relations_within_n_hops(g, "zz", 1)
+        relations_within_n_hops(g, g.maybe_entity_id("a"), 0)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
@@ -318,9 +318,9 @@ def test_nhop_matches_path_enumeration(seed, n):
     entities, _, triples, _ = random_graph_data(rng, 15, 6, 30)
     g = KnowledgeGraph.from_triples(triples)
     start = rng.choice(entities)
-    if not g.has_entity(start):
+    if g.maybe_entity_id(start) is None:
         return
-    assert relations_within_n_hops(g, start, n) == enumerate_nhop_relations(triples, start, n)
+    assert nhop_relations(g, start, n) == enumerate_nhop_relations(triples, start, n)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 2))
@@ -329,31 +329,36 @@ def test_nhop_monotone_in_n(seed, n):
     entities, _, triples, _ = random_graph_data(rng, 15, 6, 30)
     g = KnowledgeGraph.from_triples(triples)
     start = rng.choice(entities)
-    if not g.has_entity(start):
+    if g.maybe_entity_id(start) is None:
         return
-    assert relations_within_n_hops(g, start, n) <= relations_within_n_hops(g, start, n + 1)
+    assert nhop_relations(g, start, n) <= nhop_relations(g, start, n + 1)
 
 
-# --- triples_matching -------------------------------------------------------------
+# --- matching -------------------------------------------------------------------
 
 
 def test_matching_empty_inputs():
     g = KnowledgeGraph.from_triples([("a", "r", "b")])
-    assert triples_matching(g, set(), {"r"}) == []
-    assert triples_matching(g, {"a"}, set()) == []
+    assert match_triples_by_id(g, set(), {0}) == []
+    assert match_triples_by_id(g, {0}, set()) == []
 
 
 def test_matching_fixture_edge(crewed_flight_graph):
-    found = triples_matching(crewed_flight_graph, {"William_Anders"}, {"crewMembers"})
-    assert [crewed_flight_graph.triple_labels(t) for t in found] == [
+    g = crewed_flight_graph
+    found = matching(g, {"William_Anders"}, {"crewMembers"})
+    assert [g.triple_labels(g.triples[p]) for p in found] == [
         ("Apollo_8", "crewMembers", "William_Anders")
     ]
 
 
 def test_matching_unknown_labels_match_nothing():
     g = KnowledgeGraph.from_triples([("a", "r", "b")])
-    assert triples_matching(g, {"zz"}, {"r"}) == []
-    assert triples_matching(g, {"a"}, {"zz"}) == []
+    assert g.maybe_entity_id("zz") is None and g.maybe_relation_id("zz") is None
+    assert matching(g, {"zz"}, {"r"}) == []
+    assert matching(g, {"a"}, {"zz"}) == []
+    # ids the graph never handed out match nothing either
+    assert match_triples_by_id(g, {7}, {0}) == []
+    assert match_triples_by_id(g, {0}, {7}) == []
 
 
 @given(st.integers(0, 10_000))
@@ -363,24 +368,20 @@ def test_matching_equals_full_scan(seed):
     g = KnowledgeGraph.from_triples(triples)
     endpoints = set(rng.sample(entities, rng.randint(0, min(4, len(entities)))))
     rels = set(rng.sample(relations, rng.randint(0, min(3, len(relations)))))
-    got = [g.triple_labels(t) for t in triples_matching(g, endpoints, rels)]
+    got = [g.triple_labels(g.triples[p]) for p in matching(g, endpoints, rels)]
     assert got == scan_matching(triples, endpoints, rels)
 
 
 def test_matching_returns_load_order(factkg_graph):
-    found = triples_matching(
-        factkg_graph,
-        {"Alfredo_Zitarrosa"},
-        {"deathPlace", "birthPlace"},
-    )
-    positions = [factkg_graph.position(t) for t in found]
-    assert positions == sorted(positions)
+    positions = matching(factkg_graph, {"Alfredo_Zitarrosa"}, {"deathPlace", "birthPlace"})
+    assert len(positions) >= 2
+    assert positions == sorted(set(positions))
 
 
 def test_fixture_graph_counts():
     g = load_graph(str(FIXTURES / "crewed_flight_graph.tsv"), str(FIXTURES / "crewed_flight_types.tsv"))
     assert len(g.triples) == 7
-    assert relations_of_entity(g, "William Anders") == {
+    assert entity_relations(g, "William Anders") == {
         "crewMembers",
         "almaMater",
         "occupation",

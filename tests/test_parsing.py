@@ -72,7 +72,7 @@ def test_parse_resolves_against_type_vocabulary():
     got = parse_segmentation(
         "1. William Anders was a crew member of an artificial satellite., "
         "Entity set: ['William_Anders' ## 'artificial satellite']",
-        [Mention.concrete("William_Anders", g.entity_id("William_Anders"))],
+        [Mention.concrete("William_Anders", g.maybe_entity_id("William_Anders"))],
         tg,
     )
     kinds = {m.surface: m.kind for m in got[0].mentions}
@@ -219,6 +219,39 @@ def test_parse_answer_longest_match_wins():
 def test_parse_answer_space_underscore_insensitive():
     got = parse_answer("Meyer Werft built it.", [("AIDAstella", "shipBuilder", "Meyer_Werft")])
     assert got.entity == "Meyer_Werft"
+
+
+def test_parse_answer_skips_the_seed_when_another_endpoint_is_named():
+    evidence = [("Cobra", "starred_actors", "Brigitte Nielsen"), ("Cobra", "release_year", "1986")]
+    response = "Brigitte Nielsen appears in Cobra."
+    assert parse_answer(response, evidence, "Brigitte_Nielsen").entity == "Cobra"
+    # without a seed the longest endpoint still wins
+    assert parse_answer(response, evidence).entity == "Brigitte Nielsen"
+
+
+def test_parse_answer_returns_the_seed_when_it_is_the_only_endpoint_named():
+    evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
+    got = parse_answer("It is Brigitte Nielsen.", evidence, "Brigitte Nielsen")
+    assert got.entity == "Brigitte Nielsen"
+
+
+@pytest.mark.parametrize(
+    "response, expected",
+    [
+        ("Shorts", None),
+        ("It was a shortfall.", None),
+        ("Six Shooters", None),
+        ("(Short)", "Short"),
+        ("short, I think", "Short"),
+    ],
+)
+def test_parse_answer_requires_token_boundaries(response, expected):
+    evidence = [("Six Shooter", "has_genre", "Short")]
+    if expected is None:
+        with pytest.raises(AnswerGroundingError):
+            parse_answer(response, evidence)
+    else:
+        assert parse_answer(response, evidence).entity == expected
 
 
 def test_parse_answer_no_grounding():
