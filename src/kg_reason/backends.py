@@ -20,7 +20,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import BackendError, MockScriptError
+from .errors import BackendError, MockScriptError, reading
 
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -85,11 +85,13 @@ class MockBackend:
     @classmethod
     def from_path(cls, path: str) -> "MockBackend":
         entries: list[MockEntry] = []
-        try:
-            handle = open(path, encoding="utf-8")
-        except OSError as exc:
-            raise MockScriptError("-", "-", str(exc)) from exc
-        with handle:
+
+        def script_error(line: int | None, message: str) -> MockScriptError:
+            if line is not None:
+                message = f"{path}:{line}: {message}"
+            return MockScriptError("-", "-", message)
+
+        with reading(path, script_error) as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line:
@@ -105,7 +107,7 @@ class MockBackend:
                         )
                     )
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise MockScriptError("-", "-", f"{path}:{lineno}: bad record ({exc})")
+                    raise script_error(lineno, f"bad record ({exc})") from exc
         return cls(entries)
 
     def complete(self, prompt: str, stage: str) -> str:

@@ -2,9 +2,43 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from typing import TextIO
+
 
 class KGReasonError(Exception):
     """Base class for all errors raised by this package."""
+
+
+@contextmanager
+def reading(path: str, error: Callable[[int | None, str], KGReasonError]) -> Iterator[TextIO]:
+    """Open a UTF-8 text file, mapping I/O and decoding failures to typed errors.
+
+    ``error(line, message)`` builds the error to raise; ``line`` is None
+    when the file cannot be opened. Text-mode reads decode in blocks, so a
+    ``UnicodeDecodeError`` may surface lines before its culprit; the file is
+    then rescanned, on that error path only, for the first bad line.
+    """
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise error(None, str(exc)) from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise error(_undecodable_line(path), f"not UTF-8 ({exc.reason})") from exc
+
+
+def _undecodable_line(path: str) -> int | None:
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
 
 
 class GraphLoadError(KGReasonError):

@@ -14,11 +14,19 @@ import re
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .backends import Backend
 from .candidates import VARIABLE, resolve_mention
-from .errors import DatasetLoadError, KGReasonError, PipelineError, QueryError, UnknownEntityError
+from .errors import (
+    DatasetLoadError,
+    KGReasonError,
+    PipelineError,
+    QueryError,
+    UnknownEntityError,
+    reading,
+)
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED
 from .pipeline import Pipeline, Query
@@ -78,11 +86,7 @@ def _normalize_label(path: str, lineno: int, raw: object) -> str:
 
 
 def _read_jsonl(path: str):
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DatasetLoadError(path, None, str(exc)) from exc
-    with handle:
+    with reading(path, partial(DatasetLoadError, path)) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -110,11 +114,7 @@ def split_seed(question: str) -> tuple[str, str]:
 def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
     """Load ``question<TAB>answer|answer`` lines; the seed sits in brackets."""
     examples: list[QAExample] = []
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DatasetLoadError(path, None, str(exc)) from exc
-    with handle:
+    with reading(path, partial(DatasetLoadError, path)) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import GraphLoadError
+from .errors import GraphLoadError, reading
 
 
 def canonical_label(label: str) -> str:
@@ -45,23 +45,23 @@ class Interner:
     def __init__(self, canonicalize: Callable[[str], str] | None = None):
         self._canonicalize = canonicalize or str.strip
         self._by_key: dict[str, int] = {}
-        self._labels: list[str] = []
+        self.labels: list[str] = []  # indexed by id; read-only outside intern
 
     def intern(self, label: str) -> int:
         key = self._canonicalize(label)
         found = self._by_key.get(key)
         if found is not None:
             return found
-        new_id = len(self._labels)
+        new_id = len(self.labels)
         self._by_key[key] = new_id
-        self._labels.append(label.strip())
+        self.labels.append(label.strip())
         return new_id
 
     def lookup(self, label: str) -> int | None:
         return self._by_key.get(self._canonicalize(label))
 
     def label(self, ident: int) -> str:
-        return self._labels[ident]
+        return self.labels[ident]
 
 
 class KnowledgeGraph:
@@ -130,9 +130,6 @@ class KnowledgeGraph:
     def maybe_entity_id(self, label: str) -> int | None:
         return self._entities.lookup(label)
 
-    def entity_label(self, ident: int) -> str:
-        return self._entities.label(ident)
-
     def relation_label(self, ident: int) -> str:
         return self._relations.label(ident)
 
@@ -142,12 +139,18 @@ class KnowledgeGraph:
     def maybe_type_id(self, label: str) -> int | None:
         return self._types.lookup(label)
 
+    def entity_labels(self, ids: Iterable[int]) -> list[str]:
+        return list(map(self._entities.labels.__getitem__, ids))
+
+    def label_triples(self, triples: Iterable[Triple]) -> list[tuple[str, str, str]]:
+        """``(head, relation, tail)`` labels of each triple, in order."""
+        entity, relation = self._entities.labels, self._relations.labels
+        return [(entity[h], relation[r], entity[t]) for h, r, t in triples]
+
     def triple_labels(self, t: Triple) -> tuple[str, str, str]:
-        return (
-            self.entity_label(t.head),
-            self.relation_label(t.relation),
-            self.entity_label(t.tail),
-        )
+        """Labels of one triple; use :meth:`label_triples` for many."""
+        entity = self._entities.labels
+        return entity[t.head], self._relations.labels[t.relation], entity[t.tail]
 
     # id-level queries ---------------------------------------------------
 
@@ -195,11 +198,7 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
 
 
 def _read_tsv(path: str, width: int):
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise GraphLoadError(path, None, str(exc)) from exc
-    with handle:
+    with reading(path, functools.partial(GraphLoadError, path)) as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue

@@ -193,9 +193,9 @@ def parse_answer(
     if not evidence:
         raise AnswerGroundingError("cannot ground an answer in empty evidence")
     labels: dict[str, str] = {}  # comparison form -> first spelling in the evidence
-    for head, _, tail in evidence:
-        labels.setdefault(canonical_label(head).lower(), head)
-        labels.setdefault(canonical_label(tail).lower(), tail)
+    # each distinct spelling is canonicalized once, in order of first appearance
+    for spelling in dict.fromkeys(x for head, _, tail in evidence for x in (head, tail)):
+        labels.setdefault(canonical_label(spelling).lower(), spelling)
     haystack = canonical_label(response).lower()
     # the substring test first, so only labels present compile a pattern
     mentioned = [

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Union
 
 from .backends import Backend
@@ -44,6 +46,7 @@ from .parsing import (
 )
 from .prompts import (
     INFERENCE,
+    MAX_SHOTS,
     QA_INFERENCE_TEMPLATE,
     RETRIEVAL,
     RETRIEVAL_TEMPLATE,
@@ -95,16 +98,25 @@ class Query:
 
 @dataclass
 class EvidenceGraph:
-    """Retrieved sub-graph, ordered by graph load order, deduplicated."""
+    """Retrieved sub-graph, ordered by graph load order, deduplicated.
+
+    The triples are labelled once, at construction; the trace, the
+    inference prompt and the answer parser share that one list.
+    """
 
     graph: KnowledgeGraph
     triples: tuple[Triple, ...]
+    _labels: list[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._labels = self.graph.label_triples(self.triples)
 
     def __len__(self) -> int:
         return len(self.triples)
 
     def labels(self) -> list[tuple[str, str, str]]:
-        return [self.graph.triple_labels(t) for t in self.triples]
+        """The shared label list; callers must not mutate it."""
+        return self._labels
 
 
 def linearize(evidence: EvidenceGraph) -> str:
@@ -164,6 +176,10 @@ class Pipeline:
         k: int = 5,
         shots: int = 12,
     ):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
         self.graph = graph
         self.type_graph = type_graph
         self.backend = backend
@@ -272,8 +288,9 @@ class Pipeline:
         outside the anchor set.
         """
         g = self.graph
+        triple_at = g.triples.__getitem__
         bindings: dict[str, set[int]] = {}
-        positions: set[int] = set()
+        runs: list[list[int]] = []  # each sub-sentence's ascending positions
         for sub in subsentences:
             relation_ids = set(map(g.maybe_relation_id, retrieved[sub.index].relations)) - {None}
             anchors: set[int] = set()
@@ -290,20 +307,25 @@ class Pipeline:
             type_ids = {m.ref for m in sub.mentions if m.kind == TYPE_REF}
             if type_ids:
                 matched = [
-                    p for p in matched if _endpoints_fit_types(g, g.triples[p], anchors, type_ids)
+                    p for p in matched if _endpoints_fit_types(g, triple_at(p), anchors, type_ids)
                 ]
-            endpoint_ids = {e for p in matched for e in g.triples[p][::2]}  # heads and tails
-            for m in sub.mentions:
-                if m.kind == VARIABLE:
-                    bindings[m.ref] = endpoint_ids - anchors
-            positions.update(matched)
-        evidence = EvidenceGraph(g, tuple(g.triples[pos] for pos in sorted(positions)))
+            variables = [m.ref for m in sub.mentions if m.kind == VARIABLE]
+            if variables:
+                picked = list(map(triple_at, matched))
+                endpoint_ids = set(map(itemgetter(0), picked))  # heads
+                endpoint_ids.update(map(itemgetter(2), picked))  # and tails
+                for name in variables:
+                    bindings[name] = endpoint_ids - anchors
+            runs.append(matched)
+        # Each run is ascending and unique: sorting their concatenation merges
+        # them, and dict.fromkeys drops the repeats in order.
+        positions = runs[0] if len(runs) == 1 else list(dict.fromkeys(sorted(chain(*runs))))
+        evidence = EvidenceGraph(g, tuple(map(triple_at, positions)))
         trace.assembly = {
             "triples": evidence.labels(),
             "empty_evidence": not evidence.triples,
             "bindings": {
-                name: sorted(g.entity_label(e) for e in values)
-                for name, values in bindings.items()
+                name: sorted(g.entity_labels(values)) for name, values in bindings.items()
             },
         }
         return evidence

@@ -48,13 +48,16 @@ def render_relation_list(labels: list[str] | tuple[str, ...]) -> str:
 
 
 def render_triple_list(triples: list[tuple[str, str, str]]) -> str:
-    """Render linearized triples, e.g. ``[['h', 'r', 't'], ...]``; ``[]`` when empty."""
+    """Render linearized triples, e.g. ``[['h', 'r', 't'], ...]``; ``[]`` when empty.
+
+    Each distinct label is quoted once: a hub's label recurs in every one of
+    its triples.
+    """
     if not triples:
         return "[]"
-    parts = [
-        "[" + ", ".join(quote_label(x) for x in t) + "]" for t in triples
-    ]
-    return "[" + ", ".join(parts) + "]"
+    quoted = {x: quote_label(x) for x in set().union(*triples)}
+    rows = [f"{quoted[h]}, {quoted[r]}, {quoted[t]}" for h, r, t in triples]
+    return "[[" + "], [".join(rows) + "]]"
 
 
 def render_prompt(template: PromptTemplate, bindings: dict[str, str], shots: int) -> str:

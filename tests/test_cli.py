@@ -133,6 +133,52 @@ def test_missing_mock_script_is_a_backend_error(capsys):
     assert len(err.splitlines()) == 1
 
 
+def with_bad_line(tmp_path, fixture):
+    """A copy of a fixture file with a non-UTF-8 line appended; returns
+    (path, number of the bad line)."""
+    data = (FIXTURES / fixture).read_bytes()
+    path = tmp_path / f"bad_{fixture}"
+    path.write_bytes(data + b"\xff\n")
+    return str(path), data.count(b"\n") + 1
+
+
+def test_graph_file_not_utf8_is_a_one_line_data_error(tmp_path, capsys):
+    graph, lineno = with_bad_line(tmp_path, "factkg_graph.tsv")
+    args = verify_args()
+    args[args.index(FACTKG)] = graph
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {graph}:{lineno}: not UTF-8 (invalid start byte)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "task, fixture, hops",
+    [("verification", "verification.jsonl", None), ("qa", "qa_1hop.txt", "1")],
+)
+def test_dataset_not_utf8_is_a_one_line_data_error(task, fixture, hops, tmp_path, capsys):
+    dataset, lineno = with_bad_line(tmp_path, fixture)
+    args = grid_args("eval")
+    args[args.index("verification")] = task
+    args[args.index(str(FIXTURES / "verification.jsonl"))] = dataset
+    if hops:
+        args += ["--hops", hops]
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {dataset}:{lineno}: not UTF-8 (invalid start byte)"
+    ]
+
+
+def test_mock_script_not_utf8_is_a_one_line_backend_error(tmp_path, capsys):
+    script, lineno = with_bad_line(tmp_path, "mock_cli_verify.jsonl")
+    args = verify_args()
+    args[args.index(f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}")] = f"mock:{script}"
+    assert main(args) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"backend error: stage=- hash=-: {script}:{lineno}: not UTF-8 (invalid start byte)"
+    ]
+
+
 def grid_args(command):
     args = [
         command,

@@ -16,6 +16,7 @@ from kg_reason.errors import DatasetLoadError, QueryError
 from kg_reason.evaluation import ablate, build_query, split_seed
 
 from helpers import (
+    CountingBackend,
     EXPECTED_QA_ANSWERS,
     EXPECTED_QA_EVIDENCE,
     EXPECTED_VERIFICATION_EVIDENCE,
@@ -295,6 +296,20 @@ def test_backend_echo_names_endpoint_and_model_or_class(tmp_path, factkg_graph, 
 
 
 # --- ablation grid ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, shots", [(0, 12), (-1, 12), (3, 0), (3, 13)])
+def test_out_of_range_k_or_shots_fails_before_any_query(k, shots, metaqa_graph, metaqa_type_graph):
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
+    with pytest.raises(ValueError, match="k must be|shots must be"):
+        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=k, shots=shots)
+    with pytest.raises(ValueError, match="k must be|shots must be"):
+        ablate(
+            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            k_values=[k], shot_values=[shots],
+        )
+    assert backend.total_calls == 0
 
 
 def test_ablate_grid_size_and_config_echo(metaqa_graph, metaqa_type_graph):

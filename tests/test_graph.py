@@ -67,7 +67,11 @@ def test_load_two_triples(tmp_path):
     # one id per distinct label: the shared entity interns once
     ids = [g.maybe_entity_id(e) for e in ("William_Anders", "Fighter_pilot", "Apollo_8")]
     assert sorted(ids) == [0, 1, 2]
-    assert [g.entity_label(i) for i in ids] == ["William_Anders", "Fighter_pilot", "Apollo_8"]
+    assert g.entity_labels(ids) == ["William_Anders", "Fighter_pilot", "Apollo_8"]
+    assert g.label_triples(g.triples) == [g.triple_labels(t) for t in g.triples] == [
+        ("William_Anders", "occupation", "Fighter_pilot"),
+        ("Apollo_8", "crewMembers", "William_Anders"),
+    ]
     # relation labels live in their own vocabulary, not among entities
     assert relation_labels(g, (t.relation for t in g.triples)) == {"occupation", "crewMembers"}
     assert g.maybe_entity_id("occupation") is None
@@ -101,7 +105,7 @@ def test_positions_keep_first_occurrences_with_injected_duplicates(seed):
     for h, r, t in stream:
         first.setdefault((h.strip(), r.strip(), t.strip()), None)
     g = KnowledgeGraph.from_triples(stream)
-    assert [g.triple_labels(t) for t in g.triples] == list(first)
+    assert g.label_triples(g.triples) == list(first)
     assert g.duplicate_count == len(stream) - len(first)
     for i, t in enumerate(g.triples):
         assert i in match_triples_by_id(g, {t.head}, {t.relation})
@@ -209,7 +213,7 @@ def test_determinism_two_loads_agree(tmp_path):
     p2 = write_graph(tmp_path, lines, name="two.tsv")
     g1, g2 = load_graph(p1), load_graph(p2)
     assert g1.triples == g2.triples
-    assert [g1.triple_labels(t) for t in g1.triples] == [g2.triple_labels(t) for t in g2.triples]
+    assert g1.label_triples(g1.triples) == g2.label_triples(g2.triples)
 
 
 # --- an entity's relations ---------------------------------------------------
@@ -346,7 +350,7 @@ def test_matching_empty_inputs():
 def test_matching_fixture_edge(crewed_flight_graph):
     g = crewed_flight_graph
     found = matching(g, {"William_Anders"}, {"crewMembers"})
-    assert [g.triple_labels(g.triples[p]) for p in found] == [
+    assert g.label_triples(g.triples[p] for p in found) == [
         ("Apollo_8", "crewMembers", "William_Anders")
     ]
 
@@ -368,7 +372,7 @@ def test_matching_equals_full_scan(seed):
     g = KnowledgeGraph.from_triples(triples)
     endpoints = set(rng.sample(entities, rng.randint(0, min(4, len(entities)))))
     rels = set(rng.sample(relations, rng.randint(0, min(3, len(relations)))))
-    got = [g.triple_labels(g.triples[p]) for p in matching(g, endpoints, rels)]
+    got = g.label_triples(g.triples[p] for p in matching(g, endpoints, rels))
     assert got == scan_matching(triples, endpoints, rels)
 
 

@@ -241,14 +241,15 @@ def test_assembly_matches_city_country_chain(factkg_graph, factkg_type_graph):
     assert conclusion.result.label == REFUTED
 
 
+def metaqa_two_hop_query(g, tg):
+    seed = resolve_mention("Deborah Van Valkenburgh", g, tg)
+    return Query.question("when did the films starred by Deborah Van Valkenburgh release?", seed, 2)
+
+
 def test_variable_binding_bridges_hops(metaqa_graph, metaqa_type_graph):
     backend = mock_backend("mock_metaqa_2hop.jsonl")
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
-    seed = resolve_mention("Deborah Van Valkenburgh", metaqa_graph, metaqa_type_graph)
-    query = Query.question(
-        "when did the films starred by Deborah Van Valkenburgh release?", seed, 2
-    )
-    conclusion = pipeline.run(query)
+    conclusion = pipeline.run(metaqa_two_hop_query(metaqa_graph, metaqa_type_graph))
     assert set(conclusion.evidence.labels()) == {
         ("Mean Guns", "starred_actors", "Deborah Van Valkenburgh"),
         ("Mean Guns", "release_year", "1997"),
@@ -337,6 +338,36 @@ def test_linearize_round_trips(crewed_flight_graph, crewed_flight_type_graph):
     conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     rendered = linearize(conclusion.evidence)
     assert [tuple(t) for t in ast.literal_eval(rendered)] == conclusion.evidence.labels()
+
+
+@pytest.mark.parametrize(
+    "graph, script, make_query",
+    [
+        ("crewed_flight", "mock_crewed_flight.jsonl", crewed_flight_query),
+        ("metaqa", "mock_metaqa_2hop.jsonl", metaqa_two_hop_query),
+    ],
+)
+def test_a_query_labels_its_evidence_once(graph, script, make_query, request, monkeypatch):
+    g = request.getfixturevalue(f"{graph}_graph")
+    tg = request.getfixturevalue(f"{graph}_type_graph")
+    calls = {"label_triples": 0, "triple_labels": 0}
+    bulk, single = KnowledgeGraph.label_triples, KnowledgeGraph.triple_labels
+
+    def counted_bulk(self, triples):
+        calls["label_triples"] += 1
+        return bulk(self, triples)
+
+    def counted_single(self, t):
+        calls["triple_labels"] += 1
+        return single(self, t)
+
+    monkeypatch.setattr(KnowledgeGraph, "label_triples", counted_bulk)
+    monkeypatch.setattr(KnowledgeGraph, "triple_labels", counted_single)
+    pipeline = Pipeline(g, tg, mock_backend(script), k=5, shots=12)
+    conclusion = pipeline.run(make_query(g, tg))
+    assert len(conclusion.evidence) > 0
+    assert calls == {"label_triples": 1, "triple_labels": 0}
+    assert conclusion.trace.assembly["triples"] == conclusion.evidence.labels()
 
 
 # --- inference -------------------------------------------------------------------

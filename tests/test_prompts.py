@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kg_reason import (
     QA_INFERENCE_TEMPLATE,
@@ -15,6 +16,7 @@ from kg_reason import (
     render_triple_list,
 )
 from kg_reason.errors import RenderError
+from kg_reason.prompts import quote_label
 
 from helpers import GOLDEN_BINDINGS, GOLDENS
 
@@ -59,6 +61,21 @@ def test_triple_list_round_trips_through_literal_eval():
         ("Big Momma's House", "starred_actors", "Martin Lawrence"),
     ]
     rendered = render_triple_list(triples)
+    assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
+
+
+# a small vocabulary, so that labels repeat across triples as a hub's do
+_LABELS = st.sampled_from(["Hub", "Big Momma's House", "O'Brien", "has_genre", "Short", "a b", ""])
+_TRIPLES = st.lists(st.tuples(_LABELS, _LABELS, _LABELS | st.text(alphabet="ab' _", max_size=4)))
+
+
+@given(_TRIPLES)
+def test_triple_list_equals_per_element_rendering(triples):
+    reference = "[" + ", ".join(
+        "[" + ", ".join(quote_label(x) for x in t) + "]" for t in triples
+    ) + "]"
+    rendered = render_triple_list(triples)
+    assert rendered == reference
     assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
 
 
