@@ -1,4 +1,4 @@
-"""In-memory knowledge graph with adjacency indexes and a type projection.
+"""In-memory knowledge graph with compressed adjacency and a type projection.
 
 The graph interns entity, relation and type labels to dense integer ids.
 Entity and type labels are compared after canonicalization (surrounding
@@ -6,10 +6,11 @@ whitespace trimmed, underscores unified with spaces), so ``William Anders``
 and ``William_Anders`` name the same entity. Relation labels are compared
 case-sensitively and verbatim.
 
-A triple's id is its load position in ``triples``. The adjacency indexes
-map entity -> relation -> other endpoint -> position, so duplicate checks
-and load-order matching both read them. Queries take and return ids and
-positions; labels are resolved and rendered by the callers.
+A triple's id is its load position in ``triples``. The adjacency is kept
+once per direction, as a compressed sparse row "side" of stdlib arrays: the
+positions sorted by (anchor entity, relation), cut into one run per
+(entity, relation) pair. Queries take and return ids and positions; labels
+are resolved and rendered by the callers.
 
 Graphs are immutable once built and safe for concurrent readers.
 """
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections import defaultdict, deque
-from collections.abc import Callable, Iterable
+from array import array
+from collections import Counter, defaultdict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, floordiv, itemgetter, mod, mul
 from typing import NamedTuple
 
 from .errors import GraphLoadError, reading
@@ -64,6 +68,59 @@ class Interner:
         return self.labels[ident]
 
 
+class _Side(NamedTuple):
+    """One direction of the adjacency, in compressed sparse row form.
+
+    ``perm`` holds every triple position, sorted stably by (anchor entity,
+    relation), so positions keep load order inside each run of equal keys.
+    Run ``i`` has relation ``run_relation[i]`` and covers
+    ``perm[run_start[i]:run_start[i + 1]]``. Entity ``e`` owns the runs
+    ``first_run[e]`` up to ``first_run[e + 1]``, in ascending relation id.
+    ``other`` reads the far endpoint of a triple.
+    """
+
+    first_run: array
+    run_relation: array
+    run_start: array
+    perm: array
+    other: Callable[[Triple], int]
+
+    @classmethod
+    def build(
+        cls, triples: Sequence[Triple], anchor: int, n_entities: int, n_relations: int
+    ) -> "_Side":
+        """The side keyed on ``Triple`` field ``anchor``: 0 for the head, 2 for the tail."""
+        # run key = anchor * n_relations + relation: sorting keys sorts (anchor, relation)
+        anchors = map(itemgetter(anchor), triples)
+        key = list(map(add, map(mul, anchors, repeat(n_relations)), map(itemgetter(1), triples)))
+        perm = array("i", sorted(range(len(key)), key=key.__getitem__))
+        sizes = Counter(key)
+        runs = sorted(sizes)
+        per_entity = Counter(map(floordiv, runs, repeat(n_relations)))
+        runs_of = map(per_entity.get, range(n_entities), repeat(0))
+        return cls(
+            first_run=array("i", accumulate(runs_of, initial=0)),
+            run_relation=array("i", map(mod, runs, repeat(n_relations))),
+            run_start=array("i", accumulate(map(sizes.__getitem__, runs), initial=0)),
+            perm=perm,
+            other=itemgetter(2 - anchor),
+        )
+
+    def runs(self, eid: int) -> tuple[int, int]:
+        """The entity's run range; empty for ids the graph never handed out."""
+        if 0 <= eid < len(self.first_run) - 1:
+            return self.first_run[eid], self.first_run[eid + 1]
+        return 0, 0
+
+    def relations(self, eid: int) -> array:
+        lo, hi = self.runs(eid)
+        return self.run_relation[lo:hi]
+
+    def positions(self, eid: int) -> array:
+        lo, hi = self.runs(eid)
+        return self.perm[self.run_start[lo] : self.run_start[hi]]
+
+
 class KnowledgeGraph:
     """Indexed triple store. Use :func:`load_graph` or :meth:`from_triples`."""
 
@@ -72,9 +129,9 @@ class KnowledgeGraph:
         self._relations = Interner()
         self._types = Interner(canonical_label)
         self.triples: tuple[Triple, ...] = ()
-        # head -> relation -> tail -> position, and tail -> relation -> head -> position
-        self.out_index: dict[int, dict[int, dict[int, int]]] = {}
-        self.in_index: dict[int, dict[int, dict[int, int]]] = {}
+        # anchored at the head, and at the tail
+        self._out = _Side.build((), 0, 0, 0)
+        self._in = _Side.build((), 2, 0, 0)
         self.entity_types: dict[int, frozenset[int]] = {}
         self.duplicate_count = 0
 
@@ -85,7 +142,8 @@ class KnowledgeGraph:
         entity_types: Iterable[tuple[str, str]] = (),
     ) -> "KnowledgeGraph":
         """Build a graph from label triples and optional (entity, type) pairs."""
-        # The build only allocates, so a cyclic GC pass would free nothing.
+        # The build only allocates, so a cyclic GC pass would free nothing;
+        # the Triple tuples and the first-occurrence dict are GC-tracked.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -94,32 +152,24 @@ class KnowledgeGraph:
             entity_id, relation_id, type_id = (
                 functools.cache(table.intern) for table in (g._entities, g._relations, g._types)
             )
-            out_index, in_index, ordered = g.out_index, g.in_index, []
-            for head, relation, tail in triples:
+            first: dict[Triple, None] = {}  # keeps each triple's first occurrence, in order
+            read = 0
+            for read, (head, relation, tail) in enumerate(triples, start=1):
                 h, r, t = entity_id(head), relation_id(relation), entity_id(tail)
-                by_relation = out_index.get(h)
-                if by_relation is None:
-                    by_relation = out_index[h] = {}
-                tails = by_relation.get(r)
-                if tails is None:
-                    tails = by_relation[r] = {}
-                elif t in tails:
-                    g.duplicate_count += 1
-                    continue
-                position = tails[t] = len(ordered)
-                ordered.append(tuple.__new__(Triple, (h, r, t)))
-                by_relation = in_index.get(t)
-                if by_relation is None:
-                    in_index[t] = {r: {h: position}}
-                elif r in by_relation:
-                    by_relation[r][h] = position
-                else:
-                    by_relation[r] = {h: position}
-            g.triples = tuple(ordered)
+                first[tuple.__new__(Triple, (h, r, t))] = None
+            g.triples = tuple(first)
+            g.duplicate_count = read - len(first)
+            del first  # freed before the sides are built, to keep the peak down
             typed: defaultdict[int, set[int]] = defaultdict(set)
             for entity, type_label in entity_types:
                 typed[entity_id(entity)].add(type_id(type_label))
-            g.entity_types = {eid: frozenset(ts) for eid, ts in typed.items()}
+            shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
+            for eid, tids in typed.items():
+                type_set = frozenset(tids)
+                g.entity_types[eid] = shared.setdefault(type_set, type_set)
+            n_entities, n_relations = len(g._entities.labels), len(g._relations.labels)
+            g._out = _Side.build(g.triples, 0, n_entities, n_relations)
+            g._in = _Side.build(g.triples, 2, n_entities, n_relations)
             return g
         finally:
             if gc_was_enabled:
@@ -156,13 +206,15 @@ class KnowledgeGraph:
 
     def incident_relation_ids(self, eid: int) -> set[int]:
         """Relations on edges where the entity is head or tail."""
-        return self.out_index.get(eid, {}).keys() | self.in_index.get(eid, {}).keys()
+        rels = set(self._out.relations(eid))
+        rels.update(self._in.relations(eid))
+        return rels
 
     def neighbor_ids(self, eid: int) -> set[int]:
+        triple_at = self.triples.__getitem__
         nbrs: set[int] = set()
-        for index in (self.out_index, self.in_index):
-            for others in index.get(eid, {}).values():
-                nbrs.update(others)
+        for side in (self._out, self._in):
+            nbrs.update(map(side.other, map(triple_at, side.positions(eid))))
         return nbrs
 
 
@@ -221,9 +273,16 @@ def build_type_graph(g: KnowledgeGraph) -> TypeGraph:
     the entities carrying it. A graph without type assignments produces an
     empty projection.
     """
-    acc: dict[int, set[int]] = {}
+    sides = (g._out, g._in)
+    by_type_set: dict[frozenset[int], set[int]] = {}  # entities share their type set's frozenset
     for eid, tids in g.entity_types.items():
-        rels = g.incident_relation_ids(eid)
+        rels = by_type_set.get(tids)
+        if rels is None:
+            rels = by_type_set[tids] = set()
+        for side in sides:
+            rels.update(side.relations(eid))
+    acc: dict[int, set[int]] = {}
+    for tids, rels in by_type_set.items():
         for tid in tids:
             acc.setdefault(tid, set()).update(rels)
     return TypeGraph(graph=g, type_relations={t: frozenset(r) for t, r in acc.items()})
@@ -238,19 +297,28 @@ def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]
     """
     if n < 1:
         raise ValueError("hop count must be >= 1")
-    distances = {seed_id: 0}
-    frontier = deque([seed_id])
-    while frontier:
-        node = frontier.popleft()
-        if distances[node] >= n - 1:
-            continue
-        for nbr in g.neighbor_ids(node):
-            if nbr not in distances:
-                distances[nbr] = distances[node] + 1
-                frontier.append(nbr)
     rels: set[int] = set()
-    for node in distances:  # every node reached is within n - 1 hops
-        rels.update(g.incident_relation_ids(node))
+    if not 0 <= seed_id < len(g._out.first_run) - 1:
+        return rels  # an id the graph never handed out
+    triple_at = g.triples.__getitem__
+    sides = (g._out, g._in)
+    every_relation = len(g._relations.labels)
+    reached = {seed_id}
+    frontier = reached
+    # the frontier sits at distance n - 1 - hops_left from the seed
+    for hops_left in range(n - 1, -1, -1):
+        ahead: set[int] = set()
+        for node in frontier:
+            for first_run, run_relation, run_start, perm, other in sides:
+                lo, hi = first_run[node], first_run[node + 1]
+                if lo != hi:
+                    rels.update(run_relation[lo:hi])
+                    if hops_left:
+                        ahead.update(map(other, map(triple_at, perm[run_start[lo] : run_start[hi]])))
+            if len(rels) == every_relation:
+                return rels  # no node left can add a relation
+        frontier = ahead - reached
+        reached |= frontier
     return rels
 
 
@@ -261,11 +329,12 @@ def match_triples_by_id(
     relation is in ``relation_ids`` and whose head or tail is in
     ``endpoint_ids``. Ids the graph never handed out match nothing.
     """
-    positions: set[int] = set()
-    for eid in endpoint_ids:
-        for index in (g.out_index, g.in_index):
-            by_relation = index.get(eid)
-            if by_relation:
-                for rid in by_relation.keys() & relation_ids:
-                    positions.update(by_relation[rid].values())
-    return sorted(positions)
+    positions: list[int] = []
+    for side in (g._out, g._in):
+        perm, run_relation, run_start = side.perm, side.run_relation, side.run_start
+        for eid in endpoint_ids:
+            lo, hi = side.runs(eid)
+            for i, rid in enumerate(run_relation[lo:hi], lo):
+                if rid in relation_ids:
+                    positions += perm[run_start[i] : run_start[i + 1]]
+    return sorted(set(positions))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -380,6 +381,63 @@ def test_matching_returns_load_order(factkg_graph):
     positions = matching(factkg_graph, {"Alfredo_Zitarrosa"}, {"deathPlace", "birthPlace"})
     assert len(positions) >= 2
     assert positions == sorted(set(positions))
+
+
+# --- ids the graph never handed out ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "triples, types",
+    [
+        # the last entity has in-edges only, the first out-edges only
+        ([("a", "r", "b"), ("b", "q", "c")], []),
+        # the last entity has out-edges only
+        ([("a", "r", "b"), ("c", "q", "a")], []),
+        # the last entity comes from the type file and has no edges
+        ([("a", "r", "b"), ("b", "q", "c")], [("lonely", "T")]),
+    ],
+)
+def test_ids_never_handed_out_reach_nothing(triples, types):
+    g = KnowledgeGraph.from_triples(triples, types)
+    labels = sorted({x for h, _, t in triples for x in (h, t)} | {e for e, _ in types})
+    ids = sorted(map(g.maybe_entity_id, labels))
+    assert ids == list(range(len(labels)))
+    every_relation = {0, 1}
+    for bad in (-1, len(ids), 10**9):  # before the first id, one past the last, far beyond
+        assert match_triples_by_id(g, {bad}, every_relation) == []
+        assert g.incident_relation_ids(bad) == set()
+        assert g.neighbor_ids(bad) == set()
+        for n in (1, 2, 3):
+            assert relations_within_n_hops(g, bad, n) == set()
+    # the ids next to them still answer
+    assert match_triples_by_id(g, set(ids), every_relation) == [0, 1]
+    assert relations_within_n_hops(g, ids[0], 2) == every_relation
+
+
+# --- memory ---------------------------------------------------------------------
+
+
+def test_graph_and_type_projection_retain_under_400_bytes_per_triple():
+    # The bound sits between what a dict-of-dicts adjacency retains on this
+    # graph (about 770 bytes per triple) and what the compressed sides
+    # retain (about 150).
+    rng = random.Random(7)
+    entities = [f"entity_{i}" for i in range(5000)]
+    relations = [f"relation{i}" for i in range(50)]
+    types = [f"type {i}" for i in range(20)]
+    triples = [(rng.choice(entities), rng.choice(relations), rng.choice(entities)) for _ in range(20_000)]
+    typed = [(e, t) for e in entities for t in rng.sample(types, rng.randint(1, 2))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = KnowledgeGraph.from_triples(triples, typed)
+        tg = build_type_graph(g)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tg.type_relations and len(g.triples) > 19_900
+    assert retained / len(g.triples) < 400
 
 
 def test_fixture_graph_counts():
