@@ -9,16 +9,21 @@ base URL of a live server.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import os
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.request
+import weakref
 from dataclasses import dataclass, field
-from http.cookiejar import DefaultCookiePolicy
 from typing import Protocol
-
-import requests
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from .errors import BackendError, MockScriptError, reading
 
@@ -130,17 +135,24 @@ class HttpBackend:
 
     Sends the rendered prompt as a single user message. The bearer token is
     read from the ``KG_REASON_API_KEY`` environment variable when present.
-    Each calling thread sends through its own ``requests.Session``, created on
-    the thread's first call, so its calls reuse one keep-alive connection; the
-    session and its connection go when the thread ends. A 429 or 503 reply
-    carrying a delta-seconds ``Retry-After`` sets the wait before the next
-    attempt, capped at the timeout.
+    Each calling thread keeps its own ``http.client`` connection, opened on
+    the thread's first call and closed when the thread ends, so a thread's
+    calls share one keep-alive connection and no two threads share one. A
+    kept connection that the server closed while it sat idle is reopened
+    without spending an attempt. The proxy for the endpoint comes from the
+    environment (``HTTP_PROXY``, ``HTTPS_PROXY`` or ``ALL_PROXY``, less
+    ``NO_PROXY``), read when the thread's connection is made: plain HTTP goes
+    to the proxy in absolute form, HTTPS through a ``CONNECT`` tunnel, and
+    userinfo in the proxy URL becomes ``Proxy-Authorization: Basic``. HTTPS
+    verifies against the system trust store. Redirects are not followed. A
+    429 or 503 reply carrying a delta-seconds ``Retry-After`` sets the wait
+    before the next attempt, capped at the timeout.
     """
 
     config: BackendConfig
     backoff_base: float = field(default=0.5, repr=False)
-    # Per thread: a Session is not thread-safe, and a connection left open
-    # after its thread ends can hold one of the server's slots.
+    # Per thread: a connection carries one exchange at a time, and one left
+    # open after its thread ends can hold one of the server's slots.
     _local: threading.local = field(
         default_factory=threading.local, init=False, repr=False, compare=False
     )
@@ -153,14 +165,12 @@ class HttpBackend:
             return base + "/chat/completions"
         return base + CHAT_COMPLETIONS_PATH
 
-    def _session(self) -> requests.Session:
-        """The calling thread's session, created on its first call."""
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-            # Stateless like a one-off request: store no cookie a server sets.
-            session.cookies.set_policy(DefaultCookiePolicy(allowed_domains=()))
-        return session
+    def _channel(self) -> _Channel:
+        """The calling thread's channel, created on its first call."""
+        channel = getattr(self._local, "channel", None)
+        if channel is None:
+            channel = self._local.channel = _Channel(self._url(), self.config.timeout)
+        return channel
 
     def complete(self, prompt: str, stage: str) -> str:
         payload = {
@@ -169,45 +179,135 @@ class HttpBackend:
             "temperature": self.config.temperature,
             "top_p": self.config.top_p,
         }
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps(payload).encode("utf-8")
+        channel = self._channel()
+        headers = {"Content-Type": "application/json", **channel.headers}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        session = self._session()
         attempts = self.config.max_retries + 1
         last_error: Exception | None = None
         for attempt in range(attempts):
             retry_after = None
             try:
-                response = session.post(
-                    self._url(), json=payload, headers=headers, timeout=self.config.timeout
-                )
-            except requests.RequestException as exc:
+                response, data = channel.post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
             else:
-                if response.status_code == 200:
+                status = response.status
+                if status == 200:
                     try:
-                        content = response.json()["choices"][0]["message"]["content"]
+                        content = json.loads(data)["choices"][0]["message"]["content"]
                         if not isinstance(content, str):
                             raise TypeError(f"reply content is {type(content).__name__}")
                         return content
                     except (KeyError, IndexError, TypeError, ValueError) as exc:
                         last_error = exc
-                elif response.status_code == 429 or response.status_code >= 500:
-                    last_error = BackendError(f"server returned {response.status_code}")
-                    if response.status_code in (429, 503):
-                        retry_after = _delta_seconds(response.headers.get("Retry-After"))
+                elif status == 429 or status >= 500:
+                    last_error = BackendError(f"server returned {status}")
+                    if status in (429, 503):
+                        retry_after = _delta_seconds(response.getheader("Retry-After"))
                 else:
-                    # client errors do not resolve by retrying
-                    raise BackendError(
-                        f"request rejected with {response.status_code}: {response.text[:200]}"
-                    )
+                    # client errors do not resolve by retrying; redirects are not followed
+                    text = data.decode("utf-8", "replace")
+                    raise BackendError(f"request rejected with {status}: {text[:200]}")
             if attempt < attempts - 1:
                 if retry_after is None:
                     time.sleep(self.backoff_base * (2**attempt))
                 else:
                     time.sleep(min(retry_after, self.config.timeout))
         raise BackendError(f"request failed after {attempts} attempts: {last_error}")
+
+
+class _Channel:
+    """One thread's keep-alive connection to a URL, through the proxy the
+    environment names for it.
+
+    ``target`` is the request target to send and ``headers`` what the proxy
+    needs on each request. The connection closes when the channel is
+    collected, which for a thread's channel is when the thread ends.
+    """
+
+    def __init__(self, url: str, timeout: float):
+        parts = _split_url(url, "endpoint")
+        host, port = parts.hostname, parts.port
+        self.target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self.headers: dict[str, str] = {}
+        proxy = _proxy_for(parts.scheme, parts.netloc)
+        address = (host, port) if proxy is None else proxy[:2]
+        if parts.scheme == "http":
+            if proxy is not None:
+                self.target = url  # absolute form, for the proxy to forward
+                self.headers = proxy[2]
+            self.conn = http.client.HTTPConnection(*address, timeout=timeout)
+        else:
+            self.conn = http.client.HTTPSConnection(
+                *address, timeout=timeout, context=ssl.create_default_context()
+            )
+            if proxy is not None:
+                self.conn.set_tunnel(host, port, proxy[2])
+        weakref.finalize(self, self.conn.close)
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[http.client.HTTPResponse, bytes]:
+        """Send one POST and read its whole reply, reconnecting first when
+        the kept connection was closed while idle. Any failure closes the
+        connection, so the next call starts on a fresh one."""
+        conn = self.conn
+        try:
+            if conn.sock is not None and _readable(conn.sock):
+                # An idle kept connection has nothing to say: a readable one
+                # was closed by the server, or is out of step with it.
+                conn.close()
+            if conn.sock is None:
+                conn.connect()
+                # Set here in case connect() did not: with Nagle on, a
+                # delayed ACK of the headers would hold back the body.
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.request("POST", self.target, body, headers)
+            response = conn.getresponse()
+            return response, response.read()
+        except BaseException:
+            conn.close()
+            raise
+
+
+def _proxy_for(scheme: str, netloc: str) -> tuple[str, int | None, dict[str, str]] | None:
+    """Host, port and headers (``Proxy-Authorization`` from the URL's
+    userinfo) of the proxy the environment names for ``scheme``, or else for
+    ``all``; None when it names none or ``NO_PROXY`` exempts ``netloc``."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return None
+    parts = _split_url(proxy if "://" in proxy else "http://" + proxy, "proxy")
+    if parts.scheme != "http":
+        raise BackendError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+    headers = {}
+    if parts.username is not None:
+        userinfo = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(userinfo.encode()).decode()
+    return parts.hostname, parts.port, headers
+
+
+def _split_url(url: str, what: str) -> SplitResult:
+    """``url`` split, once it is known to be http(s) with a host and a valid port."""
+    parts = urlsplit(url)
+    if parts.scheme in ("http", "https") and parts.hostname:
+        try:
+            parts.port  # noqa: B018 - raises ValueError on a port out of range
+            return parts
+        except ValueError:
+            pass
+    raise BackendError(f"bad {what} URL {url!r}")
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether the socket has data or end-of-file waiting, without blocking."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _delta_seconds(value: str | None) -> int | None:

@@ -116,10 +116,6 @@ class _Side(NamedTuple):
         lo, hi = self.runs(eid)
         return self.run_relation[lo:hi]
 
-    def positions(self, eid: int) -> array:
-        lo, hi = self.runs(eid)
-        return self.perm[self.run_start[lo] : self.run_start[hi]]
-
 
 class KnowledgeGraph:
     """Indexed triple store. Use :func:`load_graph` or :meth:`from_triples`."""
@@ -209,13 +205,6 @@ class KnowledgeGraph:
         rels = set(self._out.relations(eid))
         rels.update(self._in.relations(eid))
         return rels
-
-    def neighbor_ids(self, eid: int) -> set[int]:
-        triple_at = self.triples.__getitem__
-        nbrs: set[int] = set()
-        for side in (self._out, self._in):
-            nbrs.update(map(side.other, map(triple_at, side.positions(eid))))
-        return nbrs
 
 
 @dataclass

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import base64
+import gc
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
-import requests
 
+import kg_reason
 from kg_reason import BackendConfig, HttpBackend, MockBackend, make_backend, prompt_hash
 from kg_reason.backends import MockEntry
 from kg_reason.errors import BackendError, MockScriptError
@@ -103,107 +110,91 @@ def test_make_backend_dispatches_on_endpoint(tmp_path):
 
 
 # --- http backend ------------------------------------------------------------
-# The seam is the backend's per-thread session accessor: the fake session
-# records each post and replays its replies in order, repeating the last one
-# (a reply may be an exception to raise).
+# The seam is the loopback server: it records each request and answers from
+# its script of replies.
 
 
-class _Response:
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = text
-        self.headers = headers or {}
-
-    def json(self):
-        return self._payload
+def _backend(server, **config):
+    return HttpBackend(BackendConfig(endpoint=server.url, **config), backoff_base=0.0)
 
 
-class _FakeSession:
-    def __init__(self, replies):
-        self.replies = list(replies)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append(dict(url=url, payload=json, headers=headers, timeout=timeout))
-        reply = self.replies.pop(0) if len(self.replies) > 1 else self.replies[0]
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-
-def fake_session(monkeypatch, *replies):
-    session = _FakeSession(replies)
-    monkeypatch.setattr(HttpBackend, "_session", lambda self: session)
-    return session
-
-
-def _ok(content):
-    return _Response(payload={"choices": [{"message": {"content": content}}]})
-
-
-def test_http_backend_payload_and_auth(monkeypatch):
-    session = fake_session(monkeypatch, _ok("True, fine."))
+def test_http_backend_payload_and_auth(chat_server, monkeypatch):
+    server = chat_server(replies=[(200, {}, "True, fine.")])
     monkeypatch.setenv("KG_REASON_API_KEY", "sk-test")
-    backend = HttpBackend(BackendConfig(endpoint="http://example.test", model="m1"))
+    backend = HttpBackend(BackendConfig(endpoint=server.url, model="m1"))
     got = backend.complete("the prompt", "inference")
     assert got == "True, fine."
-    (seen,) = session.calls
-    assert seen["url"] == "http://example.test/v1/chat/completions"
-    assert seen["payload"]["messages"] == [{"role": "user", "content": "the prompt"}]
-    assert seen["payload"]["model"] == "m1"
-    assert seen["payload"]["temperature"] == 0.2
-    assert seen["payload"]["top_p"] == 0.1
-    assert seen["headers"]["Authorization"] == "Bearer sk-test"
-    assert seen["timeout"] == 30.0
+    (seen,) = server.seen
+    assert (seen.method, seen.target) == ("POST", "/v1/chat/completions")
+    assert seen.payload["messages"] == [{"role": "user", "content": "the prompt"}]
+    assert seen.payload["model"] == "m1"
+    assert seen.payload["temperature"] == 0.2
+    assert seen.payload["top_p"] == 0.1
+    assert seen.headers["Authorization"] == "Bearer sk-test"
+    assert backend._channel().conn.timeout == 30.0
 
 
-def test_http_backend_no_key_sends_no_auth_header(monkeypatch):
-    session = fake_session(monkeypatch, _ok("ok"))
+@pytest.mark.parametrize("suffix", ["", "/", "/v1", "/v1/", "/v1/chat/completions"])
+def test_http_backend_posts_to_the_chat_completions_path(chat_server, suffix):
+    server = chat_server()
+    HttpBackend(BackendConfig(endpoint=server.url + suffix)).complete("p", "inference")
+    assert [s.target for s in server.seen] == ["/v1/chat/completions"]
+
+
+def test_http_backend_no_key_sends_no_auth_header(chat_server, monkeypatch):
+    server = chat_server()
     monkeypatch.delenv("KG_REASON_API_KEY", raising=False)
-    HttpBackend(BackendConfig(endpoint="http://example.test")).complete("p", "inference")
-    assert "Authorization" not in session.calls[0]["headers"]
+    _backend(server).complete("p", "inference")
+    assert "Authorization" not in server.seen[0].headers
 
 
-def test_http_backend_retries_then_fails(monkeypatch):
-    session = fake_session(monkeypatch, requests.ConnectionError("unreachable"))
-    backend = HttpBackend(
-        BackendConfig(endpoint="http://example.test", max_retries=2), backoff_base=0.0
-    )
+def test_http_backend_retries_then_fails(chat_server):
+    server = chat_server(replies=[(None, {}, "")])  # hang up without a reply
     with pytest.raises(BackendError) as err:
-        backend.complete("p", "inference")
-    assert len(session.calls) == 3
+        _backend(server, max_retries=2).complete("p", "inference")
+    assert len(server.seen) == 3
     assert "after 3 attempts" in str(err.value)
 
 
-def test_http_backend_retries_server_errors_then_succeeds(monkeypatch):
-    fake_session(monkeypatch, _Response(status_code=500), _ok("late"))
-    backend = HttpBackend(
-        BackendConfig(endpoint="http://example.test", max_retries=1), backoff_base=0.0
-    )
-    assert backend.complete("p", "inference") == "late"
+def test_http_backend_unreachable_server_retries_then_fails(chat_server):
+    server = chat_server()
+    url = server.url
+    server.shutdown()
+    server.server_close()
+    backend = HttpBackend(BackendConfig(endpoint=url, max_retries=1), backoff_base=0.0)
+    with pytest.raises(BackendError) as err:
+        backend.complete("p", "inference")
+    assert "after 2 attempts" in str(err.value)
+
+
+def test_http_backend_retries_server_errors_then_succeeds(chat_server):
+    server = chat_server(replies=[(500, {}, "busy"), (200, {}, "late")])
+    assert _backend(server, max_retries=1).complete("p", "inference") == "late"
 
 
 @pytest.mark.parametrize("content", [None, ["True"], 1])
-def test_http_backend_non_string_content_retries_then_fails(monkeypatch, content):
-    session = fake_session(monkeypatch, _ok(content))
-    backend = HttpBackend(
-        BackendConfig(endpoint="http://example.test", max_retries=1), backoff_base=0.0
-    )
+def test_http_backend_non_string_content_retries_then_fails(chat_server, content):
+    server = chat_server(replies=[(200, {}, content)])
     with pytest.raises(BackendError) as err:
-        backend.complete("p", "inference")
-    assert len(session.calls) == 2
+        _backend(server, max_retries=1).complete("p", "inference")
+    assert len(server.seen) == 2
     assert "reply content is" in str(err.value)
 
 
-def test_http_backend_client_error_fails_fast(monkeypatch):
-    session = fake_session(monkeypatch, _Response(status_code=401, text="bad key"))
-    backend = HttpBackend(
-        BackendConfig(endpoint="http://example.test", max_retries=3), backoff_base=0.0
-    )
-    with pytest.raises(BackendError):
-        backend.complete("p", "inference")
-    assert len(session.calls) == 1
+def test_http_backend_client_error_fails_fast(chat_server):
+    server = chat_server(replies=[(401, {}, "bad key")])
+    with pytest.raises(BackendError) as err:
+        _backend(server, max_retries=3).complete("p", "inference")
+    assert len(server.seen) == 1
+    assert "rejected with 401: bad key" in str(err.value)
+
+
+def test_http_backend_follows_no_redirect(chat_server):
+    server = chat_server(replies=[(302, {"Location": "/elsewhere"}, "moved")])
+    with pytest.raises(BackendError) as err:
+        _backend(server, max_retries=3).complete("p", "inference")
+    assert [s.target for s in server.seen] == ["/v1/chat/completions"]
+    assert "rejected with 302" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -218,35 +209,32 @@ def test_http_backend_client_error_fails_fast(monkeypatch):
         (500, "3", [0.5, 1.0]),  # honoured on 429 and 503 only
     ],
 )
-def test_http_backend_honours_retry_after(monkeypatch, status, retry_after, slept):
+def test_http_backend_honours_retry_after(chat_server, monkeypatch, status, retry_after, slept):
     headers = {} if retry_after is None else {"Retry-After": retry_after}
-    session = fake_session(monkeypatch, _Response(status_code=status, headers=headers))
+    server = chat_server(replies=[(status, headers, "")])
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
     backend = HttpBackend(
-        BackendConfig(endpoint="http://example.test", max_retries=2, timeout=10.0)
+        BackendConfig(endpoint=server.url, max_retries=2, timeout=10.0)
     )
     with pytest.raises(BackendError):
         backend.complete("p", "inference")
-    assert len(session.calls) == 3
+    assert len(server.seen) == 3
     assert sleeps == slept
 
 
-def test_http_backend_retry_after_applies_to_the_next_attempt_only(monkeypatch):
-    fake_session(
-        monkeypatch,
-        _Response(status_code=429, headers={"Retry-After": "4"}),
-        _Response(status_code=500),
-        _ok("done"),
+def test_http_backend_retry_after_applies_to_the_next_attempt_only(chat_server, monkeypatch):
+    server = chat_server(
+        replies=[(429, {"Retry-After": "4"}, ""), (500, {}, ""), (200, {}, "done")]
     )
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
-    backend = HttpBackend(BackendConfig(endpoint="http://example.test", max_retries=2))
+    backend = HttpBackend(BackendConfig(endpoint=server.url, max_retries=2))
     assert backend.complete("p", "inference") == "done"
     assert sleeps == [4, 1.0]
 
 
-# --- http backend over loopback ------------------------------------------------
+# --- http backend connections ------------------------------------------------
 
 
 def _run_in_thread(target) -> None:
@@ -275,7 +263,7 @@ def test_http_backend_reuses_one_connection_per_thread(chat_server):
 
 
 def test_http_backend_sends_back_no_cookies(chat_server):
-    # Like one-off requests, the kept session stores no cookie a server sets.
+    # Like one-off requests, the kept connection stores no cookie a server sets.
     server = chat_server()
     backend = HttpBackend(BackendConfig(endpoint=server.url, timeout=5.0, max_retries=0))
     for i in range(2):
@@ -311,12 +299,78 @@ def test_http_backend_threads_never_share_a_connection(chat_server):
 def test_http_backend_closes_a_finished_threads_connection(chat_server):
     # One slot: thread B's connection is served only once thread A's closes;
     # otherwise B's first call times out after 5 s and raises BackendError.
+    # The close is explicit: a socket left for the collector warns.
     server = chat_server(slots=1)
     backend = HttpBackend(BackendConfig(endpoint=server.url, timeout=5.0, max_retries=0))
-    _run_in_thread(lambda: [backend.complete(f"a {i}", "inference") for i in range(2)])
-    _run_in_thread(lambda: [backend.complete(f"b {i}", "inference") for i in range(2)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _run_in_thread(lambda: [backend.complete(f"a {i}", "inference") for i in range(2)])
+        _run_in_thread(lambda: [backend.complete(f"b {i}", "inference") for i in range(2)])
+        gc.collect()
     assert [prompt for _, prompt in server.requests] == ["a 0", "a 1", "b 0", "b 1"]
     assert server.connections == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_http_backend_reopens_a_kept_connection_the_server_closed(chat_server):
+    # The server closes each connection after its reply without saying so,
+    # as one whose keep-alive timeout ran out does. With no retries to
+    # spend, each call still succeeds, on a fresh connection.
+    server = chat_server(hang_up=True)
+    backend = HttpBackend(BackendConfig(endpoint=server.url, timeout=5.0, max_retries=0))
+    for i in range(3):
+        time.sleep(0.05)
+        assert backend.complete(f"call {i}", "inference") == f"call {i}"
+    assert server.connections == 3
+
+
+def _basic(userinfo: str) -> str:
+    return "Basic " + base64.b64encode(userinfo.encode()).decode()
+
+
+@pytest.mark.parametrize("variable", ["HTTP_PROXY", "http_proxy", "ALL_PROXY"])
+def test_http_backend_sends_through_the_environments_proxy(chat_server, monkeypatch, variable):
+    proxy = chat_server()
+    monkeypatch.setenv(variable, proxy.url.replace("//", "//user:p%40ss@"))
+    backend = HttpBackend(
+        BackendConfig(endpoint="http://kg-reason.invalid:9", timeout=5.0, max_retries=0)
+    )
+    assert backend.complete("p", "inference") == "p"
+    (seen,) = proxy.seen
+    assert seen.target == "http://kg-reason.invalid:9/v1/chat/completions"
+    assert seen.headers["Host"] == "kg-reason.invalid:9"
+    assert seen.headers["Proxy-Authorization"] == _basic("user:p@ss")
+
+
+def test_http_backend_no_proxy_bypasses_the_proxy(chat_server, monkeypatch):
+    server = chat_server()
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+    monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+    _backend(server, timeout=5.0, max_retries=0).complete("p", "inference")
+    assert [s.target for s in server.seen] == ["/v1/chat/completions"]
+
+
+def test_http_backend_tunnels_https_through_the_proxy(chat_server, monkeypatch):
+    proxy = chat_server()  # refuses every CONNECT with 502
+    monkeypatch.setenv("HTTPS_PROXY", proxy.url.replace("//", "//user:pw@"))
+    backend = HttpBackend(
+        BackendConfig(endpoint="https://kg-reason.invalid", timeout=5.0, max_retries=0)
+    )
+    with pytest.raises(BackendError):
+        backend.complete("p", "inference")
+    (seen,) = proxy.seen
+    assert (seen.method, seen.target) == ("CONNECT", "kg-reason.invalid:443")
+    assert seen.headers["Proxy-Authorization"] == _basic("user:pw")
+
+
+def test_importing_the_package_loads_no_third_party_http_client():
+    src = str(Path(kg_reason.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kg_reason; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_negative_retries_rejected():
