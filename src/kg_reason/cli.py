@@ -10,29 +10,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
 from .candidates import VARIABLE, resolve_mention
-from .errors import (
-    BackendError,
-    DatasetLoadError,
-    GraphLoadError,
-    KGReasonError,
-    PipelineError,
-    QueryError,
-    UnknownEntityError,
-)
+from .errors import BackendError, KGReasonError, PipelineError, UnknownEntityError
 from .evaluation import (
     QAExample,
     ablate,
+    append_trace,
     build_query,
     evaluate,
     load_qa_dataset,
     load_verification_dataset,
     split_seed,
+    trace_record,
     write_report,
 )
 from .graph import build_type_graph, load_graph
@@ -90,7 +83,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kg-reason", description="Knowledge-graph reasoning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser) -> None:
+    def add_common(p: _Parser, name: str) -> None:
         p.add_argument("--graph", required=True, help="tab-separated triple file")
         p.add_argument("--types", help="tab-separated entity/type file")
         p.add_argument(
@@ -103,23 +96,25 @@ def _build_parser() -> _Parser:
         p.add_argument("--top-p", type=float, default=0.1)
         p.add_argument("--retries", type=_int_in(0), default=2)
         p.add_argument("--timeout", type=float, default=30.0)
-        p.add_argument("--shots", type=_SHOTS, default=DEFAULT_SHOTS)
-        p.add_argument("--k", type=_K)
+        if name != "ablate":  # ablate's grid comes from --k-values and --shot-values
+            p.add_argument("--shots", type=_SHOTS, default=DEFAULT_SHOTS)
+            p.add_argument("--k", type=_K)
         p.add_argument("--trace", help="append per-query trace records to this file")
 
     verify = sub.add_parser("verify", help="verify one claim")
-    add_common(verify)
+    add_common(verify, "verify")
     verify.add_argument("--claim", required=True)
     verify.add_argument("--entities", required=True, nargs="+")
 
     answer = sub.add_parser("answer", help="answer one question")
-    add_common(answer)
+    add_common(answer, "answer")
     answer.add_argument("--question", required=True, help="question with the seed in [brackets]")
     answer.add_argument("--hops", required=True, type=int, choices=(1, 2, 3))
 
     for name in ("eval", "ablate"):
-        p = sub.add_parser(name, help=f"{name} over a dataset")
-        add_common(p)
+        # No abbreviations for ablate, where "--k" would stand for "--k-values".
+        p = sub.add_parser(name, help=f"{name} over a dataset", allow_abbrev=name != "ablate")
+        add_common(p, name)
         p.add_argument("--task", required=True, choices=("verification", "qa"))
         p.add_argument("--dataset", required=True)
         p.add_argument("--hops", type=int, choices=(1, 2, 3))
@@ -170,28 +165,19 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 raise UnknownEntityError(mention.surface)
         query = Query.claim(args.claim, mentions)
     pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
-    source = args.question if qa else args.claim
-    record: dict = {"input": source, "k": pipeline.k, "shots": pipeline.shots}
     try:
-        conclusion = pipeline.run(query)
+        outcome = pipeline.run(query)
     except PipelineError as exc:
-        record["error"] = {"stage": exc.stage, "message": str(exc.cause)}
-        _dump_trace(args.trace, record, exc.trace)
-        raise
-    record["predicted"] = conclusion.result.entity if qa else conclusion.result.label
+        outcome = exc
+    record = trace_record(pipeline, args.question if qa else args.claim, outcome)
+    if args.trace is not None:
+        append_trace(args.trace, record)
+    if isinstance(outcome, PipelineError):
+        raise outcome
     print(record["predicted"])
     if not qa:
-        print(f"Evidence: {linearize(conclusion.evidence)}")
-    _dump_trace(args.trace, record, conclusion.trace)
+        print(f"Evidence: {linearize(outcome.evidence)}")
     return 0
-
-
-def _dump_trace(path: str | None, record: dict, trace) -> None:
-    if path is None:
-        return
-    record["trace"] = trace.to_record()
-    with open(path, "a", encoding="utf-8") as out:
-        out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _load_dataset(args: argparse.Namespace):
@@ -242,10 +228,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         print(f"--- k={report.config['k']} shots={report.config['shots']}")
         print(report.to_text())
     if args.report:
-        records = [r.to_record() for r in reports]
-        with open(args.report, "w", encoding="utf-8") as out:
-            json.dump(records, out, ensure_ascii=False, indent=2)
-            out.write("\n")
+        write_report(reports, args.report)
     return 0
 
 
@@ -265,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-    except (GraphLoadError, DatasetLoadError, UnknownEntityError, QueryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _DATA_EXIT
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return _BACKEND_EXIT

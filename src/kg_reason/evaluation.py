@@ -28,8 +28,8 @@ from .errors import (
     reading,
 )
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
-from .parsing import REFUTED, SUPPORTED
-from .pipeline import Pipeline, Query
+from .parsing import REFUTED, SUPPORTED, AnswerCandidate
+from .pipeline import Conclusion, Pipeline, Query
 
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
@@ -194,6 +194,34 @@ def build_query(
     return Query.question(example.text, seed, example.hops)
 
 
+def trace_record(pipeline: Pipeline, source: str, outcome: Conclusion | KGReasonError) -> dict:
+    """One query's trace record: its input, ``k`` and ``shots``, then its outcome.
+
+    ``outcome`` is the run's :class:`Conclusion`, the :class:`PipelineError`
+    it raised, or the :class:`KGReasonError` raised while building the query
+    (stage "query", no trace).
+    """
+    record: dict = {"input": source, "k": pipeline.k, "shots": pipeline.shots}
+    if isinstance(outcome, PipelineError):
+        record["error"] = {"stage": outcome.stage, "message": str(outcome.cause)}
+        record["trace"] = outcome.trace.to_record() if outcome.trace else None
+    elif isinstance(outcome, KGReasonError):
+        record["error"] = {"stage": "query", "message": str(outcome)}
+        record["trace"] = None
+    else:
+        result = outcome.result
+        record["predicted"] = result.entity if isinstance(result, AnswerCandidate) else result.label
+        record["evidence_size"] = len(outcome.evidence)
+        record["trace"] = outcome.trace.to_record()
+    return record
+
+
+def append_trace(path: str, record: dict) -> None:
+    """Append one trace record to ``path`` as a line of JSON."""
+    with open(path, "a", encoding="utf-8") as out:
+        out.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def evaluate(
     dataset: Sequence[VerificationExample] | Sequence[QAExample],
     g: KnowledgeGraph,
@@ -205,18 +233,23 @@ def evaluate(
     width: int = 1,
     trace_path: str | None = None,
 ) -> EvalReport:
-    """Run the pipeline over the dataset and aggregate metrics.
+    """Run the pipeline over the dataset on ``width`` worker threads and aggregate metrics.
 
     Per-example failures are data: they score as incorrect and increment
     the failing stage's counter; an example that cannot be turned into a
-    query fails at the "query" stage. When ``trace_path`` is given, one JSON
-    record per example, tagged with ``k`` and ``shots``, is appended in
-    dataset order. The report's ``config["backend"]`` reads
-    ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
-    backend's class name otherwise.
+    query fails at the "query" stage. When ``trace_path`` is given, each
+    example's :func:`trace_record`, with its ``correct`` flag, is appended
+    as soon as it and every earlier example are done, so records keep
+    dataset order and a run that raises keeps the records finished before
+    it. The report's ``config["backend"]`` reads ``"<endpoint> (<model>)"``
+    for a backend carrying a ``config``, and the backend's class name
+    otherwise. Raises :class:`ValueError` before any query for an empty
+    dataset, ``width < 1`` or an out-of-range ``k`` or ``shots``.
     """
     if not dataset:
         raise ValueError("dataset is empty")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     config = getattr(backend, "config", None)
     if config is not None:
         backend_desc = f"{config.endpoint} ({config.model})"
@@ -226,82 +259,49 @@ def evaluate(
     is_qa = isinstance(dataset[0], QAExample)
 
     def run_one(example) -> dict:
-        source = example.question if is_qa else example.claim
-        record: dict = {"input": source, "k": k, "shots": shots}
         try:
-            query = build_query(example, g, tg)
-            conclusion = pipeline.run(query)
-        except PipelineError as exc:
-            record.update(
-                error={"stage": exc.stage, "message": str(exc.cause)},
-                correct=False,
-                trace=exc.trace.to_record() if exc.trace else None,
-            )
-            return record
+            outcome = pipeline.run(build_query(example, g, tg))
         except KGReasonError as exc:
-            record.update(
-                error={"stage": "query", "message": str(exc)},
-                correct=False,
-                trace=None,
-            )
-            return record
-        record["evidence_size"] = len(conclusion.evidence)
-        record["trace"] = conclusion.trace.to_record()
-        if is_qa:
-            predicted = conclusion.result.entity
+            outcome = exc
+        record = trace_record(pipeline, example.question if is_qa else example.claim, outcome)
+        if "error" in record:
+            record["correct"] = False
+        elif is_qa:
             gold = {canonical_label(a) for a in example.gold_answers}
-            record["predicted"] = predicted
-            record["correct"] = canonical_label(predicted) in gold
+            record["correct"] = canonical_label(record["predicted"]) in gold
         else:
-            record["predicted"] = conclusion.result.label
-            record["correct"] = conclusion.result.label == example.gold
+            record["correct"] = record["predicted"] == example.gold
         return record
 
-    if width <= 1:
-        records = [run_one(example) for example in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            records = list(pool.map(run_one, dataset))
-
-    correct = sum(1 for r in records if r["correct"])
-    failures = {stage: 0 for stage in _STAGES}
-    for r in records:
-        error = r.get("error")
-        if error:
-            failures[error["stage"]] = failures.get(error["stage"], 0) + 1
-    sizes = [r["evidence_size"] for r in records if "evidence_size" in r]
-    mean_evidence = sum(sizes) / len(sizes) if sizes else None
-    by_gold: dict[str, float] | None = None
-    if not is_qa:
-        by_gold = {}
-        for gold in (SUPPORTED, REFUTED):
-            gold_sizes = [
-                r["evidence_size"]
-                for r, ex in zip(records, dataset)
-                if "evidence_size" in r and ex.gold == gold
-            ]
-            if gold_sizes:
-                by_gold[gold] = sum(gold_sizes) / len(gold_sizes)
-    report = EvalReport(
-        n=len(records),
+    correct = 0
+    failures = dict.fromkeys(_STAGES, 0)
+    sizes: list[int] = []
+    gold_sizes: dict[str, list[int]] = {SUPPORTED: [], REFUTED: []}
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        for example, record in zip(dataset, pool.map(run_one, dataset)):
+            if trace_path is not None:
+                append_trace(trace_path, record)
+            correct += record["correct"]
+            if "error" in record:
+                failures[record["error"]["stage"]] += 1
+                continue
+            sizes.append(record["evidence_size"])
+            if not is_qa:
+                gold_sizes[example.gold].append(record["evidence_size"])
+    return EvalReport(
+        n=len(dataset),
         correct=correct,
         metric_name="hits_at_1" if is_qa else "accuracy",
-        metric_value=correct / len(records),
-        mean_evidence_triples=mean_evidence,
-        mean_evidence_by_gold=by_gold,
+        metric_value=correct / len(dataset),
+        mean_evidence_triples=_mean(sizes),
+        mean_evidence_by_gold=None if is_qa else {g: _mean(s) for g, s in gold_sizes.items() if s},
         stage_failures=failures,
-        config={
-            "k": k,
-            "shots": shots,
-            "width": width,
-            "backend": backend_desc,
-        },
+        config={"k": k, "shots": shots, "width": width, "backend": backend_desc},
     )
-    if trace_path is not None:
-        with open(trace_path, "a", encoding="utf-8") as out:
-            for r in records:
-                out.write(json.dumps(r, ensure_ascii=False) + "\n")
-    return report
+
+
+def _mean(values: list[int]) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 def ablate(
@@ -331,8 +331,10 @@ def ablate(
     ]
 
 
-def write_report(report: EvalReport, path: str) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_record(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+def write_report(report: EvalReport | Sequence[EvalReport], path: str) -> None:
+    """Write one report, or a grid's list of them, as indented JSON."""
+    if isinstance(report, EvalReport):
+        record: dict | list[dict] = report.to_record()
+    else:
+        record = [r.to_record() for r in report]
+    Path(path).write_text(json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")

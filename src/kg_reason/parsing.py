@@ -39,7 +39,6 @@ class RetrievedRelations:
     """Relations picked by the backend for one sub-sentence, at most k."""
 
     relations: tuple[str, ...]
-    k: int
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ def parse_relations(
     if not kept:
         _note(notes, "no offered relation matched; falling back to the first k offered")
         kept = list(offered[:k])
-    return RetrievedRelations(tuple(kept[:k]), k)
+    return RetrievedRelations(tuple(kept[:k]))
 
 
 _VERDICT_TOKEN = re.compile(r"^\s*(true|false)\b", re.IGNORECASE)

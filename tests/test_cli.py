@@ -220,6 +220,15 @@ def test_out_of_range_number_is_a_usage_error(command, flag, value, capsys):
     assert line.startswith(f"usage error: argument {flag}: ")
 
 
+@pytest.mark.parametrize("flag, value", [("--k", "1"), ("--shots", "4")])
+def test_ablate_takes_no_k_or_shots(flag, value, capsys):
+    # the grid comes from --k-values and --shot-values alone
+    assert main(grid_args("ablate") + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: unrecognized arguments: {flag} {value}\n"
+
+
 def test_unparseable_response_is_a_data_error(tmp_path):
     script = tmp_path / "bad.jsonl"
     records = [
@@ -307,6 +316,7 @@ def test_trace_flag_writes_records(tmp_path, capsys):
     records = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
     assert len(records) == 1
     assert records[0]["predicted"] == "Refuted"
+    assert records[0]["evidence_size"] == 3
     assert records[0]["trace"]["segmentation"]["prompt"]
 
 

@@ -247,19 +247,67 @@ def test_trace_dump_allows_metric_recomputation(tmp_path, metaqa_graph, metaqa_t
     assert all(r["trace"]["inference"]["response"] for r in records)
 
 
-def test_evaluation_with_worker_pool_matches_sequential(metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script(
-        "mock_metaqa_1hop.jsonl", [e.text for e in examples]
-    )
-    sequential = evaluate(
-        examples, metaqa_graph, metaqa_type_graph, FirstKBackend(seg), k=3, width=1
-    )
-    pooled = evaluate(
-        examples, metaqa_graph, metaqa_type_graph, FirstKBackend(seg), k=3, width=4
-    )
-    assert pooled.correct == sequential.correct
-    assert pooled.mean_evidence_triples == sequential.mean_evidence_triples
+def test_evaluation_with_worker_pool_matches_sequential(tmp_path, metaqa_graph, metaqa_type_graph):
+    for hops in (1, 2):
+        examples = load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops)
+        seg = segmentations_from_script(
+            f"mock_metaqa_{hops}hop.jsonl", [e.text for e in examples]
+        )
+        reports, traces = {}, {}
+        for width in (1, 4):
+            trace_path = tmp_path / f"trace-{hops}hop-width{width}.jsonl"
+            reports[width] = evaluate(
+                examples,
+                metaqa_graph,
+                metaqa_type_graph,
+                FirstKBackend(seg),
+                k=3,
+                width=width,
+                trace_path=str(trace_path),
+            )
+            traces[width] = _records_without_timings(trace_path)
+        assert reports[4].correct == reports[1].correct
+        assert reports[4].mean_evidence_triples == reports[1].mean_evidence_triples
+        # records come out in dataset order, whatever order the workers finish in
+        assert [r["input"] for r in traces[1]] == [e.question for e in examples]
+        assert traces[4] == traces[1]
+
+
+def _records_without_timings(path) -> list[dict]:
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["trace"].pop("timings")
+    return records
+
+
+class _CrashesOnThirdQuery:
+    """Wraps a backend; raises a non-package error on the third query's first call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = 0
+
+    def complete(self, prompt: str, stage: str) -> str:
+        if stage == "segmentation":
+            self.queries += 1
+            if self.queries == 3:
+                raise RuntimeError("backend crashed")
+        return self.inner.complete(prompt, stage)
+
+
+def test_trace_keeps_the_records_finished_before_a_crash(
+    tmp_path, factkg_graph, factkg_type_graph
+):
+    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
+    trace_path = tmp_path / "trace.jsonl"
+    backend = _CrashesOnThirdQuery(mock_backend("mock_factkg.jsonl"))
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        evaluate(
+            examples, factkg_graph, factkg_type_graph, backend, k=5, trace_path=str(trace_path)
+        )
+    records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert [r["input"] for r in records] == [e.claim for e in examples[:2]]
+    assert all(r["correct"] for r in records)
 
 
 def test_query_builder_rejects_nothing_but_stage_counts_catch_failures(
@@ -308,6 +356,20 @@ def test_out_of_range_k_or_shots_fails_before_any_query(k, shots, metaqa_graph, 
         ablate(
             examples, metaqa_graph, metaqa_type_graph, lambda: backend,
             k_values=[k], shot_values=[shots],
+        )
+    assert backend.total_calls == 0
+
+
+@pytest.mark.parametrize("width", [0, -5])
+def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type_graph):
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        ablate(
+            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            k_values=[3], shot_values=[12], width=width,
         )
     assert backend.total_calls == 0
 
