@@ -28,7 +28,7 @@ from .evaluation import (
     trace_record,
     write_report,
 )
-from .graph import build_type_graph, load_graph
+from .graph import KnowledgeGraph, TypeGraph, build_type_graph, load_graph
 from .pipeline import Pipeline, Query, linearize
 from .prompts import MAX_SHOTS
 
@@ -147,32 +147,38 @@ def _default_k(args: argparse.Namespace, qa: bool) -> int:
     return DEFAULT_K_QA if qa else DEFAULT_K_VERIFICATION
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
-    """``verify`` and ``answer``: build one query, run it, print the result."""
-    qa = args.command == "answer"
-    if qa:
+def _query(args: argparse.Namespace, g: KnowledgeGraph, tg: TypeGraph) -> Query:
+    """The ``verify`` claim or the ``answer`` question of the command line."""
+    if args.command == "answer":
         text, seed = split_seed(args.question)
+        return build_query(QAExample(args.question, text, seed, args.hops, ()), g, tg)
+    # Unlike a dataset claim, a claim given here must name only known entities.
+    mentions = tuple(resolve_mention(label, g, tg) for label in args.entities)
+    for mention in mentions:
+        if mention.kind == VARIABLE:
+            raise UnknownEntityError(mention.surface)
+    return Query.claim(args.claim, mentions)
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    """``verify`` and ``answer``: build one query, run it, print the result.
+
+    An input that cannot be turned into a query is traced, like a failed
+    run, before its error exits.
+    """
+    qa = args.command == "answer"
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
     backend = make_backend(_backend_config(args))
-    if qa:
-        query = build_query(QAExample(args.question, text, seed, args.hops, ()), g, tg)
-    else:
-        # Unlike a dataset claim, a claim given here must name only known entities.
-        mentions = tuple(resolve_mention(label, g, tg) for label in args.entities)
-        for mention in mentions:
-            if mention.kind == VARIABLE:
-                raise UnknownEntityError(mention.surface)
-        query = Query.claim(args.claim, mentions)
     pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
     try:
-        outcome = pipeline.run(query)
-    except PipelineError as exc:
+        outcome = pipeline.run(_query(args, g, tg))
+    except KGReasonError as exc:
         outcome = exc
     record = trace_record(pipeline, args.question if qa else args.claim, outcome)
     if args.trace is not None:
         append_trace(args.trace, record)
-    if isinstance(outcome, PipelineError):
+    if isinstance(outcome, KGReasonError):
         raise outcome
     print(record["predicted"])
     if not qa:

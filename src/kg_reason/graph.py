@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import gc
 from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -318,12 +319,17 @@ def match_triples_by_id(
     relation is in ``relation_ids`` and whose head or tail is in
     ``endpoint_ids``. Ids the graph never handed out match nothing.
     """
+    wanted = sorted(relation_ids)
     positions: list[int] = []
     for side in (g._out, g._in):
         perm, run_relation, run_start = side.perm, side.run_relation, side.run_start
         for eid in endpoint_ids:
             lo, hi = side.runs(eid)
-            for i, rid in enumerate(run_relation[lo:hi], lo):
-                if rid in relation_ids:
-                    positions += perm[run_start[i] : run_start[i + 1]]
+            # the entity's runs ascend by relation id, so each wanted one is a bisection
+            for rid in wanted:
+                lo = bisect_left(run_relation, rid, lo, hi)
+                if lo == hi:
+                    break
+                if run_relation[lo] == rid:
+                    positions += perm[run_start[lo] : run_start[lo + 1]]
     return sorted(set(positions))

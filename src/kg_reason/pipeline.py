@@ -362,8 +362,9 @@ class Pipeline:
     def run(self, query: Query) -> Conclusion:
         """Run all stages; failures are wrapped with their stage name.
 
-        Evidence assembly counts as part of the graph-retrieval stage. The
-        partial trace is attached to the raised error.
+        Evidence assembly is timed under its own key, "assembly", but its
+        failures count as part of the graph-retrieval stage. The partial
+        trace is attached to the raised error.
         """
         trace = StageTrace()
         subsentences = self._stage(
@@ -373,20 +374,24 @@ class Pipeline:
             "retrieval", trace, lambda: self.retrieve(subsentences, query, trace)
         )
         evidence = self._stage(
-            "retrieval", trace, lambda: self.assemble(subsentences, retrieved, query, trace)
+            "assembly",
+            trace,
+            lambda: self.assemble(subsentences, retrieved, query, trace),
+            fails_as="retrieval",
         )
         return self._stage("inference", trace, lambda: self.infer(query, evidence, trace))
 
-    def _stage(self, name: str, trace: StageTrace, thunk):
+    def _stage(self, name: str, trace: StageTrace, thunk, *, fails_as: str | None = None):
+        """Run ``thunk`` timed under ``name``; a failure reports stage ``fails_as or name``."""
         start = time.perf_counter()
         try:
             return thunk()
         except PipelineError:
             raise
         except KGReasonError as exc:
-            raise PipelineError(name, exc, trace) from exc
+            raise PipelineError(fails_as or name, exc, trace) from exc
         finally:
-            trace.timings[name] = trace.timings.get(name, 0.0) + time.perf_counter() - start
+            trace.timings[name] = time.perf_counter() - start
 
 
 def _endpoints_fit_types(

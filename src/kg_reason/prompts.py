@@ -50,11 +50,16 @@ def render_relation_list(labels: list[str] | tuple[str, ...]) -> str:
 def render_triple_list(triples: list[tuple[str, str, str]]) -> str:
     """Render linearized triples, e.g. ``[['h', 'r', 't'], ...]``; ``[]`` when empty.
 
-    Each distinct label is quoted once: a hub's label recurs in every one of
-    its triples.
+    Labels are single-quoted by two joins first. The result holds exactly six
+    apostrophes per triple when no label holds one, and is then final.
+    Otherwise each distinct label is quoted once by :func:`quote_label`: a
+    hub's label recurs in every one of its triples.
     """
     if not triples:
         return "[]"
+    rendered = "[['" + "'], ['".join(map("', '".join, triples)) + "']]"
+    if rendered.count("'") == 6 * len(triples):
+        return rendered
     quoted = {x: quote_label(x) for x in set().union(*triples)}
     rows = [f"{quoted[h]}, {quoted[r]}, {quoted[t]}" for h, r, t in triples]
     return "[[" + "], [".join(rows) + "]]"

@@ -320,6 +320,51 @@ def test_trace_flag_writes_records(tmp_path, capsys):
     assert records[0]["trace"]["segmentation"]["prompt"]
 
 
+def _answer_args(question):
+    return [
+        "answer",
+        "--graph", METAQA,
+        "--backend", f"mock:{FIXTURES / 'mock_cli_answer.jsonl'}",
+        "--question", question,
+        "--hops", "1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, source, stderr",
+    [
+        (
+            verify_args()[:-1] + ["NoSuch"],
+            "Al-Taqaddum Air Base is located in Fallujah which is not in Iraq.",
+            "error: unknown entity: 'NoSuch'",
+        ),
+        (
+            _answer_args("what type of film is Six Shooter?"),
+            "what type of film is Six Shooter?",
+            "error: expected exactly one bracketed seed, got 0",
+        ),
+        (
+            _answer_args("what type of film is [Nobody Here]?"),
+            "what type of film is [Nobody Here]?",
+            "error: unknown entity: 'Nobody Here'",
+        ),
+    ],
+    ids=["unknown-entity", "seedless-question", "unknown-seed"],
+)
+def test_input_errors_write_a_query_stage_record(args, source, stderr, tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(args + ["--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err.strip() == stderr
+    (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert record == {
+        "input": source,
+        "k": 3 if args[0] == "answer" else 5,
+        "shots": 12,
+        "error": {"stage": "query", "message": stderr.removeprefix("error: ")},
+        "trace": None,
+    }
+
+
 def test_ablate_command_runs_grid(tmp_path, capsys):
     # two cells over one sequence script: entries replay per evaluate call
     script = tmp_path / "grid.jsonl"

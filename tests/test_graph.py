@@ -376,6 +376,22 @@ def test_matching_equals_full_scan(seed):
     got = g.label_triples(g.triples[p] for p in matching(g, endpoints, rels))
     assert got == scan_matching(triples, endpoints, rels)
 
+    # A hub heads a run on every relation and tails runs on all but some.
+    hub, others = entities[0], entities[1:]
+    triples += [(hub, r, rng.choice(others)) for r in relations]
+    in_runs = rng.sample(relations, rng.randint(0, len(relations) - 1))
+    triples += [(rng.choice(others), r, hub) for r in in_runs]
+    g = KnowledgeGraph.from_triples(triples)
+    n_relations = len(relations)  # the hub's runs intern every relation: ids 0..n-1
+    leaves = rng.sample(others, rng.randint(0, min(3, len(others))))
+    anchors = {g.maybe_entity_id(e) for e in [hub, *leaves]} - {None}
+    # the smallest and largest ids, one past the last, and a random subset
+    wanted = {0, n_relations - 1, n_relations}
+    wanted.update(rng.sample(range(n_relations), rng.randint(0, n_relations)))
+    assert match_triples_by_id(g, anchors, wanted) == [
+        p for p, (h, r, t) in enumerate(g.triples) if r in wanted and (h in anchors or t in anchors)
+    ]
+
 
 def test_matching_returns_load_order(factkg_graph):
     positions = matching(factkg_graph, {"Alfredo_Zitarrosa"}, {"deathPlace", "birthPlace"})

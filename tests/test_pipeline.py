@@ -269,6 +269,8 @@ def test_unanchored_subsentence_is_an_assembly_error(metaqa_graph, metaqa_type_g
         pipeline.run(Query.question("when did the movies release?", seed, 1))
     assert err.value.stage == "retrieval"
     assert isinstance(err.value.cause, AssemblyError)
+    # timed under its own key all the same
+    assert list(err.value.trace.timings) == ["segmentation", "retrieval", "assembly"]
 
 
 def test_type_filter_drops_mismatched_endpoints():
@@ -400,6 +402,13 @@ def test_exhausted_script_is_tagged_with_the_failing_stage(crewed_flight_graph, 
 
 
 # --- whole-pipeline properties ------------------------------------------------------
+
+
+def test_each_stage_is_timed_under_its_own_key(crewed_flight_graph, crewed_flight_type_graph):
+    backend = mock_backend("mock_crewed_flight.jsonl")
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
+    assert list(conclusion.trace.timings) == ["segmentation", "retrieval", "assembly", "inference"]
 
 
 def test_determinism_identical_runs(crewed_flight_graph, crewed_flight_type_graph):

@@ -64,8 +64,18 @@ def test_triple_list_round_trips_through_literal_eval():
     assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
 
 
+def test_triple_list_quotes_an_apostrophe_in_the_last_triple_only():
+    triples = [("Hub", "has_genre", f"Short {i}") for i in range(50)]
+    triples.append(("Hub", "starred_actors", "Big Momma's House"))
+    rows = [f"['Hub', 'has_genre', 'Short {i}']" for i in range(50)]
+    rows.append("""['Hub', 'starred_actors', "Big Momma's House"]""")
+    assert render_triple_list(triples) == "[" + ", ".join(rows) + "]"
+
+
 # a small vocabulary, so that labels repeat across triples as a hub's do
-_LABELS = st.sampled_from(["Hub", "Big Momma's House", "O'Brien", "has_genre", "Short", "a b", ""])
+_LABELS = st.sampled_from(
+    ["Hub", "Big Momma's House", "O'Brien", "has_genre", "Short", "a b", "", "a', 'b", 'say "hi"']
+)
 _TRIPLES = st.lists(st.tuples(_LABELS, _LABELS, _LABELS | st.text(alphabet="ab' _", max_size=4)))
 
 
