@@ -115,6 +115,12 @@ class MockBackend:
                     raise script_error(lineno, f"bad record ({exc})") from exc
         return cls(entries)
 
+    @property
+    def order_bound(self) -> bool:
+        """Whether any response is keyed by call order; with concurrent queries,
+        which query gets which sequence entry then depends on thread timing."""
+        return bool(self._sequences)
+
     def complete(self, prompt: str, stage: str) -> str:
         digest = prompt_hash(prompt)
         hashed = self._by_hash.get((stage, digest))

@@ -17,6 +17,7 @@ from .backends import BackendConfig, make_backend
 from .candidates import VARIABLE, resolve_mention
 from .errors import BackendError, KGReasonError, PipelineError, UnknownEntityError
 from .evaluation import (
+    OrderBoundScriptError,
     QAExample,
     ablate,
     append_trace,
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, OrderBoundScriptError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except BackendError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .backends import Backend
+from .backends import Backend, MockBackend
 from .candidates import VARIABLE, resolve_mention
 from .errors import (
     DatasetLoadError,
@@ -34,6 +34,10 @@ from .pipeline import Conclusion, Pipeline, Query
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
 _STAGES = ("query", "segmentation", "retrieval", "inference")
+
+
+class OrderBoundScriptError(ValueError):
+    """A mock script with sequence entries was asked to run on several workers."""
 
 
 @dataclass(frozen=True)
@@ -244,12 +248,19 @@ def evaluate(
     it. The report's ``config["backend"]`` reads ``"<endpoint> (<model>)"``
     for a backend carrying a ``config``, and the backend's class name
     otherwise. Raises :class:`ValueError` before any query for an empty
-    dataset, ``width < 1`` or an out-of-range ``k`` or ``shots``.
+    dataset, ``width < 1`` or an out-of-range ``k`` or ``shots``, and its
+    subclass :class:`OrderBoundScriptError` for ``width > 1`` on an order-bound
+    :class:`MockBackend`, whose sequence entries replay in call order.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    if width > 1 and isinstance(backend, MockBackend) and backend.order_bound:
+        raise OrderBoundScriptError(
+            f"the mock script's sequence entries replay in call order and need width 1, got"
+            f" width {width}; run at width 1, or use hash entries keyed by prompt hash"
+        )
     config = getattr(backend, "config", None)
     if config is not None:
         backend_desc = f"{config.endpoint} ({config.model})"

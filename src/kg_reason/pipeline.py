@@ -45,14 +45,12 @@ from .parsing import (
     parse_verdict,
 )
 from .prompts import (
-    INFERENCE,
     MAX_SHOTS,
     QA_INFERENCE_TEMPLATE,
-    RETRIEVAL,
     RETRIEVAL_TEMPLATE,
-    SEGMENTATION,
     SEGMENTATION_TEMPLATE,
     VERIFICATION_INFERENCE_TEMPLATE,
+    PromptTemplate,
     render_entity_set,
     render_prompt,
     render_relation_list,
@@ -135,13 +133,8 @@ class StageTrace:
     timings: dict[str, float] = field(default_factory=dict)
 
     def backend_calls(self) -> int:
-        calls = 0
-        if self.segmentation is not None:
-            calls += 1
-        calls += len(self.retrieval)
-        if self.inference is not None:
-            calls += 1
-        return calls
+        """Calls made, failed ones included: each stage record is made just before its call."""
+        return (self.segmentation is not None) + len(self.retrieval) + (self.inference is not None)
 
     def to_record(self) -> dict:
         return {
@@ -188,23 +181,25 @@ class Pipeline:
 
     # stages --------------------------------------------------------------
 
+    def _ask(self, template: PromptTemplate, bindings: dict[str, str], record: dict) -> str:
+        """The one backend call site: render, send, and keep the exchange in
+        ``record``, the prompt before the call and the response after it."""
+        prompt = record["prompt"] = render_prompt(template, bindings, self.shots)
+        response = record["response"] = self.backend.complete(prompt, template.stage)
+        return response
+
     def segment(self, query: Query, trace: StageTrace) -> list[SubSentence]:
         """Split the query into sub-sentences via the segmentation prompt.
 
         One-hop questions whose response fails the grammar degrade to a
         single sub-sentence spanning the whole question.
         """
-        prompt = render_prompt(
-            SEGMENTATION_TEMPLATE,
-            {
-                "CLAIM": query.text,
-                "ENTITY_SET": render_entity_set([m.surface for m in query.mentions]),
-            },
-            self.shots,
-        )
-        response = self.backend.complete(prompt, SEGMENTATION)
+        record = trace.segmentation = {}
+        entity_set = render_entity_set([m.surface for m in query.mentions])
+        bindings = {"CLAIM": query.text, "ENTITY_SET": entity_set}
+        response = self._ask(SEGMENTATION_TEMPLATE, bindings, record)
         notes: list[str] = []
-        trace.segmentation = {"prompt": prompt, "response": response, "notes": notes}
+        record["notes"] = notes
         try:
             subsentences = parse_segmentation(
                 response, query.mentions, self.type_graph, notes
@@ -215,7 +210,7 @@ class Pipeline:
                 subsentences = [SubSentence(1, query.text, query.mentions)]
             else:
                 raise
-        trace.segmentation["subsentences"] = [
+        record["subsentences"] = [
             {"index": s.index, "text": s.text, "mentions": [_mention_record(m) for m in s.mentions]}
             for s in subsentences
         ]
@@ -246,29 +241,16 @@ class Pipeline:
                 raise RetrievalError(
                     f"no candidate relations for sub-sentence {sub.index}: {sub.text!r}"
                 )
-            prompt = render_prompt(
-                RETRIEVAL_TEMPLATE,
-                {
-                    "SENTENCE": sub.text,
-                    "RELATION_SET": render_relation_list(offered.relations),
-                    "TOP_K": str(self.k),
-                },
-                self.shots,
-            )
-            response = self.backend.complete(prompt, RETRIEVAL)
+            record = {"index": sub.index, "offered": list(offered.relations)}
+            trace.retrieval.append(record)
+            relation_set = render_relation_list(offered.relations)
+            bindings = {"SENTENCE": sub.text, "RELATION_SET": relation_set, "TOP_K": str(self.k)}
+            response = self._ask(RETRIEVAL_TEMPLATE, bindings, record)
             notes: list[str] = []
             parsed = parse_relations(response, offered.relations, self.k, notes)
             retrieved[sub.index] = parsed
-            trace.retrieval.append(
-                {
-                    "index": sub.index,
-                    "offered": list(offered.relations),
-                    "prompt": prompt,
-                    "response": response,
-                    "relations": list(parsed.relations),
-                    "notes": notes,
-                }
-            )
+            record["relations"] = list(parsed.relations)
+            record["notes"] = notes
         return retrieved
 
     def assemble(
@@ -340,21 +322,18 @@ class Pipeline:
         template = (
             QA_INFERENCE_TEMPLATE if query.kind == QUESTION else VERIFICATION_INFERENCE_TEMPLATE
         )
-        prompt = render_prompt(
-            template,
-            {"CLAIM": query.text, "EVIDENCE_SET": linearize(evidence)},
-            self.shots,
+        record = trace.inference = {}
+        response = self._ask(
+            template, {"CLAIM": query.text, "EVIDENCE_SET": linearize(evidence)}, record
         )
-        response = self.backend.complete(prompt, INFERENCE)
-        trace.inference = {"prompt": prompt, "response": response}
         if query.kind == QUESTION:
             result: Verdict | AnswerCandidate = parse_answer(
                 response, evidence.labels(), query.seed.surface
             )
-            trace.inference["answer"] = result.entity
+            record["answer"] = result.entity
         else:
             result = parse_verdict(response)
-            trace.inference["verdict"] = result.label
+            record["verdict"] = result.label
         return Conclusion(result=result, evidence=evidence, trace=trace)
 
     # end to end -----------------------------------------------------------

@@ -251,6 +251,39 @@ def test_unparseable_response_is_a_data_error(tmp_path):
     assert record["trace"]["inference"]["response"] == "Maybe."
 
 
+def test_unparseable_retrieval_reply_is_in_the_trace_record(tmp_path, capsys):
+    script = tmp_path / "bad_retrieval.jsonl"
+    lines = (FIXTURES / "mock_cli_verify.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = json.loads(lines[2])
+    bad["response"] = "Fallujah is a city."
+    lines[2] = json.dumps(bad, ensure_ascii=False)
+    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(verify_args(str(script)) + ["--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err == "error[retrieval]: no bracketed list in response\n"
+    (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert record["error"] == {"stage": "retrieval", "message": "no bracketed list in response"}
+    first, failed = record["trace"]["retrieval"]
+    assert first["response"] == "['city', 'cityServed']"
+    assert list(failed) == ["index", "offered", "prompt", "response"]
+    assert "Fallujah is not in Iraq." in failed["prompt"]
+    assert failed["response"] == "Fallujah is a city."
+    assert record["trace"]["inference"] is None
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_sequence_script_above_width_one_is_a_usage_error(command, tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(grid_args(command) + ["--width", "4", "--trace", str(trace_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("usage error: ")
+    assert "need width 1, got width 4" in line
+    assert "hash entries" in line
+    assert not trace_path.exists()
+
+
 def test_eval_writes_report_and_exits_zero(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code = main(

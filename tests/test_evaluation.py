@@ -11,9 +11,9 @@ from kg_reason import (
     load_qa_dataset,
     load_verification_dataset,
 )
-from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry
+from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry, prompt_hash
 from kg_reason.errors import DatasetLoadError, QueryError
-from kg_reason.evaluation import ablate, build_query, split_seed
+from kg_reason.evaluation import OrderBoundScriptError, ablate, build_query, split_seed
 
 from helpers import (
     CountingBackend,
@@ -278,6 +278,88 @@ def _records_without_timings(path) -> list[dict]:
     for record in records:
         record["trace"].pop("timings")
     return records
+
+
+class _Recorder:
+    """Wraps a backend; keeps every call's (stage, prompt hash, response)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[str, str, str]] = []
+
+    def complete(self, prompt: str, stage: str) -> str:
+        response = self.inner.complete(prompt, stage)
+        self.calls.append((stage, prompt_hash(prompt), response))
+        return response
+
+
+def _scored(script, width, trace_path, g, tg, examples):
+    """The report (less its width) and the timing-free trace records of one run."""
+    report = evaluate(
+        examples, g, tg, MockBackend.from_path(str(script)), k=5, width=width,
+        trace_path=str(trace_path),
+    ).to_record()
+    del report["config"]["width"]
+    return report, _records_without_timings(trace_path)
+
+
+def test_scripts_score_the_same_at_every_width_or_are_refused(
+    tmp_path, factkg_graph, factkg_type_graph
+):
+    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
+    recorder = _Recorder(mock_backend("mock_factkg.jsonl"))
+    evaluate(examples, factkg_graph, factkg_type_graph, recorder, k=5)
+    responses: dict[tuple[str, str], str] = {}
+    for stage, digest, response in recorder.calls:
+        assert responses.setdefault((stage, digest), response) == response, (stage, digest)
+    hashed = tmp_path / "hashed.jsonl"
+    hashed.write_text(
+        "".join(
+            json.dumps({"stage": stage, "match_kind": "hash", "key": digest, "response": response})
+            + "\n"
+            for (stage, digest), response in responses.items()
+        ),
+        encoding="utf-8",
+    )
+    sequence = FIXTURES / "mock_factkg.jsonl"
+    expected = _scored(
+        sequence, 1, tmp_path / "expected.jsonl", factkg_graph, factkg_type_graph, examples
+    )
+    assert expected[0]["correct"] == 12
+    for script in (hashed, sequence):
+        for width in (1, 4, 16):
+            for run in range(3):
+                trace_path = tmp_path / f"{script.stem}-{width}-{run}.jsonl"
+                try:
+                    scored = _scored(
+                        script, width, trace_path, factkg_graph, factkg_type_graph, examples
+                    )
+                except OrderBoundScriptError:
+                    # only call-order replay may be refused, and only off width 1
+                    assert script == sequence and width > 1
+                    continue
+                assert scored == expected, (script.name, width, run)
+
+
+@pytest.mark.parametrize("run", ["evaluate", "ablate"])
+def test_sequence_script_is_refused_above_width_one(run, tmp_path, factkg_graph, factkg_type_graph):
+    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
+    backend = mock_backend("mock_factkg.jsonl")
+    trace_path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError, match=r"need width 1, got width 4; .*hash entries"):
+        if run == "evaluate":
+            evaluate(
+                examples, factkg_graph, factkg_type_graph, backend, k=5, width=4,
+                trace_path=str(trace_path),
+            )
+        else:
+            ablate(
+                examples, factkg_graph, factkg_type_graph, lambda: backend,
+                k_values=[5], shot_values=[12], width=4, trace_path=str(trace_path),
+            )
+    assert not trace_path.exists()
+    # no query ran, so no sequence entry was spent
+    assert evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5).correct == 12
 
 
 class _CrashesOnThirdQuery:

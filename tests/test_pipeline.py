@@ -19,9 +19,11 @@ from kg_reason import (
 from kg_reason.backends import MockBackend, MockEntry
 from kg_reason.errors import (
     AssemblyError,
+    BackendError,
     MockScriptError,
     PipelineError,
     QueryError,
+    RelationParseError,
     RetrievalError,
 )
 from kg_reason.pipeline import EvidenceGraph, StageTrace
@@ -399,6 +401,68 @@ def test_exhausted_script_is_tagged_with_the_failing_stage(crewed_flight_graph, 
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert err.value.stage == "retrieval"
     assert isinstance(err.value.cause, MockScriptError)
+
+
+# --- failed stages keep their exchange ----------------------------------------------
+
+
+class _FailsAt:
+    """Wraps a backend; every call at ``stage`` raises a :class:`BackendError`."""
+
+    def __init__(self, inner, stage: str):
+        self.inner = inner
+        self.stage = stage
+
+    def complete(self, prompt: str, stage: str) -> str:
+        if stage == self.stage:
+            raise BackendError(f"{stage} is down")
+        return self.inner.complete(prompt, stage)
+
+
+def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, crewed_flight_type_graph):
+    backend = seq_backend(
+        seg=[
+            "1. William Anders was a crew member of an artificial satellite., "
+            "Entity set: ['William_Anders' ## 'artificial satellite']"
+        ],
+        ret=["I cannot tell."],
+    )
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    with pytest.raises(PipelineError) as err:
+        pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
+    assert err.value.stage == "retrieval"
+    assert isinstance(err.value.cause, RelationParseError)
+    trace = err.value.trace
+    assert list(trace.retrieval[-1]) == ["index", "offered", "prompt", "response"]
+    assert trace.retrieval[-1]["index"] == 1
+    assert "crewMembers" in trace.retrieval[-1]["offered"]
+    assert trace.retrieval[-1]["prompt"].endswith("Top 5 Answer:")
+    assert trace.retrieval[-1]["response"] == "I cannot tell."
+    assert trace.backend_calls() == 2
+
+
+def test_failed_backend_call_keeps_its_prompt(crewed_flight_graph, crewed_flight_type_graph):
+    query = crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph)
+    ok = Pipeline(
+        crewed_flight_graph, crewed_flight_type_graph, mock_backend("mock_crewed_flight.jsonl")
+    ).run(query)
+    backend = _FailsAt(mock_backend("mock_crewed_flight.jsonl"), "inference")
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    with pytest.raises(PipelineError) as err:
+        pipeline.run(query)
+    assert err.value.stage == "inference"
+    assert err.value.trace.inference == {"prompt": ok.trace.inference["prompt"]}
+    assert err.value.trace.backend_calls() == ok.trace.backend_calls()
+
+
+def test_failed_segmentation_call_counts_as_a_call(crewed_flight_graph, crewed_flight_type_graph):
+    backend = _FailsAt(mock_backend("mock_crewed_flight.jsonl"), "segmentation")
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    with pytest.raises(PipelineError) as err:
+        pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
+    assert err.value.stage == "segmentation"
+    assert list(err.value.trace.segmentation) == ["prompt"]
+    assert err.value.trace.backend_calls() == 1
 
 
 # --- whole-pipeline properties ------------------------------------------------------
