@@ -103,16 +103,19 @@ class MockBackend:
                     continue
                 try:
                     record = json.loads(line)
-                    entries.append(
-                        MockEntry(
-                            stage=record["stage"],
-                            match_kind=record["match_kind"],
-                            key=record.get("key", ""),
-                            response=record["response"],
-                        )
+                    entry = MockEntry(
+                        stage=record["stage"],
+                        match_kind=record["match_kind"],
+                        key=record.get("key", ""),
+                        response=record["response"],
                     )
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise script_error(lineno, f"bad record ({exc})") from exc
+                if not isinstance(entry.stage, str) or not isinstance(entry.response, str):
+                    raise script_error(lineno, "stage and response must be strings")
+                if entry.match_kind not in ("hash", "sequence"):
+                    raise script_error(lineno, f"bad match_kind {entry.match_kind!r}")
+                entries.append(entry)
         return cls(entries)
 
     @property

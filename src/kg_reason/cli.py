@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
 from .candidates import VARIABLE, resolve_mention
-from .errors import BackendError, KGReasonError, PipelineError, UnknownEntityError
+from .errors import BackendError, KGReasonError, OutputError, PipelineError, UnknownEntityError
 from .evaluation import (
     OrderBoundScriptError,
     QAExample,
@@ -251,6 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # Fail before any work whose output could not be kept; verify and answer have no --report.
+        for path in (args.trace, getattr(args, "report", None)):
+            if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+                raise OutputError(path, "no such directory")
         return _COMMANDS[args.command](args)
     except (_UsageError, OrderBoundScriptError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

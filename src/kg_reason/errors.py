@@ -31,6 +31,14 @@ def reading(path: str, error: Callable[[int | None, str], KGReasonError]) -> Ite
             raise error(_undecodable_line(path), f"not UTF-8 ({exc.reason})") from exc
 
 
+def writing(path: str, mode: str = "a") -> TextIO:
+    """Open a UTF-8 text file for output, mapping I/O failures to :class:`OutputError`."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(path, exc.strerror or str(exc)) from exc
+
+
 def _undecodable_line(path: str) -> int | None:
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -67,6 +75,14 @@ class DatasetLoadError(KGReasonError):
         self.line = line
         where = f"{path}:{line}" if line is not None else path
         super().__init__(f"{where}: {message}")
+
+
+class OutputError(KGReasonError):
+    """A trace or report file could not be written."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
 
 
 class RenderError(KGReasonError):

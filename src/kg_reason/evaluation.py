@@ -15,7 +15,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 from .backends import Backend, MockBackend
 from .candidates import VARIABLE, resolve_mention
@@ -26,6 +25,7 @@ from .errors import (
     QueryError,
     UnknownEntityError,
     reading,
+    writing,
 )
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED, AnswerCandidate
@@ -63,10 +63,16 @@ def load_verification_dataset(path: str) -> list[VerificationExample]:
     for lineno, record in _read_jsonl(path):
         try:
             claim = record["claim"]
-            entities = tuple(record["entities"])
+            entities = record["entities"]
             label = _normalize_label(path, lineno, record["label"])
         except (KeyError, TypeError) as exc:
             raise DatasetLoadError(path, lineno, f"missing field ({exc})") from exc
+        if not isinstance(claim, str):
+            raise DatasetLoadError(path, lineno, f"claim must be a string: {claim!r}")
+        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+            raise DatasetLoadError(
+                path, lineno, f"entities must be a list of strings: {entities!r}"
+            )
         if not entities:
             raise DatasetLoadError(path, lineno, "entities must be non-empty")
         reasoning = record.get("type")
@@ -74,7 +80,7 @@ def load_verification_dataset(path: str) -> list[VerificationExample]:
             reasoning = str(reasoning).strip().lower()
             if reasoning not in REASONING_TYPES:
                 raise DatasetLoadError(path, lineno, f"unknown reasoning type {reasoning!r}")
-        examples.append(VerificationExample(claim, entities, label, reasoning))
+        examples.append(VerificationExample(claim, tuple(entities), label, reasoning))
     if not examples:
         raise DatasetLoadError(path, None, "dataset is empty")
     return examples
@@ -222,7 +228,7 @@ def trace_record(pipeline: Pipeline, source: str, outcome: Conclusion | KGReason
 
 def append_trace(path: str, record: dict) -> None:
     """Append one trace record to ``path`` as a line of JSON."""
-    with open(path, "a", encoding="utf-8") as out:
+    with writing(path) as out:
         out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
@@ -348,4 +354,5 @@ def write_report(report: EvalReport | Sequence[EvalReport], path: str) -> None:
         record: dict | list[dict] = report.to_record()
     else:
         record = [r.to_record() for r in report]
-    Path(path).write_text(json.dumps(record, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    with writing(path, "w") as out:
+        out.write(json.dumps(record, ensure_ascii=False, indent=2) + "\n")

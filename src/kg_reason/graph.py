@@ -6,11 +6,12 @@ whitespace trimmed, underscores unified with spaces), so ``William Anders``
 and ``William_Anders`` name the same entity. Relation labels are compared
 case-sensitively and verbatim.
 
-A triple's id is its load position in ``triples``. The adjacency is kept
-once per direction, as a compressed sparse row "side" of stdlib arrays: the
-positions sorted by (anchor entity, relation), cut into one run per
-(entity, relation) pair. Queries take and return ids and positions; labels
-are resolved and rendered by the callers.
+Each distinct triple is stored once, at its load position in three id
+columns (``head``, ``relation`` and ``tail``); the position is the triple's
+id. The adjacency is kept once per direction, as a compressed sparse row
+"side" of stdlib arrays: the positions sorted by (anchor entity, relation),
+cut into one run per (entity, relation) pair. Queries take and return ids
+and positions; labels are resolved and rendered by the callers.
 
 Graphs are immutable once built and safe for concurrent readers.
 """
@@ -18,14 +19,13 @@ Graphs are immutable once built and safe for concurrent readers.
 from __future__ import annotations
 
 import functools
-import gc
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, floordiv, itemgetter, mod, mul
+from operator import add, and_, floordiv, mod, mul, rshift
 from typing import NamedTuple
 
 from .errors import GraphLoadError, reading
@@ -77,23 +77,22 @@ class _Side(NamedTuple):
     Run ``i`` has relation ``run_relation[i]`` and covers
     ``perm[run_start[i]:run_start[i + 1]]``. Entity ``e`` owns the runs
     ``first_run[e]`` up to ``first_run[e + 1]``, in ascending relation id.
-    ``other`` reads the far endpoint of a triple.
+    ``other`` is the graph's column of far endpoints, indexed by position.
     """
 
     first_run: array
     run_relation: array
     run_start: array
     perm: array
-    other: Callable[[Triple], int]
+    other: array
 
     @classmethod
     def build(
-        cls, triples: Sequence[Triple], anchor: int, n_entities: int, n_relations: int
+        cls, anchor: array, relation: array, other: array, n_entities: int, n_relations: int
     ) -> "_Side":
-        """The side keyed on ``Triple`` field ``anchor``: 0 for the head, 2 for the tail."""
+        """The side keyed on the ``anchor`` column: the heads, or the tails."""
         # run key = anchor * n_relations + relation: sorting keys sorts (anchor, relation)
-        anchors = map(itemgetter(anchor), triples)
-        key = list(map(add, map(mul, anchors, repeat(n_relations)), map(itemgetter(1), triples)))
+        key = list(map(add, map(mul, anchor, repeat(n_relations)), relation))
         perm = array("i", sorted(range(len(key)), key=key.__getitem__))
         sizes = Counter(key)
         runs = sorted(sizes)
@@ -104,7 +103,7 @@ class _Side(NamedTuple):
             run_relation=array("i", map(mod, runs, repeat(n_relations))),
             run_start=array("i", accumulate(map(sizes.__getitem__, runs), initial=0)),
             perm=perm,
-            other=itemgetter(2 - anchor),
+            other=other,
         )
 
     def runs(self, eid: int) -> tuple[int, int]:
@@ -125,12 +124,17 @@ class KnowledgeGraph:
         self._entities = Interner(canonical_label)
         self._relations = Interner()
         self._types = Interner(canonical_label)
-        self.triples: tuple[Triple, ...] = ()
-        # anchored at the head, and at the tail
-        self._out = _Side.build((), 0, 0, 0)
-        self._in = _Side.build((), 2, 0, 0)
+        # one entry per triple, indexed by load position; read-only outside the build
+        self.head, self.relation, self.tail = array("i"), array("i"), array("i")
+        self._build_sides()
         self.entity_types: dict[int, frozenset[int]] = {}
         self.duplicate_count = 0
+
+    def _build_sides(self) -> None:
+        n_entities, n_relations = len(self._entities.labels), len(self._relations.labels)
+        # anchored at the head, and at the tail
+        self._out = _Side.build(self.head, self.relation, self.tail, n_entities, n_relations)
+        self._in = _Side.build(self.tail, self.relation, self.head, n_entities, n_relations)
 
     @classmethod
     def from_triples(
@@ -139,38 +143,37 @@ class KnowledgeGraph:
         entity_types: Iterable[tuple[str, str]] = (),
     ) -> "KnowledgeGraph":
         """Build a graph from label triples and optional (entity, type) pairs."""
-        # The build only allocates, so a cyclic GC pass would free nothing;
-        # the Triple tuples and the first-occurrence dict are GC-tracked.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            g = cls()
-            # per-build caches, so each distinct spelling is canonicalized once
-            entity_id, relation_id, type_id = (
-                functools.cache(table.intern) for table in (g._entities, g._relations, g._types)
-            )
-            first: dict[Triple, None] = {}  # keeps each triple's first occurrence, in order
-            read = 0
-            for read, (head, relation, tail) in enumerate(triples, start=1):
-                h, r, t = entity_id(head), relation_id(relation), entity_id(tail)
-                first[tuple.__new__(Triple, (h, r, t))] = None
-            g.triples = tuple(first)
-            g.duplicate_count = read - len(first)
-            del first  # freed before the sides are built, to keep the peak down
-            typed: defaultdict[int, set[int]] = defaultdict(set)
-            for entity, type_label in entity_types:
-                typed[entity_id(entity)].add(type_id(type_label))
-            shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
-            for eid, tids in typed.items():
-                type_set = frozenset(tids)
-                g.entity_types[eid] = shared.setdefault(type_set, type_set)
-            n_entities, n_relations = len(g._entities.labels), len(g._relations.labels)
-            g._out = _Side.build(g.triples, 0, n_entities, n_relations)
-            g._in = _Side.build(g.triples, 2, n_entities, n_relations)
-            return g
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        g = cls()
+        # per-build caches, so each distinct spelling is canonicalized once
+        entity_id, relation_id, type_id = (
+            functools.cache(table.intern) for table in (g._entities, g._relations, g._types)
+        )
+        # Keyed by the packed ids (head, relation, tail), 32 bits each, the dict
+        # keeps each triple's first occurrence, in order. Ints are not GC-tracked.
+        first: dict[int, None] = {}
+        read = 0
+        for read, (head, relation, tail) in enumerate(triples, start=1):
+            first[(entity_id(head) << 32 | relation_id(relation)) << 32 | entity_id(tail)] = None
+        g.duplicate_count = read - len(first)
+        low = repeat(0xFFFFFFFF)
+        g.head = array("i", map(rshift, first, repeat(64)))
+        g.relation = array("i", map(and_, map(rshift, first, repeat(32)), low))
+        g.tail = array("i", map(and_, first, low))
+        del first  # freed before the sides are built, to keep the peak down
+        typed: defaultdict[int, set[int]] = defaultdict(set)
+        for entity, type_label in entity_types:
+            typed[entity_id(entity)].add(type_id(type_label))
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
+        for eid, tids in typed.items():
+            type_set = frozenset(tids)
+            g.entity_types[eid] = shared.setdefault(type_set, type_set)
+        g._build_sides()
+        return g
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """Every triple, in load order, built on each read: O(n), not for hot paths."""
+        return tuple(map(Triple, self.head, self.relation, self.tail))
 
     # label/id plumbing -------------------------------------------------
 
@@ -189,10 +192,11 @@ class KnowledgeGraph:
     def entity_labels(self, ids: Iterable[int]) -> list[str]:
         return list(map(self._entities.labels.__getitem__, ids))
 
-    def label_triples(self, triples: Iterable[Triple]) -> list[tuple[str, str, str]]:
-        """``(head, relation, tail)`` labels of each triple, in order."""
+    def label_triples(self, positions: Iterable[int]) -> list[tuple[str, str, str]]:
+        """``(head, relation, tail)`` labels of the triple at each position, in order."""
         entity, relation = self._entities.labels, self._relations.labels
-        return [(entity[h], relation[r], entity[t]) for h, r, t in triples]
+        head, rel, tail = self.head, self.relation, self.tail
+        return [(entity[head[p]], relation[rel[p]], entity[tail[p]]) for p in positions]
 
     def triple_labels(self, t: Triple) -> tuple[str, str, str]:
         """Labels of one triple; use :meth:`label_triples` for many."""
@@ -234,7 +238,7 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
     """
     types = _read_tsv(types_path, 2) if types_path is not None else ()
     g = KnowledgeGraph.from_triples(_read_tsv(triples_path, 3), types)
-    if not g.triples:
+    if not g.head:
         raise GraphLoadError(triples_path, None, "no triples in file")
     return g
 
@@ -290,7 +294,6 @@ def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]
     rels: set[int] = set()
     if not 0 <= seed_id < len(g._out.first_run) - 1:
         return rels  # an id the graph never handed out
-    triple_at = g.triples.__getitem__
     sides = (g._out, g._in)
     every_relation = len(g._relations.labels)
     reached = {seed_id}
@@ -304,7 +307,7 @@ def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]
                 if lo != hi:
                     rels.update(run_relation[lo:hi])
                     if hops_left:
-                        ahead.update(map(other, map(triple_at, perm[run_start[lo] : run_start[hi]])))
+                        ahead.update(map(other.__getitem__, perm[run_start[lo] : run_start[hi]]))
             if len(rels) == every_relation:
                 return rels  # no node left can add a relation
         frontier = ahead - reached

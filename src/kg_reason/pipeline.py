@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
 from typing import Union
 
 from .backends import Backend
@@ -33,7 +32,7 @@ from .errors import (
     RetrievalError,
     SegmentationParseError,
 )
-from .graph import KnowledgeGraph, Triple, TypeGraph, match_triples_by_id
+from .graph import KnowledgeGraph, TypeGraph, match_triples_by_id
 from .parsing import (
     AnswerCandidate,
     RetrievedRelations,
@@ -96,21 +95,21 @@ class Query:
 
 @dataclass
 class EvidenceGraph:
-    """Retrieved sub-graph, ordered by graph load order, deduplicated.
+    """Retrieved sub-graph: the load positions of its triples, ascending, deduplicated.
 
     The triples are labelled once, at construction; the trace, the
     inference prompt and the answer parser share that one list.
     """
 
     graph: KnowledgeGraph
-    triples: tuple[Triple, ...]
+    positions: tuple[int, ...]
     _labels: list[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._labels = self.graph.label_triples(self.triples)
+        self._labels = self.graph.label_triples(self.positions)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.positions)
 
     def labels(self) -> list[tuple[str, str, str]]:
         """The shared label list; callers must not mutate it."""
@@ -270,7 +269,6 @@ class Pipeline:
         outside the anchor set.
         """
         g = self.graph
-        triple_at = g.triples.__getitem__
         bindings: dict[str, set[int]] = {}
         runs: list[list[int]] = []  # each sub-sentence's ascending positions
         for sub in subsentences:
@@ -288,24 +286,21 @@ class Pipeline:
             matched = match_triples_by_id(g, anchors, relation_ids)
             type_ids = {m.ref for m in sub.mentions if m.kind == TYPE_REF}
             if type_ids:
-                matched = [
-                    p for p in matched if _endpoints_fit_types(g, triple_at(p), anchors, type_ids)
-                ]
+                matched = [p for p in matched if _endpoints_fit_types(g, p, anchors, type_ids)]
             variables = [m.ref for m in sub.mentions if m.kind == VARIABLE]
             if variables:
-                picked = list(map(triple_at, matched))
-                endpoint_ids = set(map(itemgetter(0), picked))  # heads
-                endpoint_ids.update(map(itemgetter(2), picked))  # and tails
+                endpoint_ids = set(map(g.head.__getitem__, matched))
+                endpoint_ids.update(map(g.tail.__getitem__, matched))
                 for name in variables:
                     bindings[name] = endpoint_ids - anchors
             runs.append(matched)
         # Each run is ascending and unique: sorting their concatenation merges
         # them, and dict.fromkeys drops the repeats in order.
         positions = runs[0] if len(runs) == 1 else list(dict.fromkeys(sorted(chain(*runs))))
-        evidence = EvidenceGraph(g, tuple(map(triple_at, positions)))
+        evidence = EvidenceGraph(g, tuple(positions))
         trace.assembly = {
             "triples": evidence.labels(),
-            "empty_evidence": not evidence.triples,
+            "empty_evidence": not evidence.positions,
             "bindings": {
                 name: sorted(g.entity_labels(values)) for name, values in bindings.items()
             },
@@ -374,10 +369,10 @@ class Pipeline:
 
 
 def _endpoints_fit_types(
-    g: KnowledgeGraph, triple: Triple, anchors: set[int], type_ids: set[int]
+    g: KnowledgeGraph, position: int, anchors: set[int], type_ids: set[int]
 ) -> bool:
     # Entities without recorded types pass unfiltered.
-    for endpoint in (triple.head, triple.tail):
+    for endpoint in (g.head[position], g.tail[position]):
         if endpoint in anchors:
             continue
         recorded = g.entity_types.get(endpoint)

@@ -98,6 +98,22 @@ def test_bad_script_record_reports_line(tmp_path):
     assert ":1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"response": None}, "stage and response must be strings"),
+        ({"stage": ["inference"]}, "stage and response must be strings"),
+        ({"match_kind": "fuzzy"}, "bad match_kind 'fuzzy'"),
+    ],
+)
+def test_script_record_of_the_wrong_form_reports_path_and_line(tmp_path, change, message):
+    good = {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "True."}
+    path = write_script(tmp_path, [good, {**good, **change}])
+    with pytest.raises(MockScriptError) as err:
+        MockBackend.from_path(path)
+    assert str(err.value).endswith(f"{path}:2: {message}")
+
+
 def test_bad_match_kind_rejected():
     with pytest.raises(MockScriptError):
         MockBackend([MockEntry("inference", "fuzzy", 0, "x")])

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from kg_reason.backends import MockBackend
 from kg_reason.cli import main
 
 from helpers import FIXTURES
@@ -282,6 +283,29 @@ def test_sequence_script_above_width_one_is_a_usage_error(command, tmp_path, cap
     assert "need width 1, got width 4" in line
     assert "hash entries" in line
     assert not trace_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [(grid_args("eval"), "--report"), (grid_args("eval"), "--trace"), (verify_args(), "--trace")],
+)
+def test_output_under_a_missing_directory_fails_before_any_backend_call(
+    args, flag, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, prompt, stage: calls.append(stage))
+    path = tmp_path / "missing" / "out.json"
+    assert main(args + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: no such directory\n"
+    assert calls == []
+
+
+def test_report_path_that_is_a_directory_is_a_data_error(tmp_path, capsys):
+    assert main(grid_args("eval") + ["--report", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {tmp_path}: ")
 
 
 def test_eval_writes_report_and_exits_zero(tmp_path, capsys):

@@ -76,6 +76,27 @@ def test_unknown_label_is_a_load_error(tmp_path):
         load_verification_dataset(str(path))
 
 
+@pytest.mark.parametrize(
+    "claim, entities",
+    [
+        ("Alfredo Zitarrosa was born in Uruguay.", [5, "Uruguay"]),
+        (7, ["Alfredo_Zitarrosa", "Uruguay"]),
+        ("Alfredo Zitarrosa was born in Uruguay.", "Uruguay"),
+    ],
+)
+def test_fields_of_the_wrong_type_are_a_load_error(tmp_path, claim, entities):
+    path = tmp_path / "d.jsonl"
+    records = [
+        {"claim": "c", "entities": ["e"], "label": "Supported"},
+        {"claim": claim, "entities": entities, "label": "Supported"},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with pytest.raises(DatasetLoadError) as err:
+        load_verification_dataset(str(path))
+    assert err.value.line == 2
+    assert str(err.value).startswith(f"{path}:2: ")
+
+
 # --- question loader ------------------------------------------------------------
 
 
