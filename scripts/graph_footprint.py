@@ -60,7 +60,7 @@ def footprint(workload: str, seed: int, scale: float) -> dict[str, float]:
         g, tg = build()
         setup_s = time.perf_counter() - start
         maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        triples = len(g.triples)
+        triples = len(g.head)
         del g, tg
         gc.collect()
         tracemalloc.start()

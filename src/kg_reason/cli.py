@@ -256,6 +256,8 @@ def main(argv: list[str] | None = None) -> int:
         for path in (args.trace, getattr(args, "report", None)):
             if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
                 raise OutputError(path, "no such directory")
+            if path is not None and os.path.isdir(path):
+                raise OutputError(path, "is a directory")
         return _COMMANDS[args.command](args)
     except (_UsageError, OrderBoundScriptError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -144,9 +144,18 @@ class KnowledgeGraph:
     ) -> "KnowledgeGraph":
         """Build a graph from label triples and optional (entity, type) pairs."""
         g = cls()
+        # the interning scratch dies with _intern's frame, before the sides' sort buffers
+        g._intern(triples, entity_types)
+        g._build_sides()
+        return g
+
+    def _intern(
+        self, triples: Iterable[tuple[str, str, str]], entity_types: Iterable[tuple[str, str]]
+    ) -> None:
+        """Fill the label tables, the id columns and ``entity_types``."""
         # per-build caches, so each distinct spelling is canonicalized once
         entity_id, relation_id, type_id = (
-            functools.cache(table.intern) for table in (g._entities, g._relations, g._types)
+            functools.cache(t.intern) for t in (self._entities, self._relations, self._types)
         )
         # Keyed by the packed ids (head, relation, tail), 32 bits each, the dict
         # keeps each triple's first occurrence, in order. Ints are not GC-tracked.
@@ -154,21 +163,19 @@ class KnowledgeGraph:
         read = 0
         for read, (head, relation, tail) in enumerate(triples, start=1):
             first[(entity_id(head) << 32 | relation_id(relation)) << 32 | entity_id(tail)] = None
-        g.duplicate_count = read - len(first)
+        self.duplicate_count = read - len(first)
         low = repeat(0xFFFFFFFF)
-        g.head = array("i", map(rshift, first, repeat(64)))
-        g.relation = array("i", map(and_, map(rshift, first, repeat(32)), low))
-        g.tail = array("i", map(and_, first, low))
-        del first  # freed before the sides are built, to keep the peak down
+        self.head = array("i", map(rshift, first, repeat(64)))
+        self.relation = array("i", map(and_, map(rshift, first, repeat(32)), low))
+        self.tail = array("i", map(and_, first, low))
+        del first  # freed before the type sets are made, to keep this phase's peak down
         typed: defaultdict[int, set[int]] = defaultdict(set)
         for entity, type_label in entity_types:
             typed[entity_id(entity)].add(type_id(type_label))
         shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
         for eid, tids in typed.items():
             type_set = frozenset(tids)
-            g.entity_types[eid] = shared.setdefault(type_set, type_set)
-        g._build_sides()
-        return g
+            self.entity_types[eid] = shared.setdefault(type_set, type_set)
 
     @property
     def triples(self) -> tuple[Triple, ...]:

@@ -302,6 +302,22 @@ def test_output_under_a_missing_directory_fails_before_any_backend_call(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [(grid_args("eval"), "--report"), (grid_args("eval"), "--trace"), (verify_args(), "--trace")],
+)
+def test_output_path_that_is_a_directory_fails_before_any_backend_call(
+    args, flag, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(MockBackend, "complete", lambda self, prompt, stage: calls.append(stage))
+    assert main(args + [flag, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: is a directory\n"
+    assert calls == []
+
+
 def test_report_path_that_is_a_directory_is_a_data_error(tmp_path, capsys):
     assert main(grid_args("eval") + ["--report", str(tmp_path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()

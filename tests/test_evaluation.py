@@ -12,8 +12,15 @@ from kg_reason import (
     load_verification_dataset,
 )
 from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry, prompt_hash
-from kg_reason.errors import DatasetLoadError, QueryError
-from kg_reason.evaluation import OrderBoundScriptError, ablate, build_query, split_seed
+from kg_reason.errors import DatasetLoadError, OutputError, QueryError
+from kg_reason.evaluation import (
+    OrderBoundScriptError,
+    ablate,
+    append_trace,
+    build_query,
+    split_seed,
+    write_report,
+)
 
 from helpers import (
     CountingBackend,
@@ -585,3 +592,11 @@ def test_build_query_kinds(factkg_graph, factkg_type_graph):
     question = build_query(qa[0], factkg_graph.__class__.from_triples([("Brigitte Nielsen", "r", "x")]), factkg_type_graph)
     assert question.kind == "question"
     assert question.seed.kind == "concrete"
+
+
+def test_output_file_that_cannot_be_opened_is_an_output_error(tmp_path):
+    # The CLI turns a directory away up front; a library caller meets it when the file is opened.
+    for write in (lambda path: append_trace(path, {}), lambda path: write_report([], path)):
+        with pytest.raises(OutputError) as info:
+            write(str(tmp_path))
+        assert info.value.path == str(tmp_path)
