@@ -22,11 +22,11 @@ import functools
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence, Sized
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, and_, floordiv, mod, mul, rshift
-from typing import NamedTuple
+from operator import add, and_, floordiv, itemgetter, mod, mul, rshift
+from typing import NamedTuple, TypeVar
 
 from .errors import GraphLoadError, reading
 
@@ -34,6 +34,19 @@ from .errors import GraphLoadError, reading
 def canonical_label(label: str) -> str:
     """Canonical comparison form for entity and type labels."""
     return label.replace("_", " ").strip()
+
+
+_T = TypeVar("_T")
+
+
+def gather(seq: Sequence[_T], indexes: Iterable[int]) -> tuple[_T, ...]:
+    """``tuple(seq[i] for i in indexes)``, fetched in C by one ``itemgetter`` call."""
+    if not isinstance(indexes, Sized):
+        indexes = tuple(indexes)
+    if len(indexes) > 1:
+        return itemgetter(*indexes)(seq)
+    # itemgetter of one index returns the item itself, not a 1-tuple
+    return tuple(map(seq.__getitem__, indexes))
 
 
 class Triple(NamedTuple):
@@ -197,13 +210,18 @@ class KnowledgeGraph:
         return self._types.lookup(label)
 
     def entity_labels(self, ids: Iterable[int]) -> list[str]:
-        return list(map(self._entities.labels.__getitem__, ids))
+        return list(gather(self._entities.labels, ids))
 
     def label_triples(self, positions: Iterable[int]) -> list[tuple[str, str, str]]:
         """``(head, relation, tail)`` labels of the triple at each position, in order."""
+        if not isinstance(positions, Sized):
+            positions = tuple(positions)
         entity, relation = self._entities.labels, self._relations.labels
-        head, rel, tail = self.head, self.relation, self.tail
-        return [(entity[head[p]], relation[rel[p]], entity[tail[p]]) for p in positions]
+        # column by column, so that one id tuple at a time is alive
+        heads = gather(entity, gather(self.head, positions))
+        relations = gather(relation, gather(self.relation, positions))
+        tails = gather(entity, gather(self.tail, positions))
+        return list(zip(heads, relations, tails))
 
     def triple_labels(self, t: Triple) -> tuple[str, str, str]:
         """Labels of one triple; use :meth:`label_triples` for many."""

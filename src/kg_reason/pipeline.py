@@ -32,7 +32,7 @@ from .errors import (
     RetrievalError,
     SegmentationParseError,
 )
-from .graph import KnowledgeGraph, TypeGraph, match_triples_by_id
+from .graph import KnowledgeGraph, TypeGraph, gather, match_triples_by_id
 from .parsing import (
     AnswerCandidate,
     RetrievedRelations,
@@ -289,8 +289,8 @@ class Pipeline:
                 matched = [p for p in matched if _endpoints_fit_types(g, p, anchors, type_ids)]
             variables = [m.ref for m in sub.mentions if m.kind == VARIABLE]
             if variables:
-                endpoint_ids = set(map(g.head.__getitem__, matched))
-                endpoint_ids.update(map(g.tail.__getitem__, matched))
+                endpoint_ids = set(gather(g.head, matched))
+                endpoint_ids.update(gather(g.tail, matched))
                 for name in variables:
                     bindings[name] = endpoint_ids - anchors
             runs.append(matched)

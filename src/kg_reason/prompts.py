@@ -3,11 +3,14 @@
 Each template is a header, twelve few-shot example blocks, and a task footer
 carrying ``<<<<NAME>>>>`` placeholders. Rendering picks the first ``shots``
 example blocks in stored order and substitutes every placeholder in a single
-pass, so rendering is a pure function of (template, bindings, shots).
+pass, so rendering is a pure function of (template, bindings, shots). The
+body of each (template, shots) pair is split at its placeholders once, on
+first use, and each render fills a copy of those pieces.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -68,28 +71,36 @@ def render_triple_list(triples: list[tuple[str, str, str]]) -> str:
 def render_prompt(template: PromptTemplate, bindings: dict[str, str], shots: int) -> str:
     """Assemble the prompt body and substitute placeholders byte-exactly.
 
+    The body of each ``(template, shots)`` pair is split at its placeholders
+    once; each call fills the name pieces of a copy in a single pass, so a
+    value that looks like a placeholder is inserted verbatim.
+
     Raises :class:`RenderError` when ``shots`` is out of range, a template
-    placeholder has no binding, or a binding names no placeholder.
+    placeholder has no binding (the first one in body order is named), or a
+    binding names no placeholder.
     """
     if not 1 <= shots <= len(template.examples):
         raise RenderError(
             f"shots must be between 1 and {len(template.examples)}, got {shots}"
         )
+    pieces, names = _split_body(template, shots)
+    if bindings.keys() != names:
+        for name in pieces[1::2]:
+            if name not in bindings:
+                raise RenderError(f"no binding for placeholder {name}")
+        raise RenderError(f"bindings name no placeholder: {sorted(set(bindings) - names)}")
+    filled = list(pieces)
+    filled[1::2] = map(bindings.__getitem__, pieces[1::2])
+    return "".join(filled)
+
+
+@functools.cache
+def _split_body(template: PromptTemplate, shots: int) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The body's text and placeholder-name pieces, alternating and starting
+    with text, and the set of names."""
     body = template.header + "\n\n".join(template.examples[:shots]) + template.footer
-    used: set[str] = set()
-
-    def substitute(match: re.Match[str]) -> str:
-        name = match.group(1)
-        if name not in bindings:
-            raise RenderError(f"no binding for placeholder {name}")
-        used.add(name)
-        return bindings[name]
-
-    rendered = _PLACEHOLDER.sub(substitute, body)
-    unused = set(bindings) - used
-    if unused:
-        raise RenderError(f"bindings name no placeholder: {sorted(unused)}")
-    return rendered
+    pieces = tuple(_PLACEHOLDER.split(body))
+    return pieces, frozenset(pieces[1::2])
 
 
 _SEGMENTATION_HEADER = (

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, load_graph
 from kg_reason.errors import GraphLoadError
-from kg_reason.graph import match_triples_by_id, relations_within_n_hops
+from kg_reason.graph import gather, match_triples_by_id, relations_within_n_hops
 
 from helpers import (
     FIXTURES,
@@ -226,6 +226,43 @@ def test_relations_of_entity_matches_scan(seed):
 
 def _pairs(type_map):
     return [(e, tl) for e, tls in type_map.items() for tl in sorted(tls)]
+
+
+# --- labelling ------------------------------------------------------------------
+
+# Each form of the same positions: label_triples takes any iterable, and a
+# generator can be read only once.
+_POSITION_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "range": lambda r: r,
+    "generator": lambda r: (p for p in r),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_POSITION_FORMS))
+@pytest.mark.parametrize("count", [0, 1, 2, 500])
+def test_gather_and_label_triples_equal_per_position_lookup(count, form):
+    # 1,200 triples over 300 entities and 7 relations; heads repeat as a hub's do
+    g = KnowledgeGraph.from_triples(
+        (f"e{i % 300}", f"r{i % 7}", f"e{(i * 7 + 1) % 300}") for i in range(1200)
+    )
+    assert len(g.head) == 1200
+    entity, relation = g._entities.labels, g._relations.labels
+    # descending and strided, so a result in ascending order would not pass
+    positions = range(1199, 1199 - 2 * count, -2)
+    reference = [(entity[g.head[p]], relation[g.relation[p]], entity[g.tail[p]]) for p in positions]
+    assert g.label_triples(_POSITION_FORMS[form](positions)) == reference
+    # one index is a 1-tuple, where a bare itemgetter returns the item itself
+    heads = gather(g.head, _POSITION_FORMS[form](positions))
+    assert heads == tuple(g.head[p] for p in positions)
+    assert gather(entity, _POSITION_FORMS[form](heads)) == tuple(h for h, _, _ in reference)
+
+
+def test_entity_labels_gathers_from_a_set():
+    g = KnowledgeGraph.from_triples([("a", "r", "b"), ("c", "r", "d")])
+    for ids in (set(), {2}, {0, 3}):
+        assert sorted(g.entity_labels(ids)) == sorted("abcd"[i] for i in ids)
 
 
 # --- type graph ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from kg_reason import (
     render_triple_list,
 )
 from kg_reason.errors import RenderError
-from kg_reason.prompts import quote_label
+from kg_reason.prompts import MAX_SHOTS, quote_label
 
 from helpers import GOLDEN_BINDINGS, GOLDENS
 
@@ -145,13 +145,70 @@ def test_shots_truncate_from_the_front():
 
 
 def test_placeholder_valued_bindings_are_not_rescanned():
-    rendered = render_prompt(
-        SEGMENTATION_TEMPLATE,
-        {"CLAIM": "weird <<<<ENTITY_SET>>>> claim", "ENTITY_SET": "['x']"},
-        4,
-    )
-    # the placeholder-looking text inside the claim value survives untouched
-    assert "weird <<<<ENTITY_SET>>>> claim" in rendered
+    for claim in ("weird <<<<ENTITY_SET>>>> claim", "<<<<CLAIM>>>>"):
+        rendered = render_prompt(
+            SEGMENTATION_TEMPLATE, {"CLAIM": claim, "ENTITY_SET": "['x']"}, 4
+        )
+        # the placeholder-looking text inside the claim value survives untouched
+        assert rendered.endswith(f"Sentence: {claim}\nEntity set: ['x']\n--> Divided:")
+        # and the next render starts from the template again
+        bindings = {"CLAIM": "y", "ENTITY_SET": "['y']"}
+        assert render_prompt(SEGMENTATION_TEMPLATE, bindings, 4) == _replace_render(
+            SEGMENTATION_TEMPLATE, bindings, 4
+        )
+
+
+# --- the pre-split body -------------------------------------------------------------
+
+# Two binding sets per template, neither holding placeholder-like text, so
+# that string replacement gives the single-pass result.
+_BINDING_SETS = {
+    "segmentation": (
+        {"CLAIM": "AIDAstella was built by Meyer Werft.", "ENTITY_SET": "['AIDAstella']"},
+        {"CLAIM": "x", "ENTITY_SET": "['a' ## \"b's\"]"},
+    ),
+    "retrieval": (
+        {"SENTENCE": "s one", "RELATION_SET": "['r1', 'r2']", "TOP_K": "5"},
+        {"SENTENCE": "", "RELATION_SET": "[]", "TOP_K": "12"},
+    ),
+    "inference": (
+        {"CLAIM": "c", "EVIDENCE_SET": "[['h', 'r', 't']]"},
+        {"CLAIM": "another claim", "EVIDENCE_SET": "[]"},
+    ),
+    "qa_inference": (
+        {"CLAIM": "what is q?", "EVIDENCE_SET": "[['a', 'r', 'b'], ['b', 'r', 'c']]"},
+        {"CLAIM": "q2", "EVIDENCE_SET": "[]"},
+    ),
+}
+
+
+def _replace_render(template, bindings, shots):
+    body = template.header + "\n\n".join(template.examples[:shots]) + template.footer
+    for name, value in bindings.items():
+        body = body.replace(f"<<<<{name}>>>>", value)
+    return body
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_cached_split_renders_as_string_replacement(name):
+    template = TEMPLATES[name]
+    first, second = _BINDING_SETS[name]
+    for shots in range(1, MAX_SHOTS + 1):
+        # interleaved and repeated: a render must leave the cached pieces as they were
+        for bindings in (first, second, first, second):
+            assert render_prompt(template, bindings, shots) == _replace_render(
+                template, bindings, shots
+            )
+
+
+def test_render_errors_name_the_first_missing_placeholder_in_body_order():
+    with pytest.raises(RenderError, match=r"^no binding for placeholder TOP_K$"):
+        render_prompt(RETRIEVAL_TEMPLATE, {}, 2)
+    # a missing placeholder is reported before an unused binding
+    with pytest.raises(RenderError, match=r"^no binding for placeholder SENTENCE$"):
+        render_prompt(RETRIEVAL_TEMPLATE, {"TOP_K": "2", "EXTRA": "x"}, 2)
+    with pytest.raises(RenderError, match=r"^bindings name no placeholder: \['A', 'B'\]$"):
+        render_prompt(SEGMENTATION_TEMPLATE, {"CLAIM": "x", "ENTITY_SET": "[]", "B": "", "A": ""}, 2)
 
 
 # --- golden bytes -------------------------------------------------------------------
