@@ -13,7 +13,9 @@ import base64
 import hashlib
 import http.client
 import json
+import math
 import os
+import re
 import select
 import socket
 import ssl
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .errors import BackendError, MockScriptError, reading
+from .errors import BackendError, MockScriptError, read_lines
 
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -45,10 +47,15 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
 
 
 class Backend(Protocol):
     def complete(self, prompt: str, stage: str) -> str: ...
+
+
+_DIGEST = re.compile("[0-9a-f]{64}")  # what prompt_hash returns
 
 
 def prompt_hash(prompt: str) -> str:
@@ -96,26 +103,25 @@ class MockBackend:
                 message = f"{path}:{line}: {message}"
             return MockScriptError("-", "-", message)
 
-        with reading(path, script_error) as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    entry = MockEntry(
-                        stage=record["stage"],
-                        match_kind=record["match_kind"],
-                        key=record.get("key", ""),
-                        response=record["response"],
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise script_error(lineno, f"bad record ({exc})") from exc
-                if not isinstance(entry.stage, str) or not isinstance(entry.response, str):
-                    raise script_error(lineno, "stage and response must be strings")
-                if entry.match_kind not in ("hash", "sequence"):
-                    raise script_error(lineno, f"bad match_kind {entry.match_kind!r}")
-                entries.append(entry)
+        for lineno, line in read_lines(path, script_error):
+            try:
+                record = json.loads(line.strip())
+                entry = MockEntry(
+                    stage=record["stage"],
+                    match_kind=record["match_kind"],
+                    key=record.get("key", ""),
+                    response=record["response"],
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise script_error(lineno, f"bad record ({exc})") from exc
+            if not isinstance(entry.stage, str) or not isinstance(entry.response, str):
+                raise script_error(lineno, "stage and response must be strings")
+            if entry.match_kind not in ("hash", "sequence"):
+                raise script_error(lineno, f"bad match_kind {entry.match_kind!r}")
+            key = entry.key
+            if entry.match_kind == "hash" and not (isinstance(key, str) and _DIGEST.fullmatch(key)):
+                raise script_error(lineno, f"hash key must be 64 lowercase hex digits, got {key!r}")
+            entries.append(entry)
         return cls(entries)
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -23,7 +24,6 @@ from .evaluation import (
     ablate,
     append_trace,
     build_query,
-    evaluate,
     load_qa_dataset,
     load_verification_dataset,
     split_seed,
@@ -77,6 +77,17 @@ def _int_list(item: Callable[[str], int]) -> Callable[[str], list[int]]:
     return integer_list
 
 
+def _seconds(text: str) -> float:
+    """argparse type: a finite number of seconds above 0, as ``BackendConfig.timeout`` takes."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {value}")
+    return value
+
+
 _K = _int_in(1)
 _SHOTS = _int_in(1, MAX_SHOTS)
 
@@ -97,7 +108,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--temperature", type=float, default=0.2)
         p.add_argument("--top-p", type=float, default=0.1)
         p.add_argument("--retries", type=_int_in(0), default=2)
-        p.add_argument("--timeout", type=float, default=30.0)
+        p.add_argument("--timeout", type=_seconds, default=30.0)
         if name != "ablate":  # ablate's grid comes from --k-values and --shot-values
             p.add_argument("--shots", type=_SHOTS, default=DEFAULT_SHOTS)
             p.add_argument("--k", type=_K)
@@ -198,27 +209,9 @@ def _load_dataset(args: argparse.Namespace):
     return load_verification_dataset(args.dataset)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
-    g = load_graph(args.graph, args.types)
-    tg = build_type_graph(g)
-    report = evaluate(
-        dataset,
-        g,
-        tg,
-        make_backend(_backend_config(args)),
-        k=_default_k(args, qa=args.task == "qa"),
-        shots=args.shots,
-        width=args.width,
-        trace_path=args.trace,
-    )
-    print(report.to_text())
-    if args.report:
-        write_report(report, args.report)
-    return 0
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """``eval`` and ``ablate``: ``eval`` is a one-cell grid, without cell headers or report list."""
+    grid = args.command == "ablate"
     dataset = _load_dataset(args)
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
@@ -227,24 +220,25 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         g,
         tg,
         functools.partial(make_backend, _backend_config(args)),
-        k_values=args.k_values,
-        shot_values=args.shot_values,
+        k_values=args.k_values if grid else [_default_k(args, qa=args.task == "qa")],
+        shot_values=args.shot_values if grid else [args.shots],
         width=args.width,
         trace_path=args.trace,
     )
     for report in reports:
-        print(f"--- k={report.config['k']} shots={report.config['shots']}")
+        if grid:
+            print(f"--- k={report.config['k']} shots={report.config['shots']}")
         print(report.to_text())
     if args.report:
-        write_report(reports, args.report)
+        write_report(reports if grid else reports[0], args.report)
     return 0
 
 
 _COMMANDS = {
     "verify": _cmd_query,
     "answer": _cmd_query,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
+    "eval": _cmd_batch,
+    "ablate": _cmd_batch,
 }
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from typing import TextIO
 
 
@@ -11,14 +10,18 @@ class KGReasonError(Exception):
     """Base class for all errors raised by this package."""
 
 
-@contextmanager
-def reading(path: str, error: Callable[[int | None, str], KGReasonError]) -> Iterator[TextIO]:
-    """Open a UTF-8 text file, mapping I/O and decoding failures to typed errors.
+def read_lines(
+    path: str, error: Callable[[int | None, str], KGReasonError]
+) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text file.
 
-    ``error(line, message)`` builds the error to raise; ``line`` is None
-    when the file cannot be opened. Text-mode reads decode in blocks, so a
+    Lines keep their ending and are numbered from 1, blank ones counted.
+    ``error(line, message)`` builds the error to raise; ``line`` is None when
+    the file cannot be opened. Text-mode reads decode in blocks, so a
     ``UnicodeDecodeError`` may surface lines before its culprit; the file is
-    then rescanned, on that error path only, for the first bad line.
+    then rescanned, on that error path only, for the first bad line. A
+    caller that stops early, or raises, closes the file by dropping the
+    generator.
     """
     try:
         handle = open(path, encoding="utf-8")
@@ -26,7 +29,9 @@ def reading(path: str, error: Callable[[int | None, str], KGReasonError]) -> Ite
         raise error(None, str(exc)) from exc
     with handle:
         try:
-            yield handle
+            for lineno, line in enumerate(handle, start=1):
+                if not line.isspace():
+                    yield lineno, line
         except UnicodeDecodeError as exc:
             raise error(_undecodable_line(path), f"not UTF-8 ({exc.reason})") from exc
 
@@ -40,23 +45,28 @@ def writing(path: str, mode: str = "a") -> TextIO:
 
 
 def _undecodable_line(path: str) -> int | None:
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    # Latin-1 decodes every byte, so lines split and count as in the UTF-8 read.
+    with open(path, encoding="latin-1") as handle:
+        for lineno, line in enumerate(handle, start=1):
             try:
-                raw.decode("utf-8")
+                line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError:
                 return lineno
     return None
 
 
-class GraphLoadError(KGReasonError):
-    """A graph or type file could not be parsed."""
+class LoadError(KGReasonError):
+    """An input file could not be read or parsed; ``line`` is None for the whole file."""
 
     def __init__(self, path: str, line: int | None, message: str):
         self.path = path
         self.line = line
         where = f"{path}:{line}" if line is not None else path
         super().__init__(f"{where}: {message}")
+
+
+class GraphLoadError(LoadError):
+    """A graph or type file could not be parsed."""
 
 
 class UnknownEntityError(KGReasonError):
@@ -67,14 +77,8 @@ class UnknownEntityError(KGReasonError):
         super().__init__(f"unknown entity: {label!r}")
 
 
-class DatasetLoadError(KGReasonError):
+class DatasetLoadError(LoadError):
     """A dataset file could not be parsed."""
-
-    def __init__(self, path: str, line: int | None, message: str):
-        self.path = path
-        self.line = line
-        where = f"{path}:{line}" if line is not None else path
-        super().__init__(f"{where}: {message}")
 
 
 class OutputError(KGReasonError):

@@ -24,7 +24,7 @@ from .errors import (
     PipelineError,
     QueryError,
     UnknownEntityError,
-    reading,
+    read_lines,
     writing,
 )
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
@@ -60,11 +60,14 @@ class QAExample:
 def load_verification_dataset(path: str) -> list[VerificationExample]:
     """Load claim records from a line-delimited JSON file."""
     examples: list[VerificationExample] = []
-    for lineno, record in _read_jsonl(path):
+    for lineno, line in read_lines(path, partial(DatasetLoadError, path)):
         try:
+            record = json.loads(line.strip())
             claim = record["claim"]
             entities = record["entities"]
             label = _normalize_label(path, lineno, record["label"])
+        except json.JSONDecodeError as exc:
+            raise DatasetLoadError(path, lineno, f"bad JSON ({exc})") from exc
         except (KeyError, TypeError) as exc:
             raise DatasetLoadError(path, lineno, f"missing field ({exc})") from exc
         if not isinstance(claim, str):
@@ -95,18 +98,6 @@ def _normalize_label(path: str, lineno: int, raw: object) -> str:
     raise DatasetLoadError(path, lineno, f"unknown label {raw!r}")
 
 
-def _read_jsonl(path: str):
-    with reading(path, partial(DatasetLoadError, path)) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetLoadError(path, lineno, f"bad JSON ({exc})") from exc
-
-
 _BRACKETED_SEED = re.compile(r"\[([^\[\]]+)\]")
 
 
@@ -124,23 +115,19 @@ def split_seed(question: str) -> tuple[str, str]:
 def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
     """Load ``question<TAB>answer|answer`` lines; the seed sits in brackets."""
     examples: list[QAExample] = []
-    with reading(path, partial(DatasetLoadError, path)) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetLoadError(path, lineno, "expected question<TAB>answers")
-            question, answer_field = parts
-            try:
-                text, seed = split_seed(question)
-            except QueryError as exc:
-                raise DatasetLoadError(path, lineno, str(exc)) from exc
-            answers = tuple(a.strip() for a in answer_field.split("|") if a.strip())
-            if not answers:
-                raise DatasetLoadError(path, lineno, "no gold answers")
-            examples.append(QAExample(question, text, seed, hops, answers))
+    for lineno, line in read_lines(path, partial(DatasetLoadError, path)):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise DatasetLoadError(path, lineno, "expected question<TAB>answers")
+        question, answer_field = parts
+        try:
+            text, seed = split_seed(question)
+        except QueryError as exc:
+            raise DatasetLoadError(path, lineno, str(exc)) from exc
+        answers = tuple(a.strip() for a in answer_field.split("|") if a.strip())
+        if not answers:
+            raise DatasetLoadError(path, lineno, "no gold answers")
+        examples.append(QAExample(question, text, seed, hops, answers))
     if not examples:
         raise DatasetLoadError(path, None, "dataset is empty")
     return examples

@@ -28,7 +28,7 @@ from itertools import accumulate, repeat
 from operator import add, and_, floordiv, itemgetter, mod, mul, rshift
 from typing import NamedTuple, TypeVar
 
-from .errors import GraphLoadError, reading
+from .errors import GraphLoadError, read_lines
 
 
 def canonical_label(label: str) -> str:
@@ -269,20 +269,19 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
 
 
 def _read_tsv(path: str, width: int):
-    with reading(path, functools.partial(GraphLoadError, path)) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            # the field strip also removes the line ending
-            fields = raw.split("\t")
-            if len(fields) != width:
-                raise GraphLoadError(
-                    path, lineno, f"expected {width} tab-separated fields, got {len(fields)}"
-                )
-            stripped = tuple(map(str.strip, fields))
-            if not all(stripped):
-                raise GraphLoadError(path, lineno, "empty field")
-            yield stripped
+    for lineno, raw in read_lines(path, functools.partial(GraphLoadError, path)):
+        if raw.lstrip().startswith("#"):
+            continue
+        # the field strip also removes the line ending
+        fields = raw.split("\t")
+        if len(fields) != width:
+            raise GraphLoadError(
+                path, lineno, f"expected {width} tab-separated fields, got {len(fields)}"
+            )
+        stripped = tuple(map(str.strip, fields))
+        if not all(stripped):
+            raise GraphLoadError(path, lineno, "empty field")
+        yield stripped
 
 
 def build_type_graph(g: KnowledgeGraph) -> TypeGraph:

@@ -398,3 +398,33 @@ def test_sampling_defaults():
     cfg = BackendConfig(endpoint="http://x")
     assert cfg.temperature == 0.2
     assert cfg.top_p == 0.1
+
+
+@pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf")])
+def test_timeout_must_be_finite_and_above_zero(timeout):
+    with pytest.raises(ValueError, match="timeout must be finite and > 0"):
+        BackendConfig(endpoint="http://x", timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {},  # no key, read as ""
+        {"key": "abc"},
+        {"key": prompt_hash("p").upper()},
+        {"key": prompt_hash("p")[:-1]},
+        {"key": prompt_hash("p") + "0"},
+        {"key": 7},
+    ],
+    ids=["missing", "short", "upper-case", "63-digits", "65-digits", "integer"],
+)
+def test_hash_entry_whose_key_no_prompt_hash_can_equal_is_rejected(tmp_path, change):
+    good = {"stage": "inference", "match_kind": "hash", "key": prompt_hash("p"), "response": "a"}
+    bad = {"stage": "inference", "match_kind": "hash", "response": "b", **change}
+    path = write_script(tmp_path, [good, bad])
+    with pytest.raises(MockScriptError) as err:
+        MockBackend.from_path(path)
+    key = change.get("key", "")
+    assert str(err.value) == (
+        f"stage=- hash=-: {path}:2: hash key must be 64 lowercase hex digits, got {key!r}"
+    )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kg_reason.backends import MockBackend
+from kg_reason.backends import HttpBackend, MockBackend
 from kg_reason.cli import main
 
 from helpers import FIXTURES
@@ -219,6 +219,21 @@ def test_out_of_range_number_is_a_usage_error(command, flag, value, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith(f"usage error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e999"])
+def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kg_reason.cli.load_graph", lambda *a: calls.append("load_graph"))
+    monkeypatch.setattr(HttpBackend, "complete", lambda self, prompt, stage: calls.append(stage))
+    args = grid_args("eval")
+    args[args.index(f"mock:{FIXTURES / 'mock_factkg.jsonl'}")] = "http://127.0.0.1:9"
+    assert main(args + ["--timeout", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("usage error: argument --timeout: must be finite and greater than 0")
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag, value", [("--k", "1"), ("--shots", "4")])
