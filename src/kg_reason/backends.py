@@ -28,6 +28,7 @@ from typing import Protocol
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from .errors import BackendError, MockScriptError, read_lines
+from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION
 
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -49,6 +50,10 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 <= self.top_p <= 1:
+            raise ValueError(f"top_p must be between 0 and 1, got {self.top_p}")
 
 
 class Backend(Protocol):
@@ -116,6 +121,8 @@ class MockBackend:
                 raise script_error(lineno, f"bad record ({exc})") from exc
             if not isinstance(entry.stage, str) or not isinstance(entry.response, str):
                 raise script_error(lineno, "stage and response must be strings")
+            if entry.stage not in (SEGMENTATION, RETRIEVAL, INFERENCE):
+                raise script_error(lineno, f"unknown stage {entry.stage!r}")
             if entry.match_kind not in ("hash", "sequence"):
                 raise script_error(lineno, f"bad match_kind {entry.match_kind!r}")
             key = entry.key
@@ -194,7 +201,7 @@ class HttpBackend:
             "temperature": self.config.temperature,
             "top_p": self.config.top_p,
         }
-        body = json.dumps(payload).encode("utf-8")
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         channel = self._channel()
         headers = {"Content-Type": "application/json", **channel.headers}
         api_key = os.environ.get(API_KEY_ENV)

@@ -52,16 +52,20 @@ def resolve_mention(
     eid = g.maybe_entity_id(surface)
     if eid is not None:
         return Mention.concrete(surface, eid)
-    if tg is not None:
-        tid = tg.resolve_type(surface)
-        if tid is not None:
-            return Mention.type_ref(surface, tid)
+    return type_or_variable(surface, tg)
+
+
+def type_or_variable(surface: str, tg: TypeGraph | None) -> Mention:
+    """A type mention when ``tg`` knows the surface as a type, else a variable."""
+    tid = None if tg is None else tg.resolve_type(surface)
+    if tid is not None:
+        return Mention.type_ref(surface, tid)
     return Mention.variable(surface)
 
 
 @dataclass(frozen=True)
 class RelationCandidates:
-    """Candidate relation labels for one sub-sentence, sorted by label."""
+    """One sub-sentence's offered relation pool, sorted by label, or the backend's pick from it."""
 
     relations: tuple[str, ...]
 

@@ -36,7 +36,6 @@ from .prompts import MAX_SHOTS
 
 DEFAULT_K_VERIFICATION = 5
 DEFAULT_K_QA = 3
-DEFAULT_SHOTS = 12
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -77,19 +76,26 @@ def _int_list(item: Callable[[str], int]) -> Callable[[str], list[int]]:
     return integer_list
 
 
-def _seconds(text: str) -> float:
-    """argparse type: a finite number of seconds above 0, as ``BackendConfig.timeout`` takes."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and greater than 0, got {value}")
-    return value
+def _finite(bounds: str, accept: Callable[[float], bool]) -> Callable[[str], float]:
+    """argparse type: a finite float that ``accept`` takes, as ``BackendConfig`` checks it."""
+
+    def number(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and accept(value)):
+            raise argparse.ArgumentTypeError(f"must be finite and {bounds}, got {value}")
+        return value
+
+    return number
 
 
 _K = _int_in(1)
 _SHOTS = _int_in(1, MAX_SHOTS)
+_SECONDS = _finite("greater than 0", lambda v: v > 0)
+_TEMPERATURE = _finite("at least 0", lambda v: v >= 0)
+_TOP_P = _finite("between 0 and 1", lambda v: 0 <= v <= 1)
 
 
 def _build_parser() -> _Parser:
@@ -104,13 +110,13 @@ def _build_parser() -> _Parser:
             required=True,
             help="base URL of a chat-completions server, or mock:<script-path>",
         )
-        p.add_argument("--model", default="gpt-3.5-turbo")
-        p.add_argument("--temperature", type=float, default=0.2)
-        p.add_argument("--top-p", type=float, default=0.1)
-        p.add_argument("--retries", type=_int_in(0), default=2)
-        p.add_argument("--timeout", type=_seconds, default=30.0)
+        p.add_argument("--model", default=BackendConfig.model)
+        p.add_argument("--temperature", type=_TEMPERATURE, default=BackendConfig.temperature)
+        p.add_argument("--top-p", type=_TOP_P, default=BackendConfig.top_p)
+        p.add_argument("--retries", type=_int_in(0), default=BackendConfig.max_retries)
+        p.add_argument("--timeout", type=_SECONDS, default=BackendConfig.timeout)
         if name != "ablate":  # ablate's grid comes from --k-values and --shot-values
-            p.add_argument("--shots", type=_SHOTS, default=DEFAULT_SHOTS)
+            p.add_argument("--shots", type=_SHOTS, default=MAX_SHOTS)
             p.add_argument("--k", type=_K)
         p.add_argument("--trace", help="append per-query trace records to this file")
 

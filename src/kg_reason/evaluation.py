@@ -30,6 +30,7 @@ from .errors import (
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED, AnswerCandidate
 from .pipeline import Conclusion, Pipeline, Query
+from .prompts import MAX_SHOTS
 
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
@@ -226,7 +227,7 @@ def evaluate(
     backend: Backend,
     *,
     k: int,
-    shots: int = 12,
+    shots: int = MAX_SHOTS,
     width: int = 1,
     trace_path: str | None = None,
 ) -> EvalReport:

@@ -49,14 +49,6 @@ def gather(seq: Sequence[_T], indexes: Iterable[int]) -> tuple[_T, ...]:
     return tuple(map(seq.__getitem__, indexes))
 
 
-class Triple(NamedTuple):
-    """One directed edge, all fields interned ids of the owning graph."""
-
-    head: int
-    relation: int
-    tail: int
-
-
 class Interner:
     """Bidirectional label table handing out dense integer ids."""
 
@@ -77,9 +69,6 @@ class Interner:
 
     def lookup(self, label: str) -> int | None:
         return self._by_key.get(self._canonicalize(label))
-
-    def label(self, ident: int) -> str:
-        return self.labels[ident]
 
 
 class _Side(NamedTuple):
@@ -190,18 +179,13 @@ class KnowledgeGraph:
             type_set = frozenset(tids)
             self.entity_types[eid] = shared.setdefault(type_set, type_set)
 
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        """Every triple, in load order, built on each read: O(n), not for hot paths."""
-        return tuple(map(Triple, self.head, self.relation, self.tail))
-
     # label/id plumbing -------------------------------------------------
 
     def maybe_entity_id(self, label: str) -> int | None:
         return self._entities.lookup(label)
 
     def relation_label(self, ident: int) -> str:
-        return self._relations.label(ident)
+        return self._relations.labels[ident]
 
     def maybe_relation_id(self, label: str) -> int | None:
         return self._relations.lookup(label)
@@ -222,11 +206,6 @@ class KnowledgeGraph:
         relations = gather(relation, gather(self.relation, positions))
         tails = gather(entity, gather(self.tail, positions))
         return list(zip(heads, relations, tails))
-
-    def triple_labels(self, t: Triple) -> tuple[str, str, str]:
-        """Labels of one triple; use :meth:`label_triples` for many."""
-        entity = self._entities.labels
-        return entity[t.head], self._relations.labels[t.relation], entity[t.tail]
 
     # id-level queries ---------------------------------------------------
 

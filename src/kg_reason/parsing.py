@@ -12,7 +12,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .candidates import Mention
+from .candidates import Mention, RelationCandidates, type_or_variable
 from .errors import (
     AnswerGroundingError,
     RelationParseError,
@@ -32,13 +32,6 @@ class SubSentence:
     index: int
     text: str
     mentions: tuple[Mention, ...]
-
-
-@dataclass(frozen=True)
-class RetrievedRelations:
-    """Relations picked by the backend for one sub-sentence, at most k."""
-
-    relations: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -96,27 +89,12 @@ def parse_segmentation(
             _note(notes, f"line carries more than two entities: {raw_line!r}")
             continue
         mentions = tuple(
-            _resolve_surface(s, by_surface, type_graph) for s in surfaces
+            by_surface.get(canonical_label(s)) or type_or_variable(s, type_graph) for s in surfaces
         )
         parsed.append(SubSentence(len(parsed) + 1, match.group("text").strip(), mentions))
     if not parsed:
         raise SegmentationParseError("no response line matched the segmentation grammar")
     return parsed
-
-
-def _resolve_surface(
-    surface: str,
-    by_surface: dict[str, Mention],
-    type_graph: TypeGraph | None,
-) -> Mention:
-    known = by_surface.get(canonical_label(surface))
-    if known is not None:
-        return known
-    if type_graph is not None:
-        tid = type_graph.resolve_type(surface)
-        if tid is not None:
-            return Mention.type_ref(surface, tid)
-    return Mention.variable(surface)
 
 
 _BRACKETED = re.compile(r"\[([^\[\]]*)\]")
@@ -128,7 +106,7 @@ def parse_relations(
     offered: Sequence[str],
     k: int,
     notes: list[str] | None = None,
-) -> RetrievedRelations:
+) -> RelationCandidates:
     """Parse the first bracketed list and filter it against the offered pool.
 
     Items are matched case-sensitively; unmatched items are dropped with a
@@ -157,7 +135,7 @@ def parse_relations(
     if not kept:
         _note(notes, "no offered relation matched; falling back to the first k offered")
         kept = list(offered[:k])
-    return RetrievedRelations(tuple(kept[:k]))
+    return RelationCandidates(tuple(kept[:k]))
 
 
 _VERDICT_TOKEN = re.compile(r"^\s*(true|false)\b", re.IGNORECASE)
@@ -214,17 +192,3 @@ def parse_answer(
 def _note(notes: list[str] | None, message: str) -> None:
     if notes is not None:
         notes.append(message)
-
-
-__all__ = [
-    "SUPPORTED",
-    "REFUTED",
-    "SubSentence",
-    "RetrievedRelations",
-    "Verdict",
-    "AnswerCandidate",
-    "parse_segmentation",
-    "parse_relations",
-    "parse_verdict",
-    "parse_answer",
-]

@@ -35,7 +35,6 @@ from .errors import (
 from .graph import KnowledgeGraph, TypeGraph, gather, match_triples_by_id
 from .parsing import (
     AnswerCandidate,
-    RetrievedRelations,
     SubSentence,
     Verdict,
     parse_answer,
@@ -166,7 +165,7 @@ class Pipeline:
         backend: Backend,
         *,
         k: int = 5,
-        shots: int = 12,
+        shots: int = MAX_SHOTS,
     ):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -220,7 +219,7 @@ class Pipeline:
         subsentences: list[SubSentence],
         query: Query,
         trace: StageTrace,
-    ) -> dict[int, RetrievedRelations]:
+    ) -> dict[int, RelationCandidates]:
         """Pick up to k relations per sub-sentence from its candidate pool.
 
         Claims build the pool per sub-sentence from its mentions; questions
@@ -229,7 +228,7 @@ class Pipeline:
         shared: RelationCandidates | None = None
         if query.kind == QUESTION:
             shared = extract_nhop_candidates(query.seed.ref, query.hops, self.graph)
-        retrieved: dict[int, RetrievedRelations] = {}
+        retrieved: dict[int, RelationCandidates] = {}
         for sub in subsentences:
             offered = (
                 shared
@@ -255,7 +254,7 @@ class Pipeline:
     def assemble(
         self,
         subsentences: list[SubSentence],
-        retrieved: dict[int, RetrievedRelations],
+        retrieved: dict[int, RelationCandidates],
         query: Query,
         trace: StageTrace,
     ) -> EvidenceGraph:
@@ -360,8 +359,6 @@ class Pipeline:
         start = time.perf_counter()
         try:
             return thunk()
-        except PipelineError:
-            raise
         except KGReasonError as exc:
             raise PipelineError(fails_as or name, exc, trace) from exc
         finally:

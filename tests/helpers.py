@@ -153,6 +153,51 @@ def candidate_oracle(mention_specs, triples, type_map):
     return entity_pool if entity_pool is not None else set()
 
 
+def assemble_reference(triples, type_map, subsentences):
+    """Transliteration of evidence assembly over scans.
+
+    ``subsentences`` is a list of (mention specs, retrieved relation labels)
+    pairs, the specs as for :func:`candidate_oracle`. For each sub-sentence
+    in order: the anchors are its entities plus the current bindings of its
+    variables; it keeps every triple whose relation was retrieved and that
+    touches an anchor; it drops a triple if an endpoint outside the anchors
+    has recorded types and none of them is among its type mentions; then it
+    rebinds each of its variables to the kept endpoints outside the anchors.
+    Returns the kept load positions, ascending, and the bindings, or None
+    when a sub-sentence has no anchor.
+    """
+    edges = list(dict.fromkeys(triples))  # load positions: first occurrences, in order
+    positions, bindings = set(), {}
+    for specs, relations in subsentences:
+        anchors = {label for kind, label in specs if kind == "entity"}
+        for kind, name in specs:
+            if kind == "variable":
+                anchors |= bindings.get(name, set())
+        if not anchors:
+            return None
+        types = {label for kind, label in specs if kind == "type"}
+        kept = [
+            p
+            for p, (h, r, t) in enumerate(edges)
+            if r in relations and (h in anchors or t in anchors)
+        ]
+        if types:
+            kept = [
+                p
+                for p in kept
+                if all(
+                    e in anchors or not type_map.get(e) or type_map[e] & types
+                    for e in edges[p][::2]
+                )
+            ]
+        ends = {e for p in kept for e in edges[p][::2]} - anchors
+        for kind, name in specs:
+            if kind == "variable":
+                bindings[name] = ends
+        positions.update(kept)
+    return sorted(positions), bindings
+
+
 # --- random instances -------------------------------------------------------
 
 

@@ -104,6 +104,9 @@ def test_bad_script_record_reports_line(tmp_path):
         ({"response": None}, "stage and response must be strings"),
         ({"stage": ["inference"]}, "stage and response must be strings"),
         ({"match_kind": "fuzzy"}, "bad match_kind 'fuzzy'"),
+        # stage names are compared verbatim: a near miss could never match a call
+        ({"stage": "Segmentation"}, "unknown stage 'Segmentation'"),
+        ({"stage": "retrieve"}, "unknown stage 'retrieve'"),
     ],
 )
 def test_script_record_of_the_wrong_form_reports_path_and_line(tmp_path, change, message):
@@ -398,6 +401,72 @@ def test_sampling_defaults():
     cfg = BackendConfig(endpoint="http://x")
     assert cfg.temperature == 0.2
     assert cfg.top_p == 0.1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("temperature", -0.1),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+        ("top_p", -0.1),
+        ("top_p", 1.5),
+        ("top_p", float("nan")),
+        ("top_p", float("inf")),
+    ],
+)
+def test_sampling_settings_must_be_finite_and_in_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        BackendConfig(endpoint="http://x", **{field: value})
+
+
+def test_sampling_settings_at_their_bounds_are_accepted():
+    assert BackendConfig(endpoint="http://x", temperature=0, top_p=0).top_p == 0
+    assert BackendConfig(endpoint="http://x", temperature=2.0, top_p=1).top_p == 1
+
+
+def test_http_backend_sends_no_float_that_json_cannot_hold(chat_server):
+    # a config forced past its checks stands for any float field the body
+    # carries: the body stays strict JSON, which has no NaN or Infinity
+    server = chat_server()
+    config = BackendConfig(endpoint=server.url)
+    object.__setattr__(config, "temperature", float("nan"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        HttpBackend(config).complete("p", "inference")
+    assert server.seen == []
+
+
+@pytest.mark.parametrize(
+    "endpoint, proxy, message",
+    [
+        (
+            "http://localhost:65536",
+            None,
+            "bad endpoint URL 'http://localhost:65536/v1/chat/completions'",
+        ),
+        ("ftp://localhost", None, "bad endpoint URL 'ftp://localhost/v1/chat/completions'"),
+        (
+            "http://kg-reason.invalid",
+            "https://127.0.0.1:9",
+            "unsupported proxy 'https://127.0.0.1:9': only http:// proxies are supported",
+        ),
+        (
+            "http://kg-reason.invalid",
+            "http://127.0.0.1:65536",
+            "bad proxy URL 'http://127.0.0.1:65536'",
+        ),
+    ],
+    ids=["endpoint-port-out-of-range", "endpoint-not-http", "https-proxy", "proxy-port-out-of-range"],
+)
+@pytest.mark.usefixtures("chat_server")  # for its cleared proxy variables; no server starts
+def test_http_backend_refuses_a_url_it_cannot_use_before_any_connection(
+    monkeypatch, endpoint, proxy, message
+):
+    if proxy is not None:
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+    with pytest.raises(BackendError) as err:
+        HttpBackend(BackendConfig(endpoint=endpoint, max_retries=0)).complete("p", "inference")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf")])

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from kg_reason.backends import HttpBackend, MockBackend
+from kg_reason import cli
+from kg_reason.backends import BackendConfig, HttpBackend, MockBackend
 from kg_reason.cli import main
 
 from helpers import FIXTURES
@@ -234,6 +235,79 @@ def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, mo
     (line,) = captured.err.splitlines()
     assert line.startswith("usage error: argument --timeout: must be finite and greater than 0")
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flag, value, bounds",
+    [
+        ("--temperature", "-0.1", "at least 0"),
+        ("--temperature", "nan", "at least 0"),
+        ("--temperature", "inf", "at least 0"),
+        ("--top-p", "-0.1", "between 0 and 1"),
+        ("--top-p", "1.5", "between 0 and 1"),
+        ("--top-p", "nan", "between 0 and 1"),
+        ("--top-p", "x", None),
+    ],
+)
+def test_sampling_setting_out_of_range_is_a_usage_error_before_any_work(
+    flag, value, bounds, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr("kg_reason.cli.load_graph", lambda *a: calls.append("load_graph"))
+    assert main(verify_args() + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if bounds is None:
+        message = f"invalid float value: {value!r}"
+    else:
+        message = f"must be finite and {bounds}, got {float(value)}"
+    assert captured.err == f"usage error: argument {flag}: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ([], {}),
+        (
+            ["--model", "m", "--temperature", "0", "--top-p", "1"]
+            + ["--retries", "0", "--timeout", "7.5"],
+            {"model": "m", "temperature": 0.0, "top_p": 1.0, "max_retries": 0, "timeout": 7.5},
+        ),
+    ],
+    ids=["defaults", "given"],
+)
+def test_backend_flags_reach_the_backend_config(flags, config, monkeypatch, capsys):
+    built = []
+    make_backend = cli.make_backend
+
+    def recording(config):
+        built.append(config)
+        return make_backend(config)
+
+    monkeypatch.setattr(cli, "make_backend", recording)
+    assert main(verify_args() + flags) == 0
+    endpoint = f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}"
+    assert built == [BackendConfig(endpoint=endpoint, **config)]
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_qa_batch_without_hops_is_a_usage_error(command, capsys):
+    args = grid_args(command)
+    args[args.index("verification")] = "qa"
+    assert main(args) == 1
+    assert capsys.readouterr().err == "usage error: --hops is required for --task qa\n"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_given_k_overrides_the_task_default(k, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(grid_args("eval") + ["--k", str(k), "--report", str(report_path)]) == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["config"]["k"] == k
+    assert main(verify_args() + ["--k", str(k), "--trace", str(trace_path)]) == 0
+    (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
+    assert record["k"] == k
 
 
 @pytest.mark.parametrize("flag, value", [("--k", "1"), ("--shots", "4")])

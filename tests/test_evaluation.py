@@ -104,6 +104,18 @@ def test_fields_of_the_wrong_type_are_a_load_error(tmp_path, claim, entities):
     assert str(err.value).startswith(f"{path}:2: ")
 
 
+@pytest.mark.parametrize(
+    "load", [load_verification_dataset, lambda path: load_qa_dataset(path, 1)], ids=["jsonl", "qa"]
+)
+def test_a_dataset_of_blank_lines_is_a_load_error(load, tmp_path):
+    path = tmp_path / "d"
+    path.write_text("\n  \n", encoding="utf-8")
+    with pytest.raises(DatasetLoadError) as err:
+        load(str(path))
+    assert err.value.line is None
+    assert str(err.value) == f"{path}: dataset is empty"
+
+
 # --- question loader ------------------------------------------------------------
 
 
@@ -480,6 +492,22 @@ def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type
         ablate(
             examples, metaqa_graph, metaqa_type_graph, lambda: backend,
             k_values=[3], shot_values=[12], width=width,
+        )
+    assert backend.total_calls == 0
+
+
+@pytest.mark.parametrize("k_values, shot_values", [([], [12]), ([3], [])])
+def test_empty_dataset_or_grid_fails_before_any_query(
+    k_values, shot_values, metaqa_graph, metaqa_type_graph
+):
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        evaluate([], metaqa_graph, metaqa_type_graph, backend, k=3)
+    with pytest.raises(ValueError, match="^k_values and shot_values must be non-empty$"):
+        ablate(
+            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            k_values=k_values, shot_values=shot_values,
         )
     assert backend.total_calls == 0
 

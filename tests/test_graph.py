@@ -64,17 +64,17 @@ def test_load_two_triples(tmp_path):
         ["William_Anders\toccupation\tFighter_pilot", "Apollo_8\tcrewMembers\tWilliam_Anders"],
     )
     g = load_graph(path)
-    assert len(g.triples) == 2
+    assert len(g.head) == 2
     # one id per distinct label: the shared entity interns once
     ids = [g.maybe_entity_id(e) for e in ("William_Anders", "Fighter_pilot", "Apollo_8")]
     assert sorted(ids) == [0, 1, 2]
     assert g.entity_labels(ids) == ["William_Anders", "Fighter_pilot", "Apollo_8"]
-    assert g.label_triples(range(len(g.triples))) == [g.triple_labels(t) for t in g.triples] == [
+    assert g.label_triples(range(len(g.head))) == [
         ("William_Anders", "occupation", "Fighter_pilot"),
         ("Apollo_8", "crewMembers", "William_Anders"),
     ]
     # relation labels live in their own vocabulary, not among entities
-    assert relation_labels(g, (t.relation for t in g.triples)) == {"occupation", "crewMembers"}
+    assert relation_labels(g, g.relation) == {"occupation", "crewMembers"}
     assert g.maybe_entity_id("occupation") is None
 
 
@@ -88,7 +88,7 @@ def test_load_drops_duplicates_with_count(tmp_path):
         ],
     )
     g = load_graph(path)
-    assert len(g.triples) == 2
+    assert len(g.head) == 2
     assert g.duplicate_count == 1
 
 
@@ -106,10 +106,10 @@ def test_positions_keep_first_occurrences_with_injected_duplicates(seed):
     for h, r, t in stream:
         first.setdefault((h.strip(), r.strip(), t.strip()), None)
     g = KnowledgeGraph.from_triples(stream)
-    assert g.label_triples(range(len(g.triples))) == list(first)
+    assert g.label_triples(range(len(g.head))) == list(first)
     assert g.duplicate_count == len(stream) - len(first)
-    for i, t in enumerate(g.triples):
-        assert i in match_triples_by_id(g, {t.head}, {t.relation})
+    for i, (head, relation) in enumerate(zip(g.head, g.relation)):
+        assert i in match_triples_by_id(g, {head}, {relation})
 
 
 @contextmanager
@@ -152,7 +152,7 @@ def test_load_empty_file_is_an_error(tmp_path):
 def test_load_skips_comments_and_blank_lines(tmp_path):
     path = write_graph(tmp_path, ["# header", "", "a\tr\tb"])
     g = load_graph(path)
-    assert len(g.triples) == 1
+    assert len(g.head) == 1
 
 
 def test_types_file_interns_isolated_entities(tmp_path):
@@ -199,8 +199,8 @@ def test_determinism_two_loads_agree(tmp_path):
     p1 = write_graph(tmp_path, lines, name="one.tsv")
     p2 = write_graph(tmp_path, lines, name="two.tsv")
     g1, g2 = load_graph(p1), load_graph(p2)
-    assert g1.triples == g2.triples
-    assert g1.label_triples(range(len(g1.triples))) == g2.label_triples(range(len(g2.triples)))
+    assert (g1.head, g1.relation, g1.tail) == (g2.head, g2.relation, g2.tail)
+    assert g1.label_triples(range(len(g1.head))) == g2.label_triples(range(len(g2.head)))
 
 
 # --- an entity's relations ---------------------------------------------------
@@ -412,7 +412,9 @@ def test_matching_equals_full_scan(seed):
     wanted = {0, n_relations - 1, n_relations}
     wanted.update(rng.sample(range(n_relations), rng.randint(0, n_relations)))
     assert match_triples_by_id(g, anchors, wanted) == [
-        p for p, (h, r, t) in enumerate(g.triples) if r in wanted and (h in anchors or t in anchors)
+        p
+        for p, (h, r, t) in enumerate(zip(g.head, g.relation, g.tail))
+        if r in wanted and (h in anchors or t in anchors)
     ]
 
 
@@ -480,8 +482,8 @@ def test_graph_and_type_projection_retain_under_400_bytes_per_triple():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tg.type_relations and len(g.triples) > 19_900
-    assert retained / len(g.triples) < 400
+    assert tg.type_relations and len(g.head) > 19_900
+    assert retained / len(g.head) < 400
 
 
 def test_graph_build_peaks_under_200_bytes_per_triple():
@@ -510,12 +512,12 @@ def test_graph_build_adds_few_gc_tracked_objects():
         before = len(gc.get_objects())
         g = KnowledgeGraph.from_triples(triples, typed)
         added = len(gc.get_objects()) - before
-    assert added < len(g.triples) // 20
+    assert added < len(g.head) // 20
 
 
 def test_fixture_graph_counts():
     g = load_graph(str(FIXTURES / "crewed_flight_graph.tsv"), str(FIXTURES / "crewed_flight_types.tsv"))
-    assert len(g.triples) == 7
+    assert len(g.head) == 7
     assert entity_relations(g, "William Anders") == {
         "crewMembers",
         "almaMater",

@@ -19,8 +19,18 @@ from kg_reason.errors import DatasetLoadError, GraphLoadError, MockScriptError
          "expected question<TAB>answers"),
         (MockBackend.from_path, "{not json", MockScriptError, "bad record ("),
         (load_graph, "broken line", GraphLoadError, "expected 3 tab-separated fields"),
+        (load_verification_dataset, '{"claim": "c", "entities": [], "label": "Supported"}',
+         DatasetLoadError, "entities must be non-empty"),
+        (load_verification_dataset,
+         '{"claim": "c", "entities": ["e"], "label": "Supported", "type": "two-hop"}',
+         DatasetLoadError, "unknown reasoning type 'two-hop'"),
+        (lambda path: load_qa_dataset(path, 1), "what is [s]?\t | ", DatasetLoadError,
+         "no gold answers"),
     ],
-    ids=["verification-jsonl", "qa-tsv", "mock-script", "graph-tsv"],
+    ids=[
+        "verification-jsonl", "qa-tsv", "mock-script", "graph-tsv",
+        "verification-no-entities", "verification-unknown-type", "qa-no-answers",
+    ],
 )
 def test_blank_lines_count_toward_the_reported_line(
     load, malformed, error, message, tmp_path, monkeypatch

@@ -93,6 +93,23 @@ def test_three_entities_reject_line_but_keep_the_rest():
     assert any("more than two entities" in n for n in notes)
 
 
+def test_empty_entity_set_skips_the_line_with_a_note():
+    notes: list[str] = []
+    query = q(["abba"])
+    response = (
+        "1. Nothing named., Entity set: []\n"
+        "2. Only quotes., Entity set: ['' ## \"\"]\n"
+        "3. Bare name., Entity set: [ abba ]"
+    )
+    got = parse_segmentation(response, query, notes=notes)
+    assert [(s.index, s.text) for s in got] == [(1, "Bare name.")]
+    # an unquoted token is taken as it stands, trimmed, though it starts and ends alike
+    assert got[0].mentions == (query[0],)
+    assert notes == [
+        f"line has an empty entity set: {line!r}" for line in response.splitlines()[:2]
+    ]
+
+
 def test_garbage_lines_collect_notes():
     notes: list[str] = []
     with pytest.raises(SegmentationParseError):

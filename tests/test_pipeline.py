@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import ast
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kg_reason import (
     KnowledgeGraph,
@@ -26,9 +27,17 @@ from kg_reason.errors import (
     RelationParseError,
     RetrievalError,
 )
+from kg_reason.candidates import RelationCandidates
+from kg_reason.parsing import SubSentence
 from kg_reason.pipeline import EvidenceGraph, StageTrace
 
-from helpers import CountingBackend, StaticBackend, mock_backend
+from helpers import (
+    CountingBackend,
+    StaticBackend,
+    assemble_reference,
+    mock_backend,
+    random_graph_data,
+)
 
 
 def seq_backend(seg=(), ret=(), inf=()):
@@ -48,6 +57,14 @@ def claim_query(g, tg, text, entity_labels):
 def test_claim_requires_an_anchor_mention():
     with pytest.raises(QueryError):
         Query.claim("text", [Mention.variable("x")])
+
+
+@pytest.mark.parametrize("text", ["", " \t\n"])
+def test_query_text_must_not_be_blank(text):
+    with pytest.raises(QueryError, match="^claim text is empty$"):
+        Query.claim(text, [Mention.concrete("a", 0)])
+    with pytest.raises(QueryError, match="^question text is empty$"):
+        Query.question(text, Mention.concrete("a", 0), 1)
 
 
 def test_question_requires_concrete_seed():
@@ -144,7 +161,7 @@ def test_question_answer_does_not_echo_the_seed():
     pipeline = Pipeline(g, tg, backend, k=3, shots=12)
     seed = resolve_mention("Brigitte Nielsen", g, tg)
     query = Query.question("which films did Brigitte Nielsen act in?", seed, 1)
-    conclusion = pipeline.infer(query, EvidenceGraph(g, tuple(range(len(g.triples)))), StageTrace())
+    conclusion = pipeline.infer(query, EvidenceGraph(g, tuple(range(len(g.head)))), StageTrace())
     assert conclusion.result.entity == "Cobra"
 
 
@@ -354,23 +371,18 @@ def test_linearize_round_trips(crewed_flight_graph, crewed_flight_type_graph):
 def test_a_query_labels_its_evidence_once(graph, script, make_query, request, monkeypatch):
     g = request.getfixturevalue(f"{graph}_graph")
     tg = request.getfixturevalue(f"{graph}_type_graph")
-    calls = {"label_triples": 0, "triple_labels": 0}
-    bulk, single = KnowledgeGraph.label_triples, KnowledgeGraph.triple_labels
+    calls = {"label_triples": 0}
+    bulk = KnowledgeGraph.label_triples
 
     def counted_bulk(self, triples):
         calls["label_triples"] += 1
         return bulk(self, triples)
 
-    def counted_single(self, t):
-        calls["triple_labels"] += 1
-        return single(self, t)
-
     monkeypatch.setattr(KnowledgeGraph, "label_triples", counted_bulk)
-    monkeypatch.setattr(KnowledgeGraph, "triple_labels", counted_single)
     pipeline = Pipeline(g, tg, mock_backend(script), k=5, shots=12)
     conclusion = pipeline.run(make_query(g, tg))
     assert len(conclusion.evidence) > 0
-    assert calls == {"label_triples": 1, "triple_labels": 0}
+    assert calls == {"label_triples": 1}
     assert conclusion.trace.assembly["triples"] == conclusion.evidence.labels()
 
 
@@ -502,7 +514,71 @@ def test_evidence_is_always_a_subgraph(seg_text, ret_text, inf_text):
         conclusion = pipeline.run(query)
     except PipelineError:
         return
-    assert set(conclusion.evidence.positions) <= set(range(len(g.triples)))
+    assert set(conclusion.evidence.positions) <= set(range(len(g.head)))
+
+
+def _random_chain(rng, entities, types, relations):
+    """1-3 sub-sentences as (mention specs, retrieved relations); a variable
+    one sub-sentence introduces is usually taken up by the next."""
+    chain, carried = [], None
+    for i in range(rng.randint(1, 3)):
+        if carried is not None and rng.random() < 0.8:
+            specs = [("variable", carried)]
+        else:
+            specs = [("entity", rng.choice(entities))]
+        # a carried variable meets a type mention often: that is where the
+        # order of filtering and binding shows
+        if specs[0][0] == "entity":
+            second = rng.choice(["entity", "type", "variable", "variable", None])
+        else:
+            second = rng.choice(["type", "type", "type", "entity", "variable", None])
+        if second == "entity":
+            specs.append(("entity", rng.choice(entities)))
+        elif second == "type" and types:
+            specs.append(("type", rng.choice(types)))
+        elif second == "variable":
+            carried = f"?v{i}"
+            specs.append(("variable", carried))
+        rng.shuffle(specs)
+        # and a label the graph lacks, which assembly ignores
+        pool = [*relations, "no_such_relation"]
+        retrieved = rng.sample(pool, rng.randint(1, len(pool)))
+        chain.append((specs, retrieved))
+    return chain
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 20_000))
+def test_assembly_matches_the_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    _, relations, triples, type_map = random_graph_data(rng, 12, 5, 40)
+    typed = [(e, t) for e, ts in type_map.items() for t in sorted(ts)]
+    g = KnowledgeGraph.from_triples(triples, typed)
+    tg = build_type_graph(g)
+    entities = sorted({e for h, _, t in triples for e in (h, t)})
+    types = sorted({t for _, t in typed})
+    chain = _random_chain(rng, entities, types, relations)
+    resolve = {
+        "entity": lambda label: Mention.concrete(label, g.maybe_entity_id(label)),
+        "type": lambda label: Mention.type_ref(label, g.maybe_type_id(label)),
+        "variable": Mention.variable,
+    }
+    subsentences = [
+        SubSentence(i, f"sub-sentence {i}", tuple(resolve[kind](label) for kind, label in specs))
+        for i, (specs, _) in enumerate(chain, start=1)
+    ]
+    retrieved = {i: RelationCandidates(tuple(rels)) for i, (_, rels) in enumerate(chain, start=1)}
+    expected = assemble_reference(triples, type_map, chain)
+    pipeline = Pipeline(g, tg, StaticBackend({}), k=3)
+    trace = StageTrace()
+    if expected is None:
+        with pytest.raises(AssemblyError):
+            pipeline.assemble(subsentences, retrieved, None, trace)
+        return
+    positions, bindings = expected
+    evidence = pipeline.assemble(subsentences, retrieved, None, trace)
+    assert list(evidence.positions) == positions
+    assert trace.assembly["bindings"] == {name: sorted(v) for name, v in bindings.items()}
 
 
 def test_first_k_monotonicity_of_evidence(crewed_flight_graph, crewed_flight_type_graph):

@@ -72,7 +72,7 @@ def test_every_traced_layer_exists_and_records_its_info():
         for dropped, fallback in infos["parse_relations"]
     )
     # the metrics built from these spans read non-zero where the run did work
-    context = {"triples": len(factkg.triples), "cpu_util": 1.0, "untraced_s": 1.0, "traced_s": 1.0}
+    context = {"triples": len(factkg.head), "cpu_util": 1.0, "untraced_s": 1.0, "traced_s": 1.0}
     layers = spans.per_layer(tracer, context)
     for metric in (
         "graph.match.triples_per_call",
