@@ -3,9 +3,11 @@ leaves every query's outcome, evidence and trace as they were.
 
 The inputs come from ``kgbench/gen.py`` for the workload and seed, and the
 answers from the benchmark's oracle backend. A query's digest is the
-SHA-256 of its verdict or answer (or its failing stage and message), its
-linearized evidence, and its whole stage trace except the timings. Run from
-the repository root, once per checkout, and compare the outputs::
+SHA-256 of its ``kg_reason.evaluation.trace_record`` with the timings
+removed: the input, ``k`` and ``shots``, the verdict or answer and the
+evidence size (or the failing stage and message), and the whole stage trace,
+which holds the evidence triples and the rendered prompts. Run from the
+repository root, once per checkout, and compare the outputs::
 
     python scripts/query_digests.py verify-hub --seed 1 > new.txt
     python scripts/query_digests.py verify-hub --seed 1 --src ../parent/src > old.txt
@@ -35,8 +37,7 @@ from oracle import Oracle, OracleBackend, load_queries  # noqa: E402
 def query_records(workload: str, seed: int, scale: float):
     """Yield one JSON-ready record per query of the workload, in order."""
     import kg_reason
-    from kg_reason.evaluation import QAExample, VerificationExample, build_query
-    from kg_reason.pipeline import linearize
+    from kg_reason.evaluation import QAExample, VerificationExample, build_query, trace_record
 
     print(f"kg_reason from {Path(kg_reason.__file__).parent}", file=sys.stderr)
     wl = bench.WORKLOADS[workload]
@@ -57,19 +58,10 @@ def query_records(workload: str, seed: int, scale: float):
         else:
             example = QAExample(q["question"], q["text"], q["seed"], q["hops"], tuple(q["answers"]))
         try:
-            conclusion = pipeline.run(build_query(example, graph, type_graph))
-        except kg_reason.PipelineError as exc:
-            trace = exc.trace.to_record() if exc.trace else None
-            record = {"error": exc.stage, "message": str(exc.cause), "trace": trace}
+            outcome = pipeline.run(build_query(example, graph, type_graph))
         except kg_reason.KGReasonError as exc:
-            record = {"error": "query", "message": str(exc), "trace": None}
-        else:
-            result = conclusion.result
-            record = {
-                "result": result.entity if q["kind"] == "question" else result.label,
-                "evidence": linearize(conclusion.evidence),
-                "trace": conclusion.trace.to_record(),
-            }
+            outcome = exc
+        record = trace_record(pipeline, q["text"] if q["kind"] == "claim" else q["question"], outcome)
         if record["trace"] is not None:
             record["trace"].pop("timings")
         yield record

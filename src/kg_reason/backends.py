@@ -70,10 +70,23 @@ def prompt_hash(prompt: str) -> str:
 
 @dataclass(frozen=True)
 class MockEntry:
+    """One scripted response, checked here whether built directly or read from a script."""
+
     stage: str
     match_kind: str  # "hash" | "sequence"
     key: str | int
     response: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stage, str) or not isinstance(self.response, str):
+            raise MockScriptError("-", "-", "stage and response must be strings")
+        if self.stage not in (SEGMENTATION, RETRIEVAL, INFERENCE):
+            raise MockScriptError("-", "-", f"unknown stage {self.stage!r}")
+        if self.match_kind not in ("hash", "sequence"):
+            raise MockScriptError("-", "-", f"bad match_kind {self.match_kind!r}")
+        key = self.key
+        if self.match_kind == "hash" and not (isinstance(key, str) and _DIGEST.fullmatch(key)):
+            raise MockScriptError("-", "-", f"hash key must be 64 lowercase hex digits, got {key!r}")
 
 
 class MockBackend:
@@ -91,11 +104,9 @@ class MockBackend:
         self._sequences: dict[str, list[str]] = {}
         for e in entries:
             if e.match_kind == "hash":
-                self._by_hash[(e.stage, str(e.key))] = e.response
-            elif e.match_kind == "sequence":
-                self._sequences.setdefault(e.stage, []).append(e.response)
+                self._by_hash[(e.stage, e.key)] = e.response
             else:
-                raise MockScriptError(e.stage, "-", f"bad match_kind {e.match_kind!r}")
+                self._sequences.setdefault(e.stage, []).append(e.response)
         self._cursor: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -119,15 +130,8 @@ class MockBackend:
                 )
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise script_error(lineno, f"bad record ({exc})") from exc
-            if not isinstance(entry.stage, str) or not isinstance(entry.response, str):
-                raise script_error(lineno, "stage and response must be strings")
-            if entry.stage not in (SEGMENTATION, RETRIEVAL, INFERENCE):
-                raise script_error(lineno, f"unknown stage {entry.stage!r}")
-            if entry.match_kind not in ("hash", "sequence"):
-                raise script_error(lineno, f"bad match_kind {entry.match_kind!r}")
-            key = entry.key
-            if entry.match_kind == "hash" and not (isinstance(key, str) and _DIGEST.fullmatch(key)):
-                raise script_error(lineno, f"hash key must be 64 lowercase hex digits, got {key!r}")
+            except MockScriptError as exc:  # a rule of MockEntry's
+                raise script_error(lineno, exc.message) from None
             entries.append(entry)
         return cls(entries)
 

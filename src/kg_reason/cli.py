@@ -31,11 +31,8 @@ from .evaluation import (
     write_report,
 )
 from .graph import KnowledgeGraph, TypeGraph, build_type_graph, load_graph
-from .pipeline import Pipeline, Query, linearize
+from .pipeline import CLAIM, DEFAULT_K, QUESTION, Pipeline, Query, linearize
 from .prompts import MAX_SHOTS
-
-DEFAULT_K_VERIFICATION = 5
-DEFAULT_K_QA = 3
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
@@ -161,9 +158,7 @@ def _backend_config(args: argparse.Namespace) -> BackendConfig:
 
 
 def _default_k(args: argparse.Namespace, qa: bool) -> int:
-    if args.k is not None:
-        return args.k
-    return DEFAULT_K_QA if qa else DEFAULT_K_VERIFICATION
+    return DEFAULT_K[QUESTION if qa else CLAIM] if args.k is None else args.k
 
 
 def _query(args: argparse.Namespace, g: KnowledgeGraph, tg: TypeGraph) -> Query:

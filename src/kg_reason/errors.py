@@ -98,11 +98,12 @@ class BackendError(KGReasonError):
 
 
 class MockScriptError(BackendError):
-    """The mock backend had no entry matching a request."""
+    """A mock script line or entry breaks a rule, or no entry matches a request."""
 
     def __init__(self, stage: str, prompt_hash: str, message: str):
         self.stage = stage
         self.prompt_hash = prompt_hash
+        self.message = message
         super().__init__(f"stage={stage} hash={prompt_hash}: {message}")
 
 

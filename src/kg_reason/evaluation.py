@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -136,16 +136,32 @@ def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
 
 @dataclass
 class EvalReport:
-    """Aggregate metrics for one harness run, with its configuration echo."""
+    """One run's metrics and configuration echo, counted only by :meth:`from_records`."""
 
     n: int
     correct: int
     metric_name: str  # "accuracy" | "hits_at_1"
     metric_value: float
     mean_evidence_triples: float | None
-    mean_evidence_by_gold: dict[str, float] | None
     stage_failures: dict[str, int]
     config: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_records(cls, records: Iterable[dict], metric_name: str, config: dict) -> EvalReport:
+        """Fold trace records, each scored ``correct``, one at a time; none is a ``ValueError``."""
+        n = correct = evidence = 0
+        failures = dict.fromkeys(_STAGES, 0)
+        for n, record in enumerate(records, start=1):
+            correct += record["correct"]
+            if "error" in record:
+                failures[record["error"]["stage"]] += 1
+            else:
+                evidence += record["evidence_size"]
+        if not n:
+            raise ValueError("no records to fold")
+        concluded = n - sum(failures.values())
+        mean_evidence = evidence / concluded if concluded else None
+        return cls(n, correct, metric_name, correct / n, mean_evidence, failures, config)
 
     def to_record(self) -> dict:
         return {
@@ -153,7 +169,6 @@ class EvalReport:
             "correct": self.correct,
             self.metric_name: self.metric_value,
             "mean_evidence_triples": self.mean_evidence_triples,
-            "mean_evidence_by_gold": self.mean_evidence_by_gold,
             "stage_failures": self.stage_failures,
             "config": self.config,
         }
@@ -166,9 +181,6 @@ class EvalReport:
         ]
         if self.mean_evidence_triples is not None:
             lines.append(f"mean evidence:     {self.mean_evidence_triples:.2f}")
-        if self.mean_evidence_by_gold:
-            for gold, mean in sorted(self.mean_evidence_by_gold.items()):
-                lines.append(f"  {gold:<16} {mean:.2f}")
         failures = {s: c for s, c in self.stage_failures.items() if c}
         lines.append(f"stage failures:    {failures or 'none'}")
         lines.append(f"config:            {self.config}")
@@ -231,17 +243,17 @@ def evaluate(
     width: int = 1,
     trace_path: str | None = None,
 ) -> EvalReport:
-    """Run the pipeline over the dataset on ``width`` worker threads and aggregate metrics.
+    """Run the pipeline over the dataset on ``width`` worker threads and report.
 
-    Per-example failures are data: they score as incorrect and increment
-    the failing stage's counter; an example that cannot be turned into a
-    query fails at the "query" stage. When ``trace_path`` is given, each
-    example's :func:`trace_record`, with its ``correct`` flag, is appended
-    as soon as it and every earlier example are done, so records keep
-    dataset order and a run that raises keeps the records finished before
-    it. The report's ``config["backend"]`` reads ``"<endpoint> (<model>)"``
-    for a backend carrying a ``config``, and the backend's class name
-    otherwise. Raises :class:`ValueError` before any query for an empty
+    The report is :meth:`EvalReport.from_records` of each example's
+    :func:`trace_record` with its ``correct`` flag, folded as the records
+    come: a failed example scores as incorrect and counts under its stage,
+    "query" when it cannot be turned into a query. When ``trace_path`` is
+    given, each record is appended as soon as it and every earlier one are
+    done, so records keep dataset order and a run that raises keeps the
+    records finished before it. The report's ``config["backend"]`` reads
+    ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
+    backend's class name otherwise. Raises :class:`ValueError` before any query for an empty
     dataset, ``width < 1`` or an out-of-range ``k`` or ``shots``, and its
     subclass :class:`OrderBoundScriptError` for ``width > 1`` on an order-bound
     :class:`MockBackend`, whose sequence entries replay in call order.
@@ -255,11 +267,10 @@ def evaluate(
             f"the mock script's sequence entries replay in call order and need width 1, got"
             f" width {width}; run at width 1, or use hash entries keyed by prompt hash"
         )
-    config = getattr(backend, "config", None)
-    if config is not None:
-        backend_desc = f"{config.endpoint} ({config.model})"
-    else:
-        backend_desc = type(backend).__name__
+    config = {"k": k, "shots": shots, "width": width, "backend": type(backend).__name__}
+    backend_config = getattr(backend, "config", None)
+    if backend_config is not None:
+        config["backend"] = f"{backend_config.endpoint} ({backend_config.model})"
     pipeline = Pipeline(g, tg, backend, k=k, shots=shots)
     is_qa = isinstance(dataset[0], QAExample)
 
@@ -278,35 +289,14 @@ def evaluate(
             record["correct"] = record["predicted"] == example.gold
         return record
 
-    correct = 0
-    failures = dict.fromkeys(_STAGES, 0)
-    sizes: list[int] = []
-    gold_sizes: dict[str, list[int]] = {SUPPORTED: [], REFUTED: []}
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        for example, record in zip(dataset, pool.map(run_one, dataset)):
-            if trace_path is not None:
-                append_trace(trace_path, record)
-            correct += record["correct"]
-            if "error" in record:
-                failures[record["error"]["stage"]] += 1
-                continue
-            sizes.append(record["evidence_size"])
-            if not is_qa:
-                gold_sizes[example.gold].append(record["evidence_size"])
-    return EvalReport(
-        n=len(dataset),
-        correct=correct,
-        metric_name="hits_at_1" if is_qa else "accuracy",
-        metric_value=correct / len(dataset),
-        mean_evidence_triples=_mean(sizes),
-        mean_evidence_by_gold=None if is_qa else {g: _mean(s) for g, s in gold_sizes.items() if s},
-        stage_failures=failures,
-        config={"k": k, "shots": shots, "width": width, "backend": backend_desc},
-    )
+    def records():
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            for record in pool.map(run_one, dataset):
+                if trace_path is not None:
+                    append_trace(trace_path, record)
+                yield record
 
-
-def _mean(values: list[int]) -> float | None:
-    return sum(values) / len(values) if values else None
+    return EvalReport.from_records(records(), "hits_at_1" if is_qa else "accuracy", config)
 
 
 def ablate(

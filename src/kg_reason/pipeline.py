@@ -57,6 +57,7 @@ from .prompts import (
 
 CLAIM = "claim"
 QUESTION = "question"
+DEFAULT_K = {CLAIM: 5, QUESTION: 3}  # relations retrieved per sub-sentence, as in the paper
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class Pipeline:
         type_graph: TypeGraph,
         backend: Backend,
         *,
-        k: int = 5,
+        k: int = DEFAULT_K[CLAIM],
         shots: int = MAX_SHOTS,
     ):
         if k < 1:

@@ -122,6 +122,21 @@ def test_bad_match_kind_rejected():
         MockBackend([MockEntry("inference", "fuzzy", 0, "x")])
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("Segmentation", "sequence", 0, "x"), "unknown stage 'Segmentation'"),
+        (("segmentation", "sequence", 0, None), "stage and response must be strings"),
+        (("inference", "hash", "abc", "x"), "hash key must be 64 lowercase hex digits, got 'abc'"),
+    ],
+    ids=["bad-stage", "none-response", "short-hash-key"],
+)
+def test_a_directly_built_entry_is_checked_like_a_script_line(entry, message):
+    with pytest.raises(MockScriptError) as err:
+        MockBackend([MockEntry(*entry)])
+    assert str(err.value) == f"stage=- hash=-: {message}"
+
+
 def test_make_backend_dispatches_on_endpoint(tmp_path):
     path = write_script(tmp_path, [])
     assert isinstance(make_backend(BackendConfig(endpoint=f"mock:{path}")), MockBackend)

@@ -1,0 +1,52 @@
+"""README.md runs as written: its CLI examples and its first library example."""
+
+from __future__ import annotations
+
+import re
+import shlex
+
+import pytest
+
+from kg_reason import cli
+
+from helpers import FIXTURES
+
+ROOT = FIXTURES.parents[1]
+
+
+def _first_block(section: str, language: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index(f"\n{section}\n")
+    return re.search(rf"```{language}\n(.*?)```", readme[start:], re.DOTALL).group(1)
+
+
+def _cli_examples() -> list[list[str]]:
+    commands = []
+    for command in _first_block("## CLI", "bash").replace("\\\n", " ").splitlines():
+        if command.strip() and not command.lstrip().startswith("#"):
+            argv = shlex.split(command)
+            assert argv[0] == "kg-reason"
+            commands.append(argv[1:])
+    return commands
+
+
+def test_readme_has_four_cli_examples():
+    assert [argv[0] for argv in _cli_examples()] == ["verify", "answer", "eval", "ablate"]
+
+
+@pytest.mark.parametrize("argv", _cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    if "--report" in argv:
+        argv[argv.index("--report") + 1] = str(tmp_path / "report.json")
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out
+
+
+def test_readme_library_example_prints_its_comments(monkeypatch, capsys):
+    block = _first_block("## Library use", "python")
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 3
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
