@@ -24,8 +24,8 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence, Sized
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, and_, floordiv, itemgetter, mod, mul, rshift
+from itertools import accumulate, chain, compress, repeat
+from operator import add, and_, floordiv, itemgetter, mod, mul, ne, rshift
 from typing import NamedTuple, TypeVar
 
 from .errors import GraphLoadError, read_lines
@@ -108,15 +108,11 @@ class _Side(NamedTuple):
             other=other,
         )
 
-    def runs(self, eid: int) -> tuple[int, int]:
-        """The entity's run range; empty for ids the graph never handed out."""
-        if 0 <= eid < len(self.first_run) - 1:
-            return self.first_run[eid], self.first_run[eid + 1]
-        return 0, 0
-
     def relations(self, eid: int) -> array:
-        lo, hi = self.runs(eid)
-        return self.run_relation[lo:hi]
+        """The relations of the entity's runs; none for ids the graph never handed out."""
+        if 0 <= eid < len(self.first_run) - 1:
+            return self.run_relation[self.first_run[eid] : self.first_run[eid + 1]]
+        return self.run_relation[:0]
 
 
 class KnowledgeGraph:
@@ -196,16 +192,15 @@ class KnowledgeGraph:
     def entity_labels(self, ids: Iterable[int]) -> list[str]:
         return list(gather(self._entities.labels, ids))
 
-    def label_triples(self, positions: Iterable[int]) -> list[tuple[str, str, str]]:
-        """``(head, relation, tail)`` labels of the triple at each position, in order."""
+    def label_columns(self, positions: Iterable[int]) -> tuple[tuple[str, ...], ...]:
+        """The head, relation and tail labels of the triple at each position, in order."""
         if not isinstance(positions, Sized):
             positions = tuple(positions)
         entity, relation = self._entities.labels, self._relations.labels
         # column by column, so that one id tuple at a time is alive
         heads = gather(entity, gather(self.head, positions))
         relations = gather(relation, gather(self.relation, positions))
-        tails = gather(entity, gather(self.tail, positions))
-        return list(zip(heads, relations, tails))
+        return heads, relations, gather(entity, gather(self.tail, positions))
 
     # id-level queries ---------------------------------------------------
 
@@ -326,11 +321,13 @@ def match_triples_by_id(
     ``endpoint_ids``. Ids the graph never handed out match nothing.
     """
     wanted = sorted(relation_ids)
-    positions: list[int] = []
-    for side in (g._out, g._in):
-        perm, run_relation, run_start = side.perm, side.run_relation, side.run_start
-        for eid in endpoint_ids:
-            lo, hi = side.runs(eid)
+    known = len(g._out.first_run) - 1  # the ids handed out are 0 .. known - 1
+    anchors = [eid for eid in endpoint_ids if 0 <= eid < known]
+    found = []
+    for first_run, run_relation, run_start, perm, _ in (g._out, g._in):
+        positions: list[int] = []
+        for eid in anchors:
+            lo, hi = first_run[eid], first_run[eid + 1]
             # the entity's runs ascend by relation id, so each wanted one is a bisection
             for rid in wanted:
                 lo = bisect_left(run_relation, rid, lo, hi)
@@ -338,4 +335,12 @@ def match_triples_by_id(
                     break
                 if run_relation[lo] == rid:
                     positions += perm[run_start[lo] : run_start[lo + 1]]
-    return sorted(set(positions))
+        found.append(positions)
+    # A side's runs are disjoint slices of a permutation, each ascending, so
+    # sorting one side merges its runs and meets no repeat. A triple repeats
+    # only across the sides, when both of its endpoints are anchors.
+    out, into = found
+    if not (out and into):
+        return sorted(out or into)
+    merged = sorted(out + into)
+    return list(compress(merged, map(ne, merged, chain((-1,), merged))))

@@ -97,16 +97,19 @@ class Query:
 class EvidenceGraph:
     """Retrieved sub-graph: the load positions of its triples, ascending, deduplicated.
 
-    The triples are labelled once, at construction; the trace, the
-    inference prompt and the answer parser share that one list.
+    The triples are labelled once, at construction, into three label
+    columns, which the inference prompt renders; the trace and the answer
+    parser share one list of triples zipped from them.
     """
 
     graph: KnowledgeGraph
     positions: tuple[int, ...]
+    columns: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     _labels: list[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._labels = self.graph.label_triples(self.positions)
+        self.columns = self.graph.label_columns(self.positions)
+        self._labels = list(zip(*self.columns))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -118,7 +121,7 @@ class EvidenceGraph:
 
 def linearize(evidence: EvidenceGraph) -> str:
     """Render the evidence triples for prompt inclusion; ``[]`` when empty."""
-    return render_triple_list(evidence.labels())
+    return render_triple_list(*evidence.columns)
 
 
 @dataclass
@@ -296,7 +299,7 @@ class Pipeline:
             runs.append(matched)
         # Each run is ascending and unique: sorting their concatenation merges
         # them, and dict.fromkeys drops the repeats in order.
-        positions = runs[0] if len(runs) == 1 else list(dict.fromkeys(sorted(chain(*runs))))
+        positions = runs[0] if len(runs) == 1 else dict.fromkeys(sorted(chain(*runs)))
         evidence = EvidenceGraph(g, tuple(positions))
         trace.assembly = {
             "triples": evidence.labels(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import RenderError
@@ -50,22 +51,29 @@ def render_relation_list(labels: list[str] | tuple[str, ...]) -> str:
     return "[" + ", ".join(quote_label(x) for x in labels) + "]"
 
 
-def render_triple_list(triples: list[tuple[str, str, str]]) -> str:
-    """Render linearized triples, e.g. ``[['h', 'r', 't'], ...]``; ``[]`` when empty.
+def render_triple_list(heads: Sequence[str], relations: Sequence[str], tails: Sequence[str]) -> str:
+    """Render triples given as label columns, e.g. ``[['h', 'r', 't'], ...]``; ``[]`` when empty.
 
-    Labels are single-quoted by two joins first. The result holds exactly six
-    apostrophes per triple when no label holds one, and is then final.
-    Otherwise each distinct label is quoted once by :func:`quote_label`: a
-    hub's label recurs in every one of its triples.
+    When no column holds an apostrophe, every label is single-quoted and the
+    quotes go into the separators. Otherwise each distinct label is quoted
+    once by :func:`quote_label`: a hub's label recurs in every one of its
+    triples.
     """
-    if not triples:
+    if not heads:
         return "[]"
-    rendered = "[['" + "'], ['".join(map("', '".join, triples)) + "']]"
-    if rendered.count("'") == 6 * len(triples):
-        return rendered
-    quoted = {x: quote_label(x) for x in set().union(*triples)}
-    rows = [f"{quoted[h]}, {quoted[r]}, {quoted[t]}" for h, r, t in triples]
-    return "[[" + "], [".join(rows) + "]]"
+    columns: Sequence[Sequence[str]] = (heads, relations, tails)
+    if any("'" in "".join(column) for column in columns):
+        quoted = {x: quote_label(x) for x in set().union(*columns)}
+        columns = [list(map(quoted.__getitem__, column)) for column in columns]
+        opening, between, closing = "[", ", ", "]"
+    else:
+        opening, between, closing = "['", "', '", "']"
+    # per triple: row separator, head, between, relation, between, tail
+    pieces = [between] * (6 * len(heads) + 1)
+    pieces[::6] = [f"{closing}, {opening}"] * (len(heads) + 1)
+    pieces[0], pieces[-1] = "[" + opening, closing + "]"
+    pieces[1::6], pieces[3::6], pieces[5::6] = columns
+    return "".join(pieces)
 
 
 def render_prompt(template: PromptTemplate, bindings: dict[str, str], shots: int) -> str:

@@ -62,17 +62,27 @@ GOLDEN_BINDINGS = {
         VERIFICATION_INFERENCE_TEMPLATE,
         {
             "CLAIM": _GOLDEN_CLAIM,
-            "EVIDENCE_SET": render_triple_list([("Ahamad_Kadhim", "clubs", "Al-Zawra'a SC")]),
+            "EVIDENCE_SET": render_triple_list(["Ahamad_Kadhim"], ["clubs"], ["Al-Zawra'a SC"]),
         },
     ),
     "qa_inference": (
         QA_INFERENCE_TEMPLATE,
         {
             "CLAIM": "what type of film is Six Shooter?",
-            "EVIDENCE_SET": render_triple_list([("Six Shooter", "has_genre", "Short")]),
+            "EVIDENCE_SET": render_triple_list(["Six Shooter"], ["has_genre"], ["Short"]),
         },
     ),
 }
+
+
+def labelled(g, positions):
+    """The ``(head, relation, tail)`` labels of the triples at ``positions``, in order."""
+    return list(zip(*g.label_columns(positions)))
+
+
+def triple_columns(triples):
+    """The head, relation and tail columns of a list of label triples."""
+    return tuple([t[i] for t in triples] for i in range(3))
 
 
 # --- scan oracles ---------------------------------------------------------
@@ -201,14 +211,19 @@ def assemble_reference(triples, type_map, subsentences):
 # --- random instances -------------------------------------------------------
 
 
-def random_graph_data(rng: random.Random, max_entities=50, max_relations=20, max_triples=200):
+def random_graph_data(
+    rng: random.Random, max_entities=50, max_relations=20, max_triples=200, self_loops=False
+):
     n_entities = rng.randint(2, max_entities)
     n_relations = rng.randint(1, max_relations)
     entities = [f"e{i}" for i in range(n_entities)]
     relations = [f"r{i}" for i in range(n_relations)]
     triples = []
     for _ in range(rng.randint(1, max_triples)):
-        h, t = rng.sample(entities, 2)  # no self loops
+        if self_loops:
+            h, t = rng.choice(entities), rng.choice(entities)
+        else:
+            h, t = rng.sample(entities, 2)
         triples.append((h, rng.choice(relations), t))
     type_map = {}
     type_labels = [f"t{i}" for i in range(rng.randint(1, 8))]

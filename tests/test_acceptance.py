@@ -130,7 +130,7 @@ def test_nhop_retrieval_matches_path_enumeration_on_random_graphs():
             g = KnowledgeGraph.from_triples(triples)
             seed = rng.choice(entities)
             if g.maybe_entity_id(seed) is None:
-                seed = g.label_triples([0])[0][0]
+                seed = g.label_columns([0])[0][0]
             seed_id = g.maybe_entity_id(seed)
             for n in (1, 2, 3):
                 got = {g.relation_label(r) for r in relations_within_n_hops(g, seed_id, n)}

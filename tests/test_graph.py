@@ -15,6 +15,7 @@ from kg_reason.graph import gather, match_triples_by_id, relations_within_n_hops
 from helpers import (
     FIXTURES,
     enumerate_nhop_relations,
+    labelled,
     nested_loop_type_relations,
     random_graph_data,
     scan_matching,
@@ -69,7 +70,7 @@ def test_load_two_triples(tmp_path):
     ids = [g.maybe_entity_id(e) for e in ("William_Anders", "Fighter_pilot", "Apollo_8")]
     assert sorted(ids) == [0, 1, 2]
     assert g.entity_labels(ids) == ["William_Anders", "Fighter_pilot", "Apollo_8"]
-    assert g.label_triples(range(len(g.head))) == [
+    assert labelled(g, range(len(g.head))) == [
         ("William_Anders", "occupation", "Fighter_pilot"),
         ("Apollo_8", "crewMembers", "William_Anders"),
     ]
@@ -106,7 +107,7 @@ def test_positions_keep_first_occurrences_with_injected_duplicates(seed):
     for h, r, t in stream:
         first.setdefault((h.strip(), r.strip(), t.strip()), None)
     g = KnowledgeGraph.from_triples(stream)
-    assert g.label_triples(range(len(g.head))) == list(first)
+    assert labelled(g, range(len(g.head))) == list(first)
     assert g.duplicate_count == len(stream) - len(first)
     for i, (head, relation) in enumerate(zip(g.head, g.relation)):
         assert i in match_triples_by_id(g, {head}, {relation})
@@ -200,7 +201,7 @@ def test_determinism_two_loads_agree(tmp_path):
     p2 = write_graph(tmp_path, lines, name="two.tsv")
     g1, g2 = load_graph(p1), load_graph(p2)
     assert (g1.head, g1.relation, g1.tail) == (g2.head, g2.relation, g2.tail)
-    assert g1.label_triples(range(len(g1.head))) == g2.label_triples(range(len(g2.head)))
+    assert labelled(g1, range(len(g1.head))) == labelled(g2, range(len(g2.head)))
 
 
 # --- an entity's relations ---------------------------------------------------
@@ -230,7 +231,7 @@ def _pairs(type_map):
 
 # --- labelling ------------------------------------------------------------------
 
-# Each form of the same positions: label_triples takes any iterable, and a
+# Each form of the same positions: label_columns takes any iterable, and a
 # generator can be read only once.
 _POSITION_FORMS = {
     "tuple": tuple,
@@ -252,7 +253,8 @@ def test_gather_and_label_triples_equal_per_position_lookup(count, form):
     # descending and strided, so a result in ascending order would not pass
     positions = range(1199, 1199 - 2 * count, -2)
     reference = [(entity[g.head[p]], relation[g.relation[p]], entity[g.tail[p]]) for p in positions]
-    assert g.label_triples(_POSITION_FORMS[form](positions)) == reference
+    columns = g.label_columns(_POSITION_FORMS[form](positions))
+    assert columns == tuple(tuple(t[i] for t in reference) for i in range(3))
     # one index is a 1-tuple, where a bare itemgetter returns the item itself
     heads = gather(g.head, _POSITION_FORMS[form](positions))
     assert heads == tuple(g.head[p] for p in positions)
@@ -374,7 +376,7 @@ def test_matching_empty_inputs():
 def test_matching_fixture_edge(crewed_flight_graph):
     g = crewed_flight_graph
     found = matching(g, {"William_Anders"}, {"crewMembers"})
-    assert g.label_triples(found) == [
+    assert labelled(g, found) == [
         ("Apollo_8", "crewMembers", "William_Anders")
     ]
 
@@ -396,7 +398,7 @@ def test_matching_equals_full_scan(seed):
     g = KnowledgeGraph.from_triples(triples)
     endpoints = set(rng.sample(entities, rng.randint(0, min(4, len(entities)))))
     rels = set(rng.sample(relations, rng.randint(0, min(3, len(relations)))))
-    got = g.label_triples(matching(g, endpoints, rels))
+    got = labelled(g, matching(g, endpoints, rels))
     assert got == scan_matching(triples, endpoints, rels)
 
     # A hub heads a run on every relation and tails runs on all but some.
@@ -416,6 +418,24 @@ def test_matching_equals_full_scan(seed):
         for p, (h, r, t) in enumerate(zip(g.head, g.relation, g.tail))
         if r in wanted and (h in anchors or t in anchors)
     ]
+
+
+@given(st.integers(0, 10_000))
+def test_matching_with_self_loops_and_both_endpoints_anchored(seed):
+    # A triple lies in an out-run and an in-run of the anchors when both of its
+    # endpoints are anchors, a self-loop when its one endpoint is.
+    rng = random.Random(seed)
+    entities, relations, triples, _ = random_graph_data(rng, 12, 5, 60, self_loops=True)
+    loop = rng.choice(entities)
+    triples.insert(rng.randint(0, len(triples)), (loop, rng.choice(relations), loop))
+    g = KnowledgeGraph.from_triples(triples)
+    picked = [loop, *rng.choice(triples)[::2]]
+    endpoints = set(picked + rng.sample(entities, rng.randint(0, min(3, len(entities)))))
+    rels = {r for h, r, t in triples if h in picked and t in picked}
+    rels.update(rng.sample(relations, rng.randint(0, len(relations))))
+    got = matching(g, endpoints, rels)
+    assert labelled(g, got) == scan_matching(triples, endpoints, rels)
+    assert got == sorted(set(got))
 
 
 def test_matching_returns_load_order(factkg_graph):

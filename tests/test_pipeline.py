@@ -371,18 +371,18 @@ def test_linearize_round_trips(crewed_flight_graph, crewed_flight_type_graph):
 def test_a_query_labels_its_evidence_once(graph, script, make_query, request, monkeypatch):
     g = request.getfixturevalue(f"{graph}_graph")
     tg = request.getfixturevalue(f"{graph}_type_graph")
-    calls = {"label_triples": 0}
-    bulk = KnowledgeGraph.label_triples
+    calls = {"label_columns": 0}
+    bulk = KnowledgeGraph.label_columns
 
-    def counted_bulk(self, triples):
-        calls["label_triples"] += 1
-        return bulk(self, triples)
+    def counted_bulk(self, positions):
+        calls["label_columns"] += 1
+        return bulk(self, positions)
 
-    monkeypatch.setattr(KnowledgeGraph, "label_triples", counted_bulk)
+    monkeypatch.setattr(KnowledgeGraph, "label_columns", counted_bulk)
     pipeline = Pipeline(g, tg, mock_backend(script), k=5, shots=12)
     conclusion = pipeline.run(make_query(g, tg))
     assert len(conclusion.evidence) > 0
-    assert calls == {"label_triples": 1}
+    assert calls == {"label_columns": 1}
     assert conclusion.trace.assembly["triples"] == conclusion.evidence.labels()
 
 

@@ -18,7 +18,7 @@ from kg_reason import (
 from kg_reason.errors import RenderError
 from kg_reason.prompts import MAX_SHOTS, quote_label
 
-from helpers import GOLDEN_BINDINGS, GOLDENS
+from helpers import GOLDEN_BINDINGS, GOLDENS, triple_columns
 
 TEMPLATES = {
     "segmentation": SEGMENTATION_TEMPLATE,
@@ -46,11 +46,11 @@ def test_relation_list_rendering():
 
 
 def test_triple_list_empty_renders_brackets():
-    assert render_triple_list([]) == "[]"
+    assert render_triple_list([], [], []) == "[]"
 
 
 def test_triple_list_single():
-    assert render_triple_list([("Six Shooter", "has_genre", "Short")]) == (
+    assert render_triple_list(["Six Shooter"], ["has_genre"], ["Short"]) == (
         "[['Six Shooter', 'has_genre', 'Short']]"
     )
 
@@ -60,7 +60,7 @@ def test_triple_list_round_trips_through_literal_eval():
         ("Six Shooter", "has_genre", "Short"),
         ("Big Momma's House", "starred_actors", "Martin Lawrence"),
     ]
-    rendered = render_triple_list(triples)
+    rendered = render_triple_list(*triple_columns(triples))
     assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
 
 
@@ -69,7 +69,7 @@ def test_triple_list_quotes_an_apostrophe_in_the_last_triple_only():
     triples.append(("Hub", "starred_actors", "Big Momma's House"))
     rows = [f"['Hub', 'has_genre', 'Short {i}']" for i in range(50)]
     rows.append("""['Hub', 'starred_actors', "Big Momma's House"]""")
-    assert render_triple_list(triples) == "[" + ", ".join(rows) + "]"
+    assert render_triple_list(*triple_columns(triples)) == "[" + ", ".join(rows) + "]"
 
 
 # a small vocabulary, so that labels repeat across triples as a hub's do
@@ -79,13 +79,37 @@ _LABELS = st.sampled_from(
 _TRIPLES = st.lists(st.tuples(_LABELS, _LABELS, _LABELS | st.text(alphabet="ab' _", max_size=4)))
 
 
+def _per_element(triples):
+    """The reference rendering: every label quoted in turn by quote_label."""
+    return "[" + ", ".join("[" + ", ".join(map(quote_label, t)) + "]" for t in triples) + "]"
+
+
 @given(_TRIPLES)
 def test_triple_list_equals_per_element_rendering(triples):
-    reference = "[" + ", ".join(
-        "[" + ", ".join(quote_label(x) for x in t) + "]" for t in triples
-    ) + "]"
-    rendered = render_triple_list(triples)
-    assert rendered == reference
+    rendered = render_triple_list(*triple_columns(triples))
+    assert rendered == _per_element(triples)
+    assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
+
+
+# Labels with double quotes and non-ASCII text, and no apostrophe; the quoted
+# column's labels hold apostrophes but no double quote, so that every label
+# still reads back through literal_eval.
+_PLAIN = st.text(alphabet='ab _-"éü中ß', max_size=5)
+_QUOTED = st.text(alphabet="ab _'éü中", max_size=5)
+
+
+@given(st.integers(0, 2), st.data())
+def test_triple_list_finds_an_apostrophe_in_any_one_column(column, data):
+    rows = data.draw(st.integers(0, 12))
+    columns = [data.draw(st.lists(_PLAIN, min_size=rows, max_size=rows)) for _ in range(3)]
+    columns[column] = data.draw(st.lists(_QUOTED, min_size=rows, max_size=rows))
+    if rows:
+        # at least one apostrophe, in that column only
+        at = data.draw(st.integers(0, rows - 1))
+        columns[column][at] += "'"
+    triples = list(zip(*columns))
+    rendered = render_triple_list(*columns)
+    assert rendered == _per_element(triples)
     assert [tuple(t) for t in ast.literal_eval(rendered)] == triples
 
 
