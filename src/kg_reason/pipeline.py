@@ -98,24 +98,28 @@ class EvidenceGraph:
     """Retrieved sub-graph: the load positions of its triples, ascending, deduplicated.
 
     The triples are labelled once, at construction, into three label
-    columns, which the inference prompt renders; the trace and the answer
-    parser share one list of triples zipped from them.
+    columns, which the inference prompt renders; :meth:`labels` zips them
+    into one list of triples on its first call, for the trace record and
+    the answer parser.
     """
 
     graph: KnowledgeGraph
     positions: tuple[int, ...]
     columns: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    _labels: list[tuple[str, str, str]] = field(init=False, repr=False, compare=False)
+    _labels: list[tuple[str, str, str]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.columns = self.graph.label_columns(self.positions)
-        self._labels = list(zip(*self.columns))
 
     def __len__(self) -> int:
         return len(self.positions)
 
     def labels(self) -> list[tuple[str, str, str]]:
         """The shared label list; callers must not mutate it."""
+        if self._labels is None:
+            self._labels = list(zip(*self.columns))
         return self._labels
 
 
@@ -124,13 +128,34 @@ def linearize(evidence: EvidenceGraph) -> str:
     return render_triple_list(*evidence.columns)
 
 
+def bound_entities(g: KnowledgeGraph, matched: list[int], anchors: set[int]) -> set[int]:
+    """The entities a variable is bound to, from its binding's source: the
+    endpoints of the positions its sub-sentence kept, outside that sub-sentence's anchors."""
+    entities = set(gather(g.head, matched))
+    entities.update(gather(g.tail, matched))
+    entities -= anchors
+    return entities
+
+
+def _assembly_record(evidence: EvidenceGraph, bindings: dict) -> dict:
+    g = evidence.graph
+    return {
+        "triples": evidence.labels(),
+        "empty_evidence": not evidence.positions,
+        "bindings": {
+            name: sorted(g.entity_labels(bound_entities(g, *source)))
+            for name, source in bindings.items()
+        },
+    }
+
+
 @dataclass
 class StageTrace:
     """Raw prompts, responses and parsed artifacts for every executed stage."""
 
     segmentation: dict | None = None
     retrieval: list[dict] = field(default_factory=list)
-    assembly: dict | None = None
+    assembly: dict | None = None  # {"evidence": ..., "bindings": {name: (matched, anchors)}}
     inference: dict | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -139,10 +164,11 @@ class StageTrace:
         return (self.segmentation is not None) + len(self.retrieval) + (self.inference is not None)
 
     def to_record(self) -> dict:
+        """The trace as plain data; the assembly's triples and bindings are labelled here."""
         return {
             "segmentation": self.segmentation,
             "retrieval": self.retrieval,
-            "assembly": self.assembly,
+            "assembly": None if self.assembly is None else _assembly_record(**self.assembly),
             "inference": self.inference,
             "timings": self.timings,
         }
@@ -269,10 +295,12 @@ class Pipeline:
         bindings of its variables, matches triples over its retrieved
         relations, drops triples whose non-anchor endpoint contradicts a
         type mention, then rebinds its variables to the matched endpoints
-        outside the anchor set.
+        outside the anchor set. A binding is kept as its source and resolved
+        to entities only where it is read: by a later anchor, and by the
+        trace record.
         """
         g = self.graph
-        bindings: dict[str, set[int]] = {}
+        bindings: dict[str, tuple[list[int], set[int]]] = {}  # sources, see bound_entities
         runs: list[list[int]] = []  # each sub-sentence's ascending positions
         for sub in subsentences:
             relation_ids = set(map(g.maybe_relation_id, retrieved[sub.index].relations)) - {None}
@@ -280,8 +308,8 @@ class Pipeline:
             for m in sub.mentions:
                 if m.kind == CONCRETE:
                     anchors.add(m.ref)
-                elif m.kind == VARIABLE:
-                    anchors.update(bindings.get(m.ref, set()))
+                elif m.kind == VARIABLE and m.ref in bindings:
+                    anchors.update(bound_entities(g, *bindings[m.ref]))
             if not anchors:
                 raise AssemblyError(
                     f"sub-sentence {sub.index} has no anchored entities: {sub.text!r}"
@@ -290,24 +318,15 @@ class Pipeline:
             type_ids = {m.ref for m in sub.mentions if m.kind == TYPE_REF}
             if type_ids:
                 matched = [p for p in matched if _endpoints_fit_types(g, p, anchors, type_ids)]
-            variables = [m.ref for m in sub.mentions if m.kind == VARIABLE]
-            if variables:
-                endpoint_ids = set(gather(g.head, matched))
-                endpoint_ids.update(gather(g.tail, matched))
-                for name in variables:
-                    bindings[name] = endpoint_ids - anchors
+            for m in sub.mentions:
+                if m.kind == VARIABLE:
+                    bindings[m.ref] = (matched, anchors)
             runs.append(matched)
         # Each run is ascending and unique: sorting their concatenation merges
         # them, and dict.fromkeys drops the repeats in order.
         positions = runs[0] if len(runs) == 1 else dict.fromkeys(sorted(chain(*runs)))
         evidence = EvidenceGraph(g, tuple(positions))
-        trace.assembly = {
-            "triples": evidence.labels(),
-            "empty_evidence": not evidence.positions,
-            "bindings": {
-                name: sorted(g.entity_labels(values)) for name, values in bindings.items()
-            },
-        }
+        trace.assembly = {"evidence": evidence, "bindings": bindings}
         return evidence
 
     def infer(

@@ -383,7 +383,52 @@ def test_a_query_labels_its_evidence_once(graph, script, make_query, request, mo
     conclusion = pipeline.run(make_query(g, tg))
     assert len(conclusion.evidence) > 0
     assert calls == {"label_columns": 1}
-    assert conclusion.trace.assembly["triples"] == conclusion.evidence.labels()
+    assert conclusion.trace.to_record()["assembly"]["triples"] == conclusion.evidence.labels()
+
+
+def test_the_query_path_labels_no_trace_and_the_record_does(monkeypatch):
+    g = KnowledgeGraph.from_triples([("A", "r", "B"), ("B", "s", "C"), ("D", "s", "E")])
+    tg = build_type_graph(g)
+    calls = {"entity_labels": 0, "labels": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(KnowledgeGraph, "entity_labels")
+    counted(EvidenceGraph, "labels")
+    backend = seq_backend(
+        seg=[
+            "1. A is r of x., Entity set: ['A' ## 'x']\n"
+            "2. x and D are s of something., Entity set: ['x' ## 'D']"
+        ],
+        ret=["['r']", "['s']"],
+        inf=["True, A reaches C and D reaches E."],
+    )
+    pipeline = Pipeline(g, tg, backend, k=3, shots=12)
+    query = claim_query(g, tg, "A is r of x, which with D is s of something.", ["A", "D", "x"])
+    conclusion = pipeline.run(query)
+    assert conclusion.result.label == SUPPORTED
+    assert calls == {"entity_labels": 0, "labels": 0}
+
+    trace = conclusion.trace
+    assembly = dict(trace.assembly)
+    bindings = {name: (list(m), set(a)) for name, (m, a) in assembly["bindings"].items()}
+    first, second = trace.to_record(), trace.to_record()
+    assert calls == {"entity_labels": 2, "labels": 2}  # each record labels its own
+    assert first == second
+    assert first["assembly"] == {
+        "triples": [("A", "r", "B"), ("B", "s", "C"), ("D", "s", "E")],
+        "empty_evidence": False,
+        "bindings": {"x": ["C", "E"]},  # rebound by the second sub-sentence
+    }
+    assert all(trace.assembly[key] is value for key, value in assembly.items())
+    assert trace.assembly["bindings"] == bindings
 
 
 # --- inference -------------------------------------------------------------------
@@ -578,7 +623,9 @@ def test_assembly_matches_the_reference_on_random_graphs(seed):
     positions, bindings = expected
     evidence = pipeline.assemble(subsentences, retrieved, None, trace)
     assert list(evidence.positions) == positions
-    assert trace.assembly["bindings"] == {name: sorted(v) for name, v in bindings.items()}
+    assert trace.to_record()["assembly"]["bindings"] == {
+        name: sorted(v) for name, v in bindings.items()
+    }
 
 
 def test_first_k_monotonicity_of_evidence(crewed_flight_graph, crewed_flight_type_graph):
