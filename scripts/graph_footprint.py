@@ -4,13 +4,13 @@ The graph and type files come from ``kgbench/gen.py`` for the workload and
 seed. The script builds the graph with ``load_graph`` + ``build_type_graph``
 and prints three things:
 
-- ``setup_s``: the wall time of one untraced build;
+- ``setup_s``: the best wall time of three untraced builds;
 - ``retained_bytes_per_triple`` and ``peak_bytes_per_triple``: what
   ``tracemalloc`` counts as still allocated once the build returns (the
   graph and its type projection), and at the build's peak, over a second,
   traced build, per unique triple;
-- ``ru_maxrss_mb``: the process's peak RSS after the untraced build, before
-  tracing starts (tracing adds its own memory).
+- ``ru_maxrss_mb``: the process's peak RSS after the untraced builds, each
+  freed before the next, before tracing starts (tracing adds its own memory).
 
 Run from the repository root, once per checkout, and compare::
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import resource
 import shutil
@@ -55,13 +56,16 @@ def footprint(workload: str, seed: int, scale: float) -> dict[str, float]:
             g = kg_reason.load_graph(graph_path, types_path)
             return g, kg_reason.build_type_graph(g)
 
-        gc.collect()
-        start = time.perf_counter()
-        g, tg = build()
-        setup_s = time.perf_counter() - start
+        # one build's time swings with the host; the best of three reads steadier
+        setup_s = math.inf
+        for _ in range(3):
+            gc.collect()
+            start = time.perf_counter()
+            g, tg = build()
+            setup_s = min(setup_s, time.perf_counter() - start)
+            triples = len(g.head)
+            del g, tg  # freed before the next build, so the peak RSS is one build's
         maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        triples = len(g.head)
-        del g, tg
         gc.collect()
         tracemalloc.start()
         try:

@@ -62,8 +62,11 @@ def query_records(workload: str, seed: int, scale: float):
         except kg_reason.KGReasonError as exc:
             outcome = exc
         record = trace_record(pipeline, q["text"] if q["kind"] == "claim" else q["question"], outcome)
-        if record["trace"] is not None:
-            record["trace"].pop("timings")
+        trace = record["trace"]
+        if hasattr(trace, "to_record"):  # a StageTrace; older sources label it in trace_record
+            trace = record["trace"] = trace.to_record()
+        if trace is not None:
+            trace.pop("timings")
         yield record
 
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED, AnswerCandidate
-from .pipeline import Conclusion, Pipeline, Query
+from .pipeline import Conclusion, Pipeline, Query, StageTrace
 from .prompts import MAX_SHOTS
 
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
@@ -209,12 +209,13 @@ def trace_record(pipeline: Pipeline, source: str, outcome: Conclusion | KGReason
 
     ``outcome`` is the run's :class:`Conclusion`, the :class:`PipelineError`
     it raised, or the :class:`KGReasonError` raised while building the query
-    (stage "query", no trace).
+    (stage "query", no trace). ``trace`` is the run's :class:`StageTrace`,
+    labelled only by :func:`append_trace`, when the record is written.
     """
     record: dict = {"input": source, "k": pipeline.k, "shots": pipeline.shots}
     if isinstance(outcome, PipelineError):
         record["error"] = {"stage": outcome.stage, "message": str(outcome.cause)}
-        record["trace"] = outcome.trace.to_record() if outcome.trace else None
+        record["trace"] = outcome.trace
     elif isinstance(outcome, KGReasonError):
         record["error"] = {"stage": "query", "message": str(outcome)}
         record["trace"] = None
@@ -222,14 +223,14 @@ def trace_record(pipeline: Pipeline, source: str, outcome: Conclusion | KGReason
         result = outcome.result
         record["predicted"] = result.entity if isinstance(result, AnswerCandidate) else result.label
         record["evidence_size"] = len(outcome.evidence)
-        record["trace"] = outcome.trace.to_record()
+        record["trace"] = outcome.trace
     return record
 
 
 def append_trace(path: str, record: dict) -> None:
     """Append one trace record to ``path`` as a line of JSON."""
     with writing(path) as out:
-        out.write(json.dumps(record, ensure_ascii=False) + "\n")
+        out.write(json.dumps(record, ensure_ascii=False, default=StageTrace.to_record) + "\n")
 
 
 def evaluate(

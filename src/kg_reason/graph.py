@@ -22,13 +22,13 @@ import functools
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Sequence, Sized
+from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, floordiv, itemgetter, mod, mul, ne, rshift
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, ne, or_, rshift, sub
 from typing import NamedTuple, TypeVar
 
-from .errors import GraphLoadError, read_lines
+from .errors import GraphLoadError, read_chunks
 
 
 def canonical_label(label: str) -> str:
@@ -58,14 +58,11 @@ class Interner:
         self.labels: list[str] = []  # indexed by id; read-only outside intern
 
     def intern(self, label: str) -> int:
-        key = self._canonicalize(label)
-        found = self._by_key.get(key)
-        if found is not None:
-            return found
         new_id = len(self.labels)
-        self._by_key[key] = new_id
-        self.labels.append(label.strip())
-        return new_id
+        found = self._by_key.setdefault(self._canonicalize(label), new_id)
+        if found == new_id:
+            self.labels.append(label.strip())
+        return found
 
     def lookup(self, label: str) -> int | None:
         return self._by_key.get(self._canonicalize(label))
@@ -143,14 +140,12 @@ class KnowledgeGraph:
         """Build a graph from label triples and optional (entity, type) pairs."""
         g = cls()
         # the interning scratch dies with _intern's frame, before the sides' sort buffers
-        g._intern(triples, entity_types)
+        g._intern(_flat_batches(triples, 3), _flat_batches(entity_types, 2))
         g._build_sides()
         return g
 
-    def _intern(
-        self, triples: Iterable[tuple[str, str, str]], entity_types: Iterable[tuple[str, str]]
-    ) -> None:
-        """Fill the label tables, the id columns and ``entity_types``."""
+    def _intern(self, triples: Iterable[list[str]], entity_types: Iterable[list[str]]) -> None:
+        """Fill the label tables, the id columns and ``entity_types`` from flat field chunks."""
         # per-build caches, so each distinct spelling is canonicalized once
         entity_id, relation_id, type_id = (
             functools.cache(t.intern) for t in (self._entities, self._relations, self._types)
@@ -159,8 +154,13 @@ class KnowledgeGraph:
         # keeps each triple's first occurrence, in order. Ints are not GC-tracked.
         first: dict[int, None] = {}
         read = 0
-        for read, (head, relation, tail) in enumerate(triples, start=1):
-            first[(entity_id(head) << 32 | relation_id(relation)) << 32 | entity_id(tail)] = None
+        for flat in triples:
+            relations = list(map(relation_id, flat[1::3]))
+            del flat[1::3]  # heads and tails now alternate, in line order
+            ends = list(map(entity_id, flat))
+            read += len(relations)
+            packed = map(or_, map(lshift, ends[::2], repeat(32)), relations)  # head, relation
+            first.update(dict.fromkeys(map(or_, map(lshift, packed, repeat(32)), ends[1::2])))
         self.duplicate_count = read - len(first)
         low = repeat(0xFFFFFFFF)
         self.head = array("i", map(rshift, first, repeat(64)))
@@ -168,8 +168,9 @@ class KnowledgeGraph:
         self.tail = array("i", map(and_, first, low))
         del first  # freed before the type sets are made, to keep this phase's peak down
         typed: defaultdict[int, set[int]] = defaultdict(set)
-        for entity, type_label in entity_types:
-            typed[entity_id(entity)].add(type_id(type_label))
+        for flat in entity_types:
+            for eid, tid in zip(map(entity_id, flat[::2]), map(type_id, flat[1::2])):
+                typed[eid].add(tid)
         shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
         for eid, tids in typed.items():
             type_set = frozenset(tids)
@@ -235,27 +236,45 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
     skipped. Duplicate triples are dropped and counted on the returned
     graph. Entities appearing only in the type file are still interned.
     """
-    types = _read_tsv(types_path, 2) if types_path is not None else ()
-    g = KnowledgeGraph.from_triples(_read_tsv(triples_path, 3), types)
+    g = KnowledgeGraph()
+    g._intern(_read_tsv(triples_path, 3), () if types_path is None else _read_tsv(types_path, 2))
     if not g.head:
         raise GraphLoadError(triples_path, None, "no triples in file")
+    g._build_sides()
     return g
 
 
-def _read_tsv(path: str, width: int):
-    for lineno, raw in read_lines(path, functools.partial(GraphLoadError, path)):
-        if raw.lstrip().startswith("#"):
-            continue
-        # the field strip also removes the line ending
-        fields = raw.split("\t")
-        if len(fields) != width:
-            raise GraphLoadError(
-                path, lineno, f"expected {width} tab-separated fields, got {len(fields)}"
-            )
-        stripped = tuple(map(str.strip, fields))
-        if not all(stripped):
-            raise GraphLoadError(path, lineno, "empty field")
-        yield stripped
+def _flat_batches(rows: Iterable[Sequence[str]], width: int) -> Iterator[list[str]]:
+    """The rows' fields, flat, a few thousand rows at a time."""
+    rows = iter(rows)
+    while batch := list(islice(rows, 4096)):
+        if any(map(ne, map(len, batch), repeat(width))):
+            raise ValueError(f"every row must hold {width} fields")
+        yield list(chain.from_iterable(batch))
+
+
+def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
+    """Each chunk's data lines as flat stripped fields, ``width`` to a line."""
+    for first, lines in read_chunks(path, functools.partial(GraphLoadError, path)):
+        # the strip also removes the line ending
+        fields = list(map(str.strip, "\t".join(lines).split("\t")))
+        # "#" may start a comment; tabs per line, as two bad lines could cancel out
+        if "#" in "".join(lines) or "" in fields or any(
+            map(ne, map(str.count, lines, repeat("\t")), repeat(width - 1))
+        ):
+            fields = []  # line by line: skip comments and blanks, raise at a bad line
+            for lineno, raw in enumerate(lines, start=first):
+                if raw.isspace() or raw.lstrip().startswith("#"):
+                    continue
+                row = raw.split("\t")
+                if len(row) != width:
+                    raise GraphLoadError(
+                        path, lineno, f"expected {width} tab-separated fields, got {len(row)}"
+                    )
+                fields += map(str.strip, row)
+                if "" in fields[-width:]:
+                    raise GraphLoadError(path, lineno, "empty field")
+        yield fields
 
 
 def build_type_graph(g: KnowledgeGraph) -> TypeGraph:
@@ -265,19 +284,18 @@ def build_type_graph(g: KnowledgeGraph) -> TypeGraph:
     the entities carrying it. A graph without type assignments produces an
     empty projection.
     """
-    sides = (g._out, g._in)
-    by_type_set: dict[frozenset[int], set[int]] = {}  # entities share their type set's frozenset
-    for eid, tids in g.entity_types.items():
-        rels = by_type_set.get(tids)
-        if rels is None:
-            rels = by_type_set[tids] = set()
-        for side in sides:
-            rels.update(side.relations(eid))
-    acc: dict[int, set[int]] = {}
-    for tids, rels in by_type_set.items():
-        for tid in tids:
-            acc.setdefault(tid, set()).update(rels)
-    return TypeGraph(graph=g, type_relations={t: frozenset(r) for t, r in acc.items()})
+    pairs: set[tuple[frozenset[int] | None, int]] = set()  # (type set, relation)
+    for first_run, run_relation, *_ in (g._out, g._in):
+        # each run's entity: entity e repeated once per run it owns
+        run_entity = chain.from_iterable(
+            map(repeat, range(len(first_run) - 1), map(sub, first_run[1:], first_run))
+        )
+        pairs.update(zip(map(g.entity_types.get, run_entity), run_relation))
+    acc: list[set[int]] = [set() for _ in g._types.labels]  # every type has an entity
+    for tids, rid in pairs:
+        for tid in tids or ():
+            acc[tid].add(rid)
+    return TypeGraph(graph=g, type_relations=dict(enumerate(map(frozenset, acc))))
 
 
 def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]:

@@ -80,6 +80,22 @@ def labelled(g, positions):
     return list(zip(*g.label_columns(positions)))
 
 
+def read_tsv_rows(path, width):
+    """The rows of a graph or type file read one line at a time, as the
+    reference for ``load_graph``'s chunked reader: blank lines and lines whose
+    first non-blank character is ``#`` are skipped, and every other line's
+    ``width`` tab-separated fields are stripped."""
+    rows = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for line in handle:
+            if line.isspace() or line.lstrip().startswith("#"):
+                continue
+            fields = tuple(field.strip() for field in line.split("\t"))
+            assert len(fields) == width and all(fields), line
+            rows.append(fields)
+    return rows
+
+
 def triple_columns(triples):
     """The head, relation and tail columns of a list of label triples."""
     return tuple([t[i] for t in triples] for i in range(3))

@@ -22,6 +22,7 @@ from kg_reason.evaluation import (
     split_seed,
     write_report,
 )
+from kg_reason.pipeline import StageTrace
 
 from helpers import (
     CountingBackend,
@@ -311,6 +312,27 @@ def test_a_trace_read_back_folds_to_the_returned_report(
     folded = EvalReport.from_records(_read_trace(trace_path), report.metric_name, report.config)
     assert folded == report
     assert report.n == len(examples)
+
+
+def test_evaluate_labels_traces_only_for_a_trace_file(
+    tmp_path, monkeypatch, factkg_graph, factkg_type_graph
+):
+    # Labelling a trace's evidence and bindings is a record's costliest part,
+    # and a report reads none of it.
+    labelled = []
+    to_record = StageTrace.to_record
+    monkeypatch.setattr(StageTrace, "to_record", lambda self: labelled.append(self) or to_record(self))
+    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
+
+    def run(**kwargs):
+        backend = mock_backend("mock_factkg.jsonl")
+        return evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5, **kwargs)
+
+    untraced = run()
+    assert labelled == []
+    trace_path = tmp_path / "trace.jsonl"
+    assert run(trace_path=str(trace_path)) == untraced
+    assert len(labelled) == sum(r["trace"] is not None for r in _read_trace(trace_path)) > 0
 
 
 def test_every_ablate_cell_folds_from_its_trace_records(tmp_path, metaqa_graph, metaqa_type_graph):

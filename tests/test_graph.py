@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, strategies as st
 
-from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, load_graph
+from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, errors, load_graph
 from kg_reason.errors import GraphLoadError
 from kg_reason.graph import gather, match_triples_by_id, relations_within_n_hops
 
@@ -18,6 +18,7 @@ from helpers import (
     labelled,
     nested_loop_type_relations,
     random_graph_data,
+    read_tsv_rows,
     scan_matching,
     scan_relations_of_entity,
 )
@@ -154,6 +155,61 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
     path = write_graph(tmp_path, ["# header", "", "a\tr\tb"])
     g = load_graph(path)
     assert len(g.head) == 1
+
+
+# Comments, blank lines, a "#" inside labels, respellings that canonicalize
+# alike, duplicates, and entities only the type file names.
+CHUNKED_GRAPH = [
+    "# a comment line\twith\ttabs",
+    "",
+    "William_Anders\toccupation\tFighter_pilot",
+    "  # an indented comment",
+    "Apollo_8\tcrewMembers\t William Anders ",
+    " \t ",
+    "William Anders\toccupation\tFighter pilot",
+    "C#_(language)\tdesigner#\tAnders_Hejlsberg",
+    *(f"e{i % 7}_x\tr{i % 3}\t e{i * 5 % 11} x" for i in range(60)),
+    "Apollo 8\tcrewMembers\tFrank_Borman",
+]
+CHUNKED_TYPES = [
+    "# types",
+    "William_Anders\tAstronaut",
+    "Lonely_one\tPerson",
+    "",
+    " William Anders \tPerson",
+    *(f"e{i % 13} x\tType_{i % 4}" for i in range(40)),
+    "Apollo_8\tMission",
+    "Only_typed\tMission",
+]
+
+
+def graph_state(g):
+    return (
+        g._entities.labels, g._relations.labels, g._types.labels,
+        g.head, g.relation, g.tail, tuple(g._out), tuple(g._in),
+        list(g.entity_types.items()), g.duplicate_count,
+    )
+
+
+@pytest.mark.parametrize("chunk_size", [1, 40])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_chunked_load_equals_a_build_from_rows_read_line_by_line(
+    chunk_size, ending, tmp_path, monkeypatch
+):
+    paths = []
+    for name, lines in (("g.tsv", CHUNKED_GRAPH), ("t.tsv", CHUNKED_TYPES)):
+        paths.append(tmp_path / name)
+        paths[-1].write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+    monkeypatch.setattr(errors, "CHUNK_SIZE", chunk_size)
+    graph_path, types_path = map(str, paths)
+    assert len(list(errors.read_chunks(graph_path, GraphLoadError))) > 10
+    g = load_graph(graph_path, types_path)
+    reference = KnowledgeGraph.from_triples(
+        read_tsv_rows(graph_path, 3), read_tsv_rows(types_path, 2)
+    )
+    assert graph_state(g) == graph_state(reference)
+    assert g.duplicate_count > 0 and g.maybe_entity_id("Only typed") is not None
+    assert build_type_graph(g).type_relations == build_type_graph(reference).type_relations
 
 
 def test_types_file_interns_isolated_entities(tmp_path):

@@ -1,6 +1,7 @@
-"""The contract every input file shares through ``errors.read_lines``: blank
+"""The contract every input file shares through ``errors.read_chunks``: blank
 and whitespace-only lines are skipped but counted, so an error names the
-line's number in the file, and no file is left open after an error."""
+line's number in the file, however the file is cut into chunks; a leading
+byte-order mark is dropped; and no file is left open after an error."""
 
 from __future__ import annotations
 
@@ -60,3 +61,65 @@ def test_a_byte_that_is_not_utf8_is_blamed_on_its_line_for_every_line_ending(
     with pytest.raises(GraphLoadError) as err:
         load_graph(str(path))
     assert str(err.value) == f"{path}:3: not UTF-8 (invalid start byte)"
+
+
+_TOO_MANY, _TOO_FEW = "a\tr\tb\tc", "d\te"
+
+
+@pytest.mark.parametrize(
+    "bad_lines, message",
+    [
+        ([_TOO_MANY], "expected 3 tab-separated fields, got 4"),
+        ([_TOO_FEW], "expected 3 tab-separated fields, got 2"),
+        # one chunk's tab total is right: only a per-line count sees these
+        ([_TOO_MANY, _TOO_FEW], "expected 3 tab-separated fields, got 4"),
+        (["a\t \tb"], "empty field"),
+    ],
+    ids=["too-many", "too-few", "counts-cancel-out", "empty-field"],
+)
+def test_a_bad_line_in_a_later_chunk_is_reported_at_its_own_line(
+    bad_lines, message, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(errors, "CHUNK_SIZE", 40)
+    path = tmp_path / "graph.tsv"
+    good = ["a\tr\tb", "# comment", "", "c\tr\td"] * 10
+    path.write_text("\n".join(good + bad_lines + good) + "\n", encoding="utf-8")
+    chunks = errors.read_chunks(str(path), GraphLoadError)
+    first, lines = next(chunk for chunk in chunks if bad_lines[0] + "\n" in chunk[1])
+    assert first > 1 and all(line + "\n" in lines for line in bad_lines)  # together, not first
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(str(path))
+    assert str(err.value) == f"{path}:{len(good) + 1}: {message}"
+
+
+def test_a_byte_that_is_not_utf8_in_a_later_chunk_is_reported_at_its_line(tmp_path):
+    # past the first text-mode decoding block, so chunks before it are read
+    good = b"a\tr\tb\n" * 3000
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(good + b"c\tr\t\xff\n" + good)
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(str(path))
+    assert str(err.value) == f"{path}:3001: not UTF-8 (invalid start byte)"
+
+
+@pytest.mark.parametrize(
+    "load, first_line, check",
+    [
+        (lambda path: load_graph(path), "Alice\tknows\tBob",
+         lambda g: g.maybe_entity_id("Alice") == 0 and g.entity_labels([0]) == ["Alice"]),
+        (load_verification_dataset, '{"claim": "c", "entities": ["Alice"], "label": "Supported"}',
+         lambda examples: examples[0].entities == ("Alice",)),
+        (lambda path: load_qa_dataset(path, 1), "who knows [Alice]?\tBob",
+         lambda examples: examples[0].question == "who knows [Alice]?"),
+        (MockBackend.from_path,
+         '{"stage": "inference", "match_kind": "sequence", "response": "True"}',
+         lambda backend: backend.order_bound),
+    ],
+    ids=["graph-tsv", "verification-jsonl", "qa-tsv", "mock-script"],
+)
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_line(
+    load, first_line, check, tmp_path
+):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf" + first_line.encode("utf-8") + b"\n")
+    assert check(load(str(path)))
