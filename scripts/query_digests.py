@@ -1,20 +1,30 @@
-"""Print one digest per query of a kgbench workload, to check that a change
+"""Print two digests per query of a kgbench workload, to check that a change
 leaves every query's outcome, evidence and trace as they were.
 
 The inputs come from ``kgbench/gen.py`` for the workload and seed, and the
-answers from the benchmark's oracle backend. A query's digest is the
-SHA-256 of its ``kg_reason.evaluation.trace_record`` with the timings
-removed: the input, ``k`` and ``shots``, the verdict or answer and the
-evidence size (or the failing stage and message), and the whole stage trace,
-which holds the evidence triples and the rendered prompts. Run from the
-repository root, once per checkout, and compare the outputs::
+answers from the benchmark's oracle backend. Each line holds the query's
+number, its record digest and its outcome digest, separated by tabs:
+
+- the record digest is the SHA-256 of its
+  ``kg_reason.evaluation.trace_record`` with the timings removed: the
+  input, ``k`` and ``shots``, the verdict or answer and the evidence size
+  (or the failing stage and message), and the whole stage trace, which
+  holds the evidence triples and the rendered prompts;
+- the outcome digest hashes the same record without the segmentation,
+  retrieval and inference exchanges, keeping the assembly's evidence
+  triples and bindings. A change in which calls are made, or in what they
+  send, leaves it as it was as long as every result stays the same.
+
+Run from the repository root, once per checkout, and compare the outputs::
 
     python scripts/query_digests.py verify-hub --seed 1 > new.txt
     python scripts/query_digests.py verify-hub --seed 1 --src ../parent/src > old.txt
-    diff old.txt new.txt
+    diff old.txt new.txt                                   # records and outcomes
+    diff <(cut -f1,3 old.txt) <(cut -f1,3 new.txt)         # outcomes only
 
-The last line digests all queries together. The script imports from
-``kgbench/`` and generates its inputs under ``.kgbench/``, as the benchmark does.
+The last line digests all queries together, records then outcomes. The
+script imports from ``kgbench/`` and generates its inputs under
+``.kgbench/``, as the benchmark does.
 """
 
 from __future__ import annotations
@@ -70,6 +80,18 @@ def query_records(workload: str, seed: int, scale: float):
         yield record
 
 
+def outcome(record: dict) -> dict:
+    """The record without its segmentation, retrieval and inference exchanges."""
+    trace = record["trace"]
+    if trace is None:
+        return record
+    return {**record, "trace": {"assembly": trace["assembly"]}}
+
+
+def digest(record: dict) -> str:
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", choices=sorted(bench.WORKLOADS))
@@ -80,12 +102,13 @@ def main(argv=None) -> int:
                     help="shrink graph and query counts, as kgbench/run.py --scale does")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    total = hashlib.sha256()
+    totals = hashlib.sha256(), hashlib.sha256()
     for i, record in enumerate(query_records(args.workload, args.seed, args.scale)):
-        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode("utf-8")).hexdigest()
-        total.update(digest.encode("ascii"))
-        print(f"{i}\t{digest}")
-    print(f"all\t{total.hexdigest()}")
+        digests = digest(record), digest(outcome(record))
+        for total, one in zip(totals, digests):
+            total.update(one.encode("ascii"))
+        print(i, *digests, sep="\t")
+    print("all", *(total.hexdigest() for total in totals), sep="\t")
     return 0
 
 

@@ -160,8 +160,10 @@ class StageTrace:
     timings: dict[str, float] = field(default_factory=dict)
 
     def backend_calls(self) -> int:
-        """Calls made, failed ones included: each stage record is made just before its call."""
-        return (self.segmentation is not None) + len(self.retrieval) + (self.inference is not None)
+        """Calls made, failed ones included: the stage records that hold a
+        prompt, which ``Pipeline._ask`` stores just before its call."""
+        records = (self.segmentation, *self.retrieval, self.inference)
+        return sum(record is not None and "prompt" in record for record in records)
 
     def to_record(self) -> dict:
         """The trace as plain data; the assembly's triples and bindings are labelled here."""
@@ -253,7 +255,12 @@ class Pipeline:
         """Pick up to k relations per sub-sentence from its candidate pool.
 
         Claims build the pool per sub-sentence from its mentions; questions
-        share the n-hop pool of the seed across all sub-sentences.
+        share the n-hop pool of the seed across all sub-sentences. A pool of
+        one relation is taken as it is, without a backend call: every reply
+        :func:`parse_relations` accepts would keep that relation, named or
+        through its first-k fallback. Its record has no prompt or response.
+        Larger pools are always sent, even when they hold k or fewer
+        relations, because the model may pick fewer than k.
         """
         shared: RelationCandidates | None = None
         if query.kind == QUESTION:
@@ -271,11 +278,14 @@ class Pipeline:
                 )
             record = {"index": sub.index, "offered": list(offered.relations)}
             trace.retrieval.append(record)
-            relation_set = render_relation_list(offered.relations)
-            bindings = {"SENTENCE": sub.text, "RELATION_SET": relation_set, "TOP_K": str(self.k)}
-            response = self._ask(RETRIEVAL_TEMPLATE, bindings, record)
-            notes: list[str] = []
-            parsed = parse_relations(response, offered.relations, self.k, notes)
+            if len(offered.relations) == 1:
+                parsed, notes = offered, ["one offered relation: taken without a call"]
+            else:
+                relation_set = render_relation_list(offered.relations)
+                bindings = {"SENTENCE": sub.text, "RELATION_SET": relation_set, "TOP_K": str(self.k)}
+                response = self._ask(RETRIEVAL_TEMPLATE, bindings, record)
+                notes = []
+                parsed = parse_relations(response, offered.relations, self.k, notes)
             retrieved[sub.index] = parsed
             record["relations"] = list(parsed.relations)
             record["notes"] = notes

@@ -342,28 +342,35 @@ def test_parsers_survive_ten_thousand_fuzzed_responses():
                 pass
 
 
+def _sent_pools(trace) -> int:
+    """Sub-sentences offered more than one relation: each costs one retrieval call."""
+    return sum(len(record["offered"]) > 1 for record in trace.retrieval)
+
+
 def test_backend_call_accounting_on_every_fixture_query(
     factkg_graph, factkg_type_graph, metaqa_graph, metaqa_type_graph
 ):
-    with criterion("backend calls = 2 + sub-sentences on every fixture query"):
+    with criterion("backend calls = 2 + sub-sentences offered more than one relation"):
+        skipped = 0
         verification = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-        backend = CountingBackend(mock_backend("mock_factkg.jsonl"))
-        pipeline = Pipeline(factkg_graph, factkg_type_graph, backend, k=5, shots=12)
-        for example in verification:
-            before = backend.total_calls
-            conclusion = pipeline.run(build_query(example, factkg_graph, factkg_type_graph))
-            n_subs = len(conclusion.trace.segmentation["subsentences"])
-            assert backend.total_calls - before == 2 + n_subs
-            assert conclusion.trace.backend_calls() == 2 + n_subs
+        suites = [(verification, factkg_graph, factkg_type_graph, "mock_factkg.jsonl", 5)]
         for hops in (1, 2, 3):
             qa = load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops)
-            backend = CountingBackend(mock_backend(f"mock_metaqa_{hops}hop.jsonl"))
-            pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
-            for example in qa:
+            suites.append((qa, metaqa_graph, metaqa_type_graph, f"mock_metaqa_{hops}hop.jsonl", 3))
+        for dataset, g, tg, script, k in suites:
+            backend = CountingBackend(mock_backend(script))
+            pipeline = Pipeline(g, tg, backend, k=k, shots=12)
+            for example in dataset:
                 before = backend.total_calls
-                conclusion = pipeline.run(build_query(example, metaqa_graph, metaqa_type_graph))
-                n_subs = len(conclusion.trace.segmentation["subsentences"])
-                assert backend.total_calls - before == 2 + n_subs
+                trace = pipeline.run(build_query(example, g, tg)).trace
+                n_subs = len(trace.segmentation["subsentences"])
+                assert len(trace.retrieval) == n_subs
+                assert backend.total_calls - before == 2 + _sent_pools(trace)
+                assert trace.backend_calls() == 2 + _sent_pools(trace)
+                skipped += n_subs - _sent_pools(trace)
+        # 12 of factkg's 23 sub-sentences, 3 of 1-hop's 3 and 2 of 2-hop's 6
+        # are offered a single relation, so the skip is exercised
+        assert skipped == 17
 
 
 @pytest.mark.skipif(

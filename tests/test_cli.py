@@ -325,7 +325,6 @@ def test_unparseable_response_is_a_data_error(tmp_path):
         {"stage": "segmentation", "match_kind": "sequence", "key": 0,
          "response": "1. Al-Taqaddum Air Base is located in Fallujah., Entity set: ['Al-Taqaddum_Air_Base' ## 'Fallujah']\n2. Fallujah is not in Iraq., Entity set: ['Fallujah' ## 'Iraq']"},
         {"stage": "retrieval", "match_kind": "sequence", "key": 0, "response": "['city', 'cityServed']"},
-        {"stage": "retrieval", "match_kind": "sequence", "key": 1, "response": "['country']"},
         {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "Maybe."},
     ]
     script.write_text(
@@ -344,19 +343,19 @@ def test_unparseable_response_is_a_data_error(tmp_path):
 def test_unparseable_retrieval_reply_is_in_the_trace_record(tmp_path, capsys):
     script = tmp_path / "bad_retrieval.jsonl"
     lines = (FIXTURES / "mock_cli_verify.jsonl").read_text(encoding="utf-8").splitlines()
-    bad = json.loads(lines[2])
+    bad = json.loads(lines[1])  # sub-sentence 1's reply; its pool is city and cityServed
     bad["response"] = "Fallujah is a city."
-    lines[2] = json.dumps(bad, ensure_ascii=False)
+    lines[1] = json.dumps(bad, ensure_ascii=False)
     script.write_text("\n".join(lines) + "\n", encoding="utf-8")
     trace_path = tmp_path / "trace.jsonl"
     assert main(verify_args(str(script)) + ["--trace", str(trace_path)]) == 2
     assert capsys.readouterr().err == "error[retrieval]: no bracketed list in response\n"
     (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
     assert record["error"] == {"stage": "retrieval", "message": "no bracketed list in response"}
-    first, failed = record["trace"]["retrieval"]
-    assert first["response"] == "['city', 'cityServed']"
+    (failed,) = record["trace"]["retrieval"]
     assert list(failed) == ["index", "offered", "prompt", "response"]
-    assert "Fallujah is not in Iraq." in failed["prompt"]
+    assert failed["offered"] == ["city", "cityServed"]
+    assert "Al-Taqaddum Air Base is located in Fallujah." in failed["prompt"]
     assert failed["response"] == "Fallujah is a city."
     assert record["trace"]["inference"] is None
 

@@ -235,7 +235,6 @@ def test_hits_at_1_is_order_insensitive(tmp_path, metaqa_graph, metaqa_type_grap
         [
             MockEntry("segmentation", "sequence", 0,
                       "1. Brigitte Nielsen appears in films., Entity set: ['Brigitte Nielsen' ## 'films']"),
-            MockEntry("retrieval", "sequence", 0, "['starred_actors']"),
             MockEntry("inference", "sequence", 0, "Cobra"),
         ]
     )

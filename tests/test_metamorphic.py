@@ -20,10 +20,11 @@ benchmark's oracle backend.
 from __future__ import annotations
 
 import random
+import re
 import subprocess
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -125,8 +126,8 @@ def suite(request, tmp_path_factory) -> Suite:
 
 
 def _run(suite: Suite, lines, directory: Path) -> list[tuple[tuple, tuple]]:
-    """Each query's outcome over a graph file of ``lines``, and the relations
-    each of its retrieval steps picked."""
+    """Each query's outcome over a graph file of ``lines``, and the
+    sub-sentence and picked relations of each of its retrieval steps."""
     path = directory / "graph.tsv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     g = load_graph(str(path), suite.types_path)
@@ -152,13 +153,45 @@ def _run(suite: Suite, lines, directory: Path) -> list[tuple[tuple, tuple]]:
                 for head, relation, tail in conclusion.evidence.labels()
             }
             outcome, trace = (predicted, evidence), conclusion.trace.to_record()
-        picks = tuple(tuple(step.get("relations", ())) for step in trace.get("retrieval", []))
+        subsentences = trace.get("segmentation", {}).get("subsentences", [])
+        texts = {sub["index"]: sub["text"] for sub in subsentences}
+        picks = tuple(
+            (texts[step["index"]], tuple(step.get("relations", ())))
+            for step in trace.get("retrieval", [])
+        )
         runs.append((outcome, picks))
     return runs
 
 
 def _outcomes(suite: Suite, lines, directory: Path) -> list[tuple]:
     return [outcome for outcome, _ in _run(suite, lines, directory)]
+
+
+_TASK_SENTENCE = re.compile(r"\nSentence: (?P<sentence>[^\n]*)\nWords set: [^\n]*\nTop \d+ Answer:$")
+
+
+class _RetrievalBySentence:
+    """A fixture suite's mock script for segmentation and inference, with each
+    retrieval call answered by the relations picked for its sub-sentence."""
+
+    def __init__(self, inner, picked: dict[str, tuple[str, ...]]):
+        self.inner = inner
+        self.picked = picked
+
+    def complete(self, prompt: str, stage: str) -> str:
+        if stage == "retrieval":
+            return repr(list(self.picked[_TASK_SENTENCE.search(prompt).group("sentence")]))
+        return self.inner.complete(prompt, stage)
+
+
+def _answering_as_picked(suite: Suite, runs) -> Suite:
+    """``suite`` with retrieval answered as in ``runs``, whatever the pool offers."""
+    picked: dict[str, tuple[str, ...]] = {}
+    for _, picks in runs:
+        for text, relations in picks:
+            assert picked.setdefault(text, relations) == relations, text
+    script = suite.make_backend
+    return replace(suite, make_backend=lambda: _RetrievalBySentence(script(), picked))
 
 
 _SWAP = str.maketrans(" _", "_ ")
@@ -199,14 +232,20 @@ def test_unrelated_triples_change_no_outcome_of_a_query_that_picks_as_before(
     before (or after) every relation, placed at random lines of the file.
 
     The relation speaks for a query only while it retrieves what it retrieved
-    before. The fixture scripts answer whatever the pool, so every fixture
-    query counts. The kgbench oracle picks the gold relation, then the offered
-    ones in offered order, so an added triple can change its picks two ways:
-    a new label offered early enough is picked, and for a question, an added
-    edge can bring other relations within the seed's n hops, and so into the
-    offered pool. Those queries are left out and counted.
+    before. An added triple can grow a one-relation pool, which is taken
+    without a call, to two, which is sent, and so shift every later reply of
+    an order-bound script. So the fixture suites answer each retrieval call
+    with the relations the run on the file as written picked for its
+    sub-sentence, and every fixture query counts. The kgbench oracle picks
+    the gold relation, then the offered ones in offered order, so an added
+    triple can change its picks two ways: a new label offered early enough
+    is picked, and for a question, an added edge can bring other relations
+    within the seed's n hops, and so into the offered pool. Those queries
+    are left out and counted.
     """
     baseline = _run(suite, suite.graph_lines, tmp_path)
+    if suite.name in FIXTURE_SUITES:
+        suite = _answering_as_picked(suite, baseline)
     relations = {line.split("\t")[1] for line in suite.graph_lines}
     labels = [f"{prefix}unrelated_{i}" for i in range(UNRELATED_TRIPLES)]
     if prefix == "!":

@@ -185,6 +185,25 @@ def test_parse_relations_rejects_bad_k():
         parse_relations("['a']", ["a"], 0)
 
 
+_LISTS = st.builds(
+    lambda before, items, after: f"{before}[{', '.join(items)}]{after}",
+    st.text(max_size=20),
+    st.lists(st.one_of(st.just("'r'"), st.just("r"), st.text(max_size=8)), max_size=4),
+    st.text(max_size=20),
+)
+
+
+@given(st.one_of(st.text(max_size=60), _LISTS), st.integers(1, 10))
+def test_a_one_relation_pool_parses_to_itself_or_fails(reply, k):
+    # The premise of taking such a pool without a backend call: no reply can
+    # pick anything else from it.
+    try:
+        got = parse_relations(reply, ["r"], k)
+    except RelationParseError:
+        return
+    assert got.relations == ("r",)
+
+
 # --- verdicts ---------------------------------------------------------------------
 
 

@@ -87,6 +87,15 @@ def crewed_flight_query(g, tg):
     )
 
 
+# One-line segmentations of the walkthrough: its first sub-sentence, offered
+# only crewMembers, and its third, offered birthPlace and crewMembers.
+SATELLITE = (
+    "1. William Anders was a crew member of an artificial satellite., "
+    "Entity set: ['William_Anders' ## 'artificial satellite']"
+)
+ALONGSIDE = "1. William Anders served alongside Frank Borman., Entity set: ['William_Anders' ## 'Frank_Borman']"
+
+
 def test_crewed_flight_walkthrough_three_subsentences_three_triples(crewed_flight_graph, crewed_flight_type_graph):
     backend = mock_backend("mock_crewed_flight.jsonl")
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
@@ -112,13 +121,15 @@ def test_crewed_flight_type_mention_is_resolved_and_filters(crewed_flight_graph,
     assert trace_kinds["artificial satellite"] == "type"
 
 
-def test_call_accounting_is_two_plus_subsentences(crewed_flight_graph, crewed_flight_type_graph):
+def test_call_accounting_is_two_plus_the_pools_sent(crewed_flight_graph, crewed_flight_type_graph):
     backend = CountingBackend(mock_backend("mock_crewed_flight.jsonl"))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
-    n_subs = len(conclusion.trace.segmentation["subsentences"])
-    assert backend.total_calls == 2 + n_subs
-    assert conclusion.trace.backend_calls() == 2 + n_subs
+    offered = [record["offered"] for record in conclusion.trace.retrieval]
+    # sub-sentences 1 and 2 are offered one relation each and take it without a call
+    assert offered == [["crewMembers"], ["almaMater"], ["birthPlace", "crewMembers"]]
+    assert dict(backend.calls) == {"segmentation": 1, "retrieval": 1, "inference": 1}
+    assert conclusion.trace.backend_calls() == 3
 
 
 # --- segmentation stage -----------------------------------------------------------
@@ -129,7 +140,6 @@ def test_one_triple_claim_segments_to_one_subsentence():
     tg = build_type_graph(g)
     backend = seq_backend(
         seg=["1. X's club is Y., Entity set: ['X' ## 'Y']"],
-        ret=["['club']"],
         inf=["True, based on the evidence set, X's club is Y."],
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
@@ -141,7 +151,6 @@ def test_one_triple_claim_segments_to_one_subsentence():
 def test_one_hop_question_falls_back_to_whole_question(metaqa_graph, metaqa_type_graph):
     backend = seq_backend(
         seg=["complete garbage, not a single parseable line"],
-        ret=["['has_genre']"],
         inf=["The answer is Short."],
     )
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
@@ -232,6 +241,32 @@ def test_question_subsentences_share_the_nhop_pool(metaqa_graph, metaqa_type_gra
     assert retrieved[2].relations == ("release_year",)
 
 
+def test_a_one_relation_pool_is_taken_without_a_call(crewed_flight_graph, crewed_flight_type_graph):
+    backend = CountingBackend(seq_backend(seg=[SATELLITE], inf=["True, fine."]))
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
+    assert dict(backend.calls) == {"segmentation": 1, "inference": 1}
+    assert conclusion.trace.retrieval == [
+        {
+            "index": 1,
+            "offered": ["crewMembers"],
+            "relations": ["crewMembers"],
+            "notes": ["one offered relation: taken without a call"],
+        }
+    ]
+    assert conclusion.trace.backend_calls() == 2
+    assert conclusion.evidence.labels() == [("Apollo_8", "crewMembers", "William_Anders")]
+
+
+def test_a_one_relation_pool_ignores_a_reply_without_a_list(crewed_flight_graph, crewed_flight_type_graph):
+    # Sending this pool would raise RelationParseError on the reply; no call is made.
+    backend = seq_backend(seg=[SATELLITE], ret=["I cannot tell."], inf=["True, fine."])
+    pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
+    conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
+    assert conclusion.result.label == SUPPORTED
+    assert conclusion.trace.retrieval[0]["relations"] == ["crewMembers"]
+
+
 # --- assembly ---------------------------------------------------------------------
 
 
@@ -241,7 +276,7 @@ def test_assembly_matches_city_country_chain(factkg_graph, factkg_type_graph):
             "1. Al-Taqaddum Air Base is located in Fallujah., Entity set: ['Al-Taqaddum_Air_Base' ## 'Fallujah']\n"
             "2. Fallujah is not in Iraq., Entity set: ['Fallujah' ## 'Iraq']"
         ],
-        ret=["['city', 'cityServed']", "['country']"],
+        ret=["['city', 'cityServed']"],
         inf=["False, the evidence shows that Fallujah is in Iraq."],
     )
     pipeline = Pipeline(factkg_graph, factkg_type_graph, backend, k=5, shots=12)
@@ -279,8 +314,6 @@ def test_variable_binding_bridges_hops(metaqa_graph, metaqa_type_graph):
 def test_unanchored_subsentence_is_an_assembly_error(metaqa_graph, metaqa_type_graph):
     backend = seq_backend(
         seg=["1. The movies released., Entity set: ['movies']"],
-        ret=["['release_year']"],
-        inf=[],
     )
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
     seed = resolve_mention("Six Shooter", metaqa_graph, metaqa_type_graph)
@@ -300,7 +333,6 @@ def test_type_filter_drops_mismatched_endpoints():
     tg = build_type_graph(g)
     backend = seq_backend(
         seg=["1. A has a good thing., Entity set: ['A' ## 'good']"],
-        ret=["['rel']"],
         inf=["True, fine."],
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
@@ -315,7 +347,6 @@ def test_untyped_endpoints_pass_the_type_filter():
     tg = build_type_graph(g)
     backend = seq_backend(
         seg=["1. A has a good thing., Entity set: ['A' ## 'good']"],
-        ret=["['rel']"],
         inf=["True, fine."],
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
@@ -407,7 +438,6 @@ def test_the_query_path_labels_no_trace_and_the_record_does(monkeypatch):
             "1. A is r of x., Entity set: ['A' ## 'x']\n"
             "2. x and D are s of something., Entity set: ['x' ## 'D']"
         ],
-        ret=["['r']", "['s']"],
         inf=["True, A reaches C and D reaches E."],
     )
     pipeline = Pipeline(g, tg, backend, k=3, shots=12)
@@ -445,19 +475,13 @@ def test_empty_evidence_still_infers(crewed_flight_graph, crewed_flight_type_gra
 
 
 def test_exhausted_script_is_tagged_with_the_failing_stage(crewed_flight_graph, crewed_flight_type_graph):
-    backend = seq_backend(
-        seg=[
-            "1. William Anders was a crew member of an artificial satellite., "
-            "Entity set: ['William_Anders' ## 'artificial satellite']"
-        ],
-        ret=[],
-        inf=[],
-    )
+    backend = seq_backend(seg=[ALONGSIDE], ret=[], inf=[])
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert err.value.stage == "retrieval"
     assert isinstance(err.value.cause, MockScriptError)
+    assert err.value.trace.retrieval[-1]["offered"] == ["birthPlace", "crewMembers"]
 
 
 # --- failed stages keep their exchange ----------------------------------------------
@@ -477,13 +501,7 @@ class _FailsAt:
 
 
 def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, crewed_flight_type_graph):
-    backend = seq_backend(
-        seg=[
-            "1. William Anders was a crew member of an artificial satellite., "
-            "Entity set: ['William_Anders' ## 'artificial satellite']"
-        ],
-        ret=["I cannot tell."],
-    )
+    backend = seq_backend(seg=[ALONGSIDE], ret=["I cannot tell."])
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
@@ -492,7 +510,7 @@ def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, cre
     trace = err.value.trace
     assert list(trace.retrieval[-1]) == ["index", "offered", "prompt", "response"]
     assert trace.retrieval[-1]["index"] == 1
-    assert "crewMembers" in trace.retrieval[-1]["offered"]
+    assert trace.retrieval[-1]["offered"] == ["birthPlace", "crewMembers"]
     assert trace.retrieval[-1]["prompt"].endswith("Top 5 Answer:")
     assert trace.retrieval[-1]["response"] == "I cannot tell."
     assert trace.backend_calls() == 2

@@ -21,9 +21,12 @@ def digests(workload: str) -> list[str]:
 
 def test_query_digests_cover_every_query_and_repeat_exactly():
     first = digests("qa-multihop")
-    # 60 queries at this scale, one line each, then the digest of them all
+    # 60 queries at this scale, one line each, then the digests of them all:
+    # the record digest, then the outcome digest
     assert len(first) == 61
     for i, line in enumerate(first[:-1]):
-        assert re.fullmatch(rf"{i}\t[0-9a-f]{{64}}", line)
-    assert re.fullmatch(r"all\t[0-9a-f]{64}", first[-1])
+        assert re.fullmatch(rf"{i}\t[0-9a-f]{{64}}\t[0-9a-f]{{64}}", line)
+        record, outcome = line.split("\t")[1:]
+        assert record != outcome
+    assert re.fullmatch(r"all\t[0-9a-f]{64}\t[0-9a-f]{64}", first[-1])
     assert digests("qa-multihop") == first
