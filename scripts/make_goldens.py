@@ -1,8 +1,10 @@
-"""Regenerate the golden prompt files under tests/goldens/.
+"""Regenerate the golden files under tests/goldens/.
 
-The goldens freeze the rendered bytes of every stage template at 4, 8 and
-12 shots for one fixed binding set (defined once in tests/helpers.py). Run
-from the repository root:
+The prompt goldens freeze the rendered bytes of every stage template at 4, 8
+and 12 shots for one fixed binding set (defined once in tests/helpers.py).
+The digest goldens under tests/goldens/digests/ freeze every query's record
+and outcome digest from scripts/query_digests.py, for the workloads and
+seeds in tests/helpers.py. Run from the repository root:
 
     python scripts/make_goldens.py
 
@@ -21,7 +23,14 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from kg_reason.prompts import render_prompt  # noqa: E402
 
-from helpers import GOLDEN_BINDINGS, GOLDENS  # noqa: E402
+from helpers import (  # noqa: E402
+    DIGEST_RUNS,
+    DIGEST_SCALE,
+    GOLDEN_BINDINGS,
+    GOLDENS,
+    digest_golden,
+    query_digests,
+)
 
 
 def main() -> None:
@@ -31,6 +40,11 @@ def main() -> None:
             path = GOLDENS / f"{name}_{shots}shot.txt"
             path.write_bytes(render_prompt(template, bindings, shots).encode("utf-8"))
             print(f"wrote {path}")
+    for workload, seed in DIGEST_RUNS:
+        path = digest_golden(workload, seed)
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(query_digests(workload, seed, DIGEST_SCALE), encoding="utf-8")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

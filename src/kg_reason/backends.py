@@ -32,6 +32,7 @@ from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION
 
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
+BACKOFF_BASE = 0.5  # seconds before the second attempt, doubling for each one after
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if not 0 <= self.temperature < math.inf:
@@ -176,7 +177,6 @@ class HttpBackend:
     """
 
     config: BackendConfig
-    backoff_base: float = field(default=0.5, repr=False)
     # Per thread: a connection carries one exchange at a time, and one left
     # open after its thread ends can hold one of the server's slots.
     _local: threading.local = field(
@@ -239,7 +239,7 @@ class HttpBackend:
                     raise BackendError(f"request rejected with {status}: {text[:200]}")
             if attempt < attempts - 1:
                 if retry_after is None:
-                    time.sleep(self.backoff_base * (2**attempt))
+                    time.sleep(BACKOFF_BASE * (2**attempt))
                 else:
                     time.sleep(min(retry_after, self.config.timeout))
         raise BackendError(f"request failed after {attempts} attempts: {last_error}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from collections.abc import Callable
@@ -73,26 +72,8 @@ def _int_list(item: Callable[[str], int]) -> Callable[[str], list[int]]:
     return integer_list
 
 
-def _finite(bounds: str, accept: Callable[[float], bool]) -> Callable[[str], float]:
-    """argparse type: a finite float that ``accept`` takes, as ``BackendConfig`` checks it."""
-
-    def number(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not (math.isfinite(value) and accept(value)):
-            raise argparse.ArgumentTypeError(f"must be finite and {bounds}, got {value}")
-        return value
-
-    return number
-
-
 _K = _int_in(1)
 _SHOTS = _int_in(1, MAX_SHOTS)
-_SECONDS = _finite("greater than 0", lambda v: v > 0)
-_TEMPERATURE = _finite("at least 0", lambda v: v >= 0)
-_TOP_P = _finite("between 0 and 1", lambda v: 0 <= v <= 1)
 
 
 def _build_parser() -> _Parser:
@@ -108,10 +89,11 @@ def _build_parser() -> _Parser:
             help="base URL of a chat-completions server, or mock:<script-path>",
         )
         p.add_argument("--model", default=BackendConfig.model)
-        p.add_argument("--temperature", type=_TEMPERATURE, default=BackendConfig.temperature)
-        p.add_argument("--top-p", type=_TOP_P, default=BackendConfig.top_p)
-        p.add_argument("--retries", type=_int_in(0), default=BackendConfig.max_retries)
-        p.add_argument("--timeout", type=_SECONDS, default=BackendConfig.timeout)
+        # BackendConfig checks these four once they are parsed
+        p.add_argument("--temperature", type=float, default=BackendConfig.temperature)
+        p.add_argument("--top-p", type=float, default=BackendConfig.top_p)
+        p.add_argument("--retries", type=int, default=BackendConfig.max_retries)
+        p.add_argument("--timeout", type=float, default=BackendConfig.timeout)
         if name != "ablate":  # ablate's grid comes from --k-values and --shot-values
             p.add_argument("--shots", type=_SHOTS, default=MAX_SHOTS)
             p.add_argument("--k", type=_K)
@@ -174,7 +156,7 @@ def _query(args: argparse.Namespace, g: KnowledgeGraph, tg: TypeGraph) -> Query:
     return Query.claim(args.claim, mentions)
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: argparse.Namespace, config: BackendConfig) -> int:
     """``verify`` and ``answer``: build one query, run it, print the result.
 
     An input that cannot be turned into a query is traced, like a failed
@@ -183,7 +165,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     qa = args.command == "answer"
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
-    backend = make_backend(_backend_config(args))
+    backend = make_backend(config)
     pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
     try:
         outcome = pipeline.run(_query(args, g, tg))
@@ -210,7 +192,7 @@ def _load_dataset(args: argparse.Namespace):
     return load_verification_dataset(args.dataset)
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
     """``eval`` and ``ablate``: ``eval`` is a one-cell grid, without cell headers or report list."""
     grid = args.command == "ablate"
     dataset = _load_dataset(args)
@@ -220,7 +202,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         dataset,
         g,
         tg,
-        functools.partial(make_backend, _backend_config(args)),
+        functools.partial(make_backend, config),
         k_values=args.k_values if grid else [_default_k(args, qa=args.task == "qa")],
         shot_values=args.shot_values if grid else [args.shots],
         width=args.width,
@@ -247,13 +229,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        try:
+            config = _backend_config(args)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         # Fail before any work whose output could not be kept; verify and answer have no --report.
         for path in (args.trace, getattr(args, "report", None)):
             if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
                 raise OutputError(path, "no such directory")
             if path is not None and os.path.isdir(path):
                 raise OutputError(path, "is a directory")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, config)
     except (_UsageError, OrderBoundScriptError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

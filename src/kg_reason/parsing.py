@@ -161,11 +161,10 @@ def parse_answer(
     """Ground the response in the evidence endpoints.
 
     The answer is the longest evidence endpoint label (canonicalized,
-    case-insensitive) that the response mentions as whole tokens; the
-    question's ``seed`` counts only when no other endpoint is mentioned.
-    The full response is kept as the rationale. Raises
+    case-insensitive) that the response mentions as whole tokens, never the
+    question's ``seed``. The full response is kept as the rationale. Raises
     :class:`AnswerGroundingError` when the evidence is empty or no endpoint
-    is mentioned.
+    but the seed is mentioned.
     """
     if not evidence:
         raise AnswerGroundingError("cannot ground an answer in empty evidence")
@@ -173,6 +172,8 @@ def parse_answer(
     # each distinct spelling is canonicalized once, in order of first appearance
     for spelling in dict.fromkeys(x for head, _, tail in evidence for x in (head, tail)):
         labels.setdefault(canonical_label(spelling).lower(), spelling)
+    if seed is not None:
+        labels.pop(canonical_label(seed).lower(), None)
     haystack = canonical_label(response).lower()
     # the substring test first, so only labels present compile a pattern
     mentioned = [
@@ -184,9 +185,7 @@ def parse_answer(
     ]
     if not mentioned:
         raise AnswerGroundingError("no evidence entity appears in the response")
-    seed_key = canonical_label(seed).lower() if seed is not None else None
-    others = [needle for needle in mentioned if needle != seed_key]
-    return AnswerCandidate(entity=labels[max(others or mentioned, key=len)], rationale=response)
+    return AnswerCandidate(entity=labels[max(mentioned, key=len)], rationale=response)
 
 
 def _note(notes: list[str] | None, message: str) -> None:

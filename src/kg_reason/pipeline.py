@@ -99,16 +99,13 @@ class EvidenceGraph:
 
     The triples are labelled once, at construction, into three label
     columns, which the inference prompt renders; :meth:`labels` zips them
-    into one list of triples on its first call, for the trace record and
-    the answer parser.
+    into one list of triples on each call, for the trace record and the
+    answer parser.
     """
 
     graph: KnowledgeGraph
     positions: tuple[int, ...]
     columns: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
-    _labels: list[tuple[str, str, str]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.columns = self.graph.label_columns(self.positions)
@@ -117,10 +114,7 @@ class EvidenceGraph:
         return len(self.positions)
 
     def labels(self) -> list[tuple[str, str, str]]:
-        """The shared label list; callers must not mutate it."""
-        if self._labels is None:
-            self._labels = list(zip(*self.columns))
-        return self._labels
+        return list(zip(*self.columns))
 
 
 def linearize(evidence: EvidenceGraph) -> str:
@@ -158,12 +152,6 @@ class StageTrace:
     assembly: dict | None = None  # {"evidence": ..., "bindings": {name: (matched, anchors)}}
     inference: dict | None = None
     timings: dict[str, float] = field(default_factory=dict)
-
-    def backend_calls(self) -> int:
-        """Calls made, failed ones included: the stage records that hold a
-        prompt, which ``Pipeline._ask`` stores just before its call."""
-        records = (self.segmentation, *self.retrieval, self.inference)
-        return sum(record is not None and "prompt" in record for record in records)
 
     def to_record(self) -> dict:
         """The trace as plain data; the assembly's triples and bindings are labelled here."""

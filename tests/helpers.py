@@ -6,12 +6,16 @@ indexed implementation they check.
 
 from __future__ import annotations
 
+import codecs
 import random
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
 from kg_reason import (
+    KnowledgeGraph,
     MockBackend,
     QA_INFERENCE_TEMPLATE,
     RETRIEVAL_TEMPLATE,
@@ -21,9 +25,34 @@ from kg_reason import (
     render_relation_list,
     render_triple_list,
 )
+from kg_reason.errors import GraphLoadError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
+ROOT = Path(__file__).parents[1]
+
+# The per-query digest goldens under goldens/digests/: the output of
+# scripts/query_digests.py for each workload and seed at this scale.
+DIGEST_RUNS = [
+    (workload, seed) for workload in ("verify-hub", "verify-http", "qa-multihop") for seed in (1, 2)
+]
+DIGEST_SCALE = 0.2
+
+
+def digest_golden(workload: str, seed: int) -> Path:
+    return GOLDENS / "digests" / f"{workload}-seed{seed}.txt"
+
+
+def query_digests(workload: str, seed: int, scale: float) -> str:
+    """The output of scripts/query_digests.py for one workload and seed, run
+    in a subprocess from this checkout's sources."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "query_digests.py"), workload,
+         "--seed", str(seed), "--scale", str(scale)],
+        capture_output=True, text=True, timeout=300, cwd=str(ROOT),
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 # Bindings behind the checked-in golden prompt files; shared with
 # scripts/make_goldens.py so the frozen bytes and the test agree on inputs.
@@ -80,20 +109,52 @@ def labelled(g, positions):
     return list(zip(*g.label_columns(positions)))
 
 
+def decoded_lines(path):
+    """Yield ``(line number, line)`` for each line of a file, read one line at
+    a time: the bytes split after each LF, CRLF and CR, as text mode splits
+    them, and a leading byte-order mark is dropped. Each line is decoded
+    alone, ending included; the first that is not UTF-8 raises
+    ``load_graph``'s :class:`GraphLoadError`."""
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
+    raw = re.split(rb"(?<=\n)|(?<=\r)(?!\n)", data)
+    for lineno, line in enumerate(raw[:-1] if not raw[-1] else raw, start=1):
+        try:
+            yield lineno, line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphLoadError(path, lineno, f"not UTF-8 ({exc.reason})") from None
+
+
 def read_tsv_rows(path, width):
     """The rows of a graph or type file read one line at a time, as the
-    reference for ``load_graph``'s chunked reader: blank lines and lines whose
-    first non-blank character is ``#`` are skipped, and every other line's
-    ``width`` tab-separated fields are stripped."""
+    reference for ``load_graph``'s chunked reader: each line of
+    :func:`decoded_lines` is checked before the next is read, so the first
+    bad line raises, with ``load_graph``'s message. Blank lines and lines
+    whose first non-blank character is ``#`` are skipped; every other line
+    must hold ``width`` tab-separated fields, non-blank once stripped."""
     rows = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for line in handle:
-            if line.isspace() or line.lstrip().startswith("#"):
-                continue
-            fields = tuple(field.strip() for field in line.split("\t"))
-            assert len(fields) == width and all(fields), line
-            rows.append(fields)
+    for lineno, line in decoded_lines(path):
+        if line.isspace() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            message = f"expected {width} tab-separated fields, got {len(fields)}"
+            raise GraphLoadError(path, lineno, message)
+        fields = tuple(field.strip() for field in fields)
+        if not all(fields):
+            raise GraphLoadError(path, lineno, "empty field")
+        rows.append(fields)
     return rows
+
+
+def load_graph_reference(triples_path, types_path=None):
+    """``load_graph`` from rows read by :func:`read_tsv_rows`: the triple
+    file first, then the type file, then the check for a triple."""
+    rows = read_tsv_rows(triples_path, 3)
+    types = [] if types_path is None else read_tsv_rows(types_path, 2)
+    if not rows:
+        raise GraphLoadError(triples_path, None, "no triples in file")
+    return KnowledgeGraph.from_triples(rows, types)
 
 
 def triple_columns(triples):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import kg_reason
-from kg_reason import BackendConfig, HttpBackend, MockBackend, make_backend, prompt_hash
+from kg_reason import BackendConfig, HttpBackend, MockBackend, backends, make_backend, prompt_hash
 from kg_reason.backends import MockEntry
 from kg_reason.errors import BackendError, MockScriptError
 
@@ -149,7 +149,13 @@ def test_make_backend_dispatches_on_endpoint(tmp_path):
 
 
 def _backend(server, **config):
-    return HttpBackend(BackendConfig(endpoint=server.url, **config), backoff_base=0.0)
+    return HttpBackend(BackendConfig(endpoint=server.url, **config))
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """Retry at once, without the exponential wait between attempts."""
+    monkeypatch.setattr(backends, "BACKOFF_BASE", 0.0)
 
 
 def test_http_backend_payload_and_auth(chat_server, monkeypatch):
@@ -182,7 +188,7 @@ def test_http_backend_no_key_sends_no_auth_header(chat_server, monkeypatch):
     assert "Authorization" not in server.seen[0].headers
 
 
-def test_http_backend_retries_then_fails(chat_server):
+def test_http_backend_retries_then_fails(chat_server, no_backoff):
     server = chat_server(replies=[(None, {}, "")])  # hang up without a reply
     with pytest.raises(BackendError) as err:
         _backend(server, max_retries=2).complete("p", "inference")
@@ -190,24 +196,24 @@ def test_http_backend_retries_then_fails(chat_server):
     assert "after 3 attempts" in str(err.value)
 
 
-def test_http_backend_unreachable_server_retries_then_fails(chat_server):
+def test_http_backend_unreachable_server_retries_then_fails(chat_server, no_backoff):
     server = chat_server()
     url = server.url
     server.shutdown()
     server.server_close()
-    backend = HttpBackend(BackendConfig(endpoint=url, max_retries=1), backoff_base=0.0)
+    backend = HttpBackend(BackendConfig(endpoint=url, max_retries=1))
     with pytest.raises(BackendError) as err:
         backend.complete("p", "inference")
     assert "after 2 attempts" in str(err.value)
 
 
-def test_http_backend_retries_server_errors_then_succeeds(chat_server):
+def test_http_backend_retries_server_errors_then_succeeds(chat_server, no_backoff):
     server = chat_server(replies=[(500, {}, "busy"), (200, {}, "late")])
     assert _backend(server, max_retries=1).complete("p", "inference") == "late"
 
 
 @pytest.mark.parametrize("content", [None, ["True"], 1])
-def test_http_backend_non_string_content_retries_then_fails(chat_server, content):
+def test_http_backend_non_string_content_retries_then_fails(chat_server, no_backoff, content):
     server = chat_server(replies=[(200, {}, content)])
     with pytest.raises(BackendError) as err:
         _backend(server, max_retries=1).complete("p", "inference")

@@ -203,7 +203,6 @@ def grid_args(command):
         ("eval", "--k", "0"),
         ("eval", "--width", "0"),
         ("eval", "--width", "-3"),
-        ("eval", "--retries", "-1"),
         ("verify", "--k", "-1"),
         ("verify", "--shots", "13"),
         # the later value of a repeated flag wins over grid_args' own
@@ -222,6 +221,13 @@ def test_out_of_range_number_is_a_usage_error(command, flag, value, capsys):
     assert line.startswith(f"usage error: argument {flag}: ")
 
 
+def config_error(**setting) -> str:
+    """The message of the ValueError that BackendConfig raises for one bad setting."""
+    with pytest.raises(ValueError) as err:
+        BackendConfig(endpoint="http://127.0.0.1:9", **setting)
+    return str(err.value)
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e999"])
 def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, monkeypatch):
     calls = []
@@ -232,8 +238,20 @@ def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, mo
     assert main(args + ["--timeout", value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line.startswith("usage error: argument --timeout: must be finite and greater than 0")
+    assert captured.err == f"usage error: {config_error(timeout=float(value))}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("value", ["-1", "-7"])
+def test_retries_below_zero_is_a_usage_error_before_any_work(value, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kg_reason.cli.load_graph", lambda *a: calls.append("load_graph"))
+    # checked before the report's missing directory is
+    report = str(tmp_path / "missing" / "report.json")
+    assert main(grid_args("eval") + ["--retries", value, "--report", report]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {config_error(max_retries=int(value))}\n"
     assert calls == []
 
 
@@ -243,9 +261,11 @@ def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, mo
         ("--temperature", "-0.1", "at least 0"),
         ("--temperature", "nan", "at least 0"),
         ("--temperature", "inf", "at least 0"),
+        ("--temperature", "1e999", "at least 0"),
         ("--top-p", "-0.1", "between 0 and 1"),
         ("--top-p", "1.5", "between 0 and 1"),
         ("--top-p", "nan", "between 0 and 1"),
+        ("--top-p", "inf", "between 0 and 1"),
         ("--top-p", "x", None),
     ],
 )
@@ -257,11 +277,11 @@ def test_sampling_setting_out_of_range_is_a_usage_error_before_any_work(
     assert main(verify_args() + [flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    if bounds is None:
-        message = f"invalid float value: {value!r}"
+    if bounds is None:  # not a number: argparse's message
+        message = f"argument {flag}: invalid float value: {value!r}"
     else:
-        message = f"must be finite and {bounds}, got {float(value)}"
-    assert captured.err == f"usage error: argument {flag}: {message}\n"
+        message = config_error(**{flag[2:].replace("-", "_"): float(value)})
+    assert captured.err == f"usage error: {message}\n"
     assert calls == []
 
 

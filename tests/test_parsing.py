@@ -265,10 +265,12 @@ def test_parse_answer_skips_the_seed_when_another_endpoint_is_named():
     assert parse_answer(response, evidence).entity == "Brigitte Nielsen"
 
 
-def test_parse_answer_returns_the_seed_when_it_is_the_only_endpoint_named():
+def test_parse_answer_never_returns_the_seed():
     evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
-    got = parse_answer("It is Brigitte Nielsen.", evidence, "Brigitte Nielsen")
-    assert got.entity == "Brigitte Nielsen"
+    with pytest.raises(AnswerGroundingError):
+        parse_answer("It is Brigitte Nielsen.", evidence, "Brigitte_Nielsen")
+    # without a seed the same endpoint grounds the answer
+    assert parse_answer("It is Brigitte Nielsen.", evidence).entity == "Brigitte Nielsen"
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from kg_reason import (
 )
 from kg_reason.backends import MockBackend, MockEntry
 from kg_reason.errors import (
+    AnswerGroundingError,
     AssemblyError,
     BackendError,
     MockScriptError,
@@ -129,7 +130,7 @@ def test_call_accounting_is_two_plus_the_pools_sent(crewed_flight_graph, crewed_
     # sub-sentences 1 and 2 are offered one relation each and take it without a call
     assert offered == [["crewMembers"], ["almaMater"], ["birthPlace", "crewMembers"]]
     assert dict(backend.calls) == {"segmentation": 1, "retrieval": 1, "inference": 1}
-    assert conclusion.trace.backend_calls() == 3
+    assert ["prompt" in record for record in conclusion.trace.retrieval] == [False, False, True]
 
 
 # --- segmentation stage -----------------------------------------------------------
@@ -172,6 +173,17 @@ def test_question_answer_does_not_echo_the_seed():
     query = Query.question("which films did Brigitte Nielsen act in?", seed, 1)
     conclusion = pipeline.infer(query, EvidenceGraph(g, tuple(range(len(g.head)))), StageTrace())
     assert conclusion.result.entity == "Cobra"
+
+
+def test_a_reply_that_names_only_the_seed_fails_at_inference(metaqa_graph, metaqa_type_graph):
+    backend = seq_backend(seg=["garbage"], inf=["It is Six Shooter."])
+    pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
+    seed = resolve_mention("Six Shooter", metaqa_graph, metaqa_type_graph)
+    with pytest.raises(PipelineError) as err:
+        pipeline.run(Query.question("what type of film is Six Shooter?", seed, 1))
+    assert err.value.stage == "inference"
+    assert isinstance(err.value.cause, AnswerGroundingError)
+    assert err.value.trace.inference["response"] == "It is Six Shooter."
 
 
 def test_claim_segmentation_parse_error_propagates():
@@ -254,7 +266,6 @@ def test_a_one_relation_pool_is_taken_without_a_call(crewed_flight_graph, crewed
             "notes": ["one offered relation: taken without a call"],
         }
     ]
-    assert conclusion.trace.backend_calls() == 2
     assert conclusion.evidence.labels() == [("Apollo_8", "crewMembers", "William_Anders")]
 
 
@@ -501,7 +512,7 @@ class _FailsAt:
 
 
 def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, crewed_flight_type_graph):
-    backend = seq_backend(seg=[ALONGSIDE], ret=["I cannot tell."])
+    backend = CountingBackend(seq_backend(seg=[ALONGSIDE], ret=["I cannot tell."]))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
@@ -513,31 +524,30 @@ def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, cre
     assert trace.retrieval[-1]["offered"] == ["birthPlace", "crewMembers"]
     assert trace.retrieval[-1]["prompt"].endswith("Top 5 Answer:")
     assert trace.retrieval[-1]["response"] == "I cannot tell."
-    assert trace.backend_calls() == 2
+    assert dict(backend.calls) == {"segmentation": 1, "retrieval": 1}
 
 
 def test_failed_backend_call_keeps_its_prompt(crewed_flight_graph, crewed_flight_type_graph):
     query = crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph)
-    ok = Pipeline(
-        crewed_flight_graph, crewed_flight_type_graph, mock_backend("mock_crewed_flight.jsonl")
-    ).run(query)
-    backend = _FailsAt(mock_backend("mock_crewed_flight.jsonl"), "inference")
+    working = CountingBackend(mock_backend("mock_crewed_flight.jsonl"))
+    ok = Pipeline(crewed_flight_graph, crewed_flight_type_graph, working).run(query)
+    backend = CountingBackend(_FailsAt(mock_backend("mock_crewed_flight.jsonl"), "inference"))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(query)
     assert err.value.stage == "inference"
     assert err.value.trace.inference == {"prompt": ok.trace.inference["prompt"]}
-    assert err.value.trace.backend_calls() == ok.trace.backend_calls()
+    assert backend.calls == working.calls
 
 
 def test_failed_segmentation_call_counts_as_a_call(crewed_flight_graph, crewed_flight_type_graph):
-    backend = _FailsAt(mock_backend("mock_crewed_flight.jsonl"), "segmentation")
+    backend = CountingBackend(_FailsAt(mock_backend("mock_crewed_flight.jsonl"), "segmentation"))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert err.value.stage == "segmentation"
     assert list(err.value.trace.segmentation) == ["prompt"]
-    assert err.value.trace.backend_calls() == 1
+    assert dict(backend.calls) == {"segmentation": 1}
 
 
 # --- whole-pipeline properties ------------------------------------------------------

@@ -46,7 +46,7 @@ def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
 def test_readme_library_example_prints_its_comments(monkeypatch, capsys):
     block = _first_block("## Library use", "python")
     expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
-    assert len(expected) == 3
+    assert len(expected) == 2
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
