@@ -275,8 +275,8 @@ class _Channel:
         weakref.finalize(self, self.conn.close)
 
     def post(self, body: bytes, headers: dict[str, str]) -> tuple[http.client.HTTPResponse, bytes]:
-        """Send one POST and read its whole reply, reconnecting first when
-        the kept connection was closed while idle. Any failure closes the
+        """Send one POST and read its whole reply, on a new connection when
+        the kept one was closed while idle. Any failure closes the
         connection, so the next call starts on a fresh one."""
         conn = self.conn
         try:
@@ -284,11 +284,6 @@ class _Channel:
                 # An idle kept connection has nothing to say: a readable one
                 # was closed by the server, or is out of step with it.
                 conn.close()
-            if conn.sock is None:
-                conn.connect()
-                # Set here in case connect() did not: with Nagle on, a
-                # delayed ACK of the headers would hold back the body.
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.request("POST", self.target, body, headers)
             response = conn.getresponse()
             return response, response.read()

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the kg_reason package."""
+"""The kg_reason exception hierarchy, and the file readers and writer that raise its errors."""
 
 from __future__ import annotations
 
@@ -22,21 +22,29 @@ def read_chunks(path: str, error: ErrorFactory) -> Iterator[tuple[int, list[str]
     Lines keep their endings and count from 1, blank ones too; a leading
     byte-order mark is dropped. ``error(line, message)`` builds the error to
     raise, ``line`` None for a file that cannot be opened. A byte that is not
-    UTF-8 is blamed on its line by a rescan, as text mode decodes in blocks.
-    A caller that stops early, or raises, closes the file by dropping the generator.
+    UTF-8 decodes to a lone surrogate, which UTF-8 text cannot hold; the first
+    line with one raises after the lines above it are yielded, wherever the
+    chunks fall. A caller that stops early, or raises, closes the file by
+    dropping the generator.
     """
     try:
-        handle = open(path, encoding="utf-8-sig")
+        handle = open(path, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise error(None, str(exc)) from exc
     with handle:
         first = 1
-        try:
-            while lines := handle.readlines(CHUNK_SIZE):
-                yield first, lines
-                first += len(lines)
-        except UnicodeDecodeError as exc:
-            raise error(_undecodable_line(path), f"not UTF-8 ({exc.reason})") from exc
+        while lines := handle.readlines(CHUNK_SIZE):
+            try:
+                "".join(lines).encode("utf-8")
+            except UnicodeEncodeError:
+                for i, line in enumerate(lines):
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        yield first, lines[:i]
+                        raise error(first + i, f"not UTF-8 ({exc.reason})") from exc
+            yield first, lines
+            first += len(lines)
 
 
 def read_lines(path: str, error: ErrorFactory) -> Iterator[tuple[int, str]]:
@@ -53,17 +61,6 @@ def writing(path: str, mode: str = "a") -> TextIO:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise OutputError(path, exc.strerror or str(exc)) from exc
-
-
-def _undecodable_line(path: str) -> int | None:
-    # Latin-1 decodes every byte, so lines split and count as in the UTF-8 read.
-    with open(path, encoding="latin-1") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return None
 
 
 class LoadError(KGReasonError):

@@ -164,7 +164,7 @@ def parse_answer(
     case-insensitive) that the response mentions as whole tokens, never the
     question's ``seed``. The full response is kept as the rationale. Raises
     :class:`AnswerGroundingError` when the evidence is empty or no endpoint
-    but the seed is mentioned.
+    but the seed is mentioned, with a message of its own when the seed is.
     """
     if not evidence:
         raise AnswerGroundingError("cannot ground an answer in empty evidence")
@@ -172,8 +172,7 @@ def parse_answer(
     # each distinct spelling is canonicalized once, in order of first appearance
     for spelling in dict.fromkeys(x for head, _, tail in evidence for x in (head, tail)):
         labels.setdefault(canonical_label(spelling).lower(), spelling)
-    if seed is not None:
-        labels.pop(canonical_label(seed).lower(), None)
+    seed_key = None if seed is None else canonical_label(seed).lower()
     haystack = canonical_label(response).lower()
     # the substring test first, so only labels present compile a pattern
     mentioned = [
@@ -183,9 +182,12 @@ def parse_answer(
         and needle in haystack
         and re.search(rf"(?<!\w){re.escape(needle)}(?!\w)", haystack)
     ]
-    if not mentioned:
+    others = [needle for needle in mentioned if needle != seed_key]
+    if mentioned and not others:
+        raise AnswerGroundingError("the response names only the question's seed")
+    if not others:
         raise AnswerGroundingError("no evidence entity appears in the response")
-    return AnswerCandidate(entity=labels[max(mentioned, key=len)], rationale=response)
+    return AnswerCandidate(entity=labels[max(others, key=len)], rationale=response)
 
 
 def _note(notes: list[str] | None, message: str) -> None:

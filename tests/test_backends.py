@@ -4,6 +4,8 @@ import base64
 import gc
 import json
 import os
+import select
+import socket
 import subprocess
 import sys
 import threading
@@ -362,6 +364,28 @@ def test_http_backend_reopens_a_kept_connection_the_server_closed(chat_server):
         time.sleep(0.05)
         assert backend.complete(f"call {i}", "inference") == f"call {i}"
     assert server.connections == 3
+
+
+def test_http_backend_reopens_a_closed_connection_where_select_has_no_poll(
+    chat_server, monkeypatch
+):
+    # As on a platform without select.poll: select.select sees the close.
+    monkeypatch.delattr(select, "poll")
+    server = chat_server(hang_up=True)
+    backend = HttpBackend(BackendConfig(endpoint=server.url, timeout=5.0, max_retries=0))
+    for i in range(3):
+        time.sleep(0.05)
+        assert backend.complete(f"call {i}", "inference") == f"call {i}"
+    assert server.connections == 3
+
+
+def test_http_backend_connections_send_without_nagle_delay(chat_server):
+    # With Nagle's algorithm on, a delayed ACK of the headers would hold back the body.
+    server = chat_server()
+    backend = HttpBackend(BackendConfig(endpoint=server.url, timeout=5.0, max_retries=0))
+    assert backend.complete("p", "inference") == "p"
+    sock = backend._local.channel.conn.sock
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def _basic(userinfo: str) -> str:

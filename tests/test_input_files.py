@@ -1,7 +1,9 @@
 """The contract every input file shares through ``errors.read_chunks``: blank
 and whitespace-only lines are skipped but counted, so an error names the
-line's number in the file, however the file is cut into chunks; a leading
-byte-order mark is dropped; and no file is left open after an error."""
+line's number in the file, however the file is cut into chunks; the first
+bad line is reported, whether its bytes are not UTF-8 or its content is
+malformed; a leading byte-order mark is dropped; and no file is left open
+after an error."""
 
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from kg_reason import errors
 from kg_reason.errors import DatasetLoadError, GraphLoadError, MockScriptError
 
 
-@pytest.mark.parametrize(
+# one malformed record or line per case, for every kind of input file
+malformed_lines = pytest.mark.parametrize(
     "load, malformed, error, message",
     [
         (load_verification_dataset, "{not json", DatasetLoadError, "bad JSON ("),
@@ -33,6 +36,9 @@ from kg_reason.errors import DatasetLoadError, GraphLoadError, MockScriptError
         "verification-no-entities", "verification-unknown-type", "qa-no-answers",
     ],
 )
+
+
+@malformed_lines
 def test_blank_lines_count_toward_the_reported_line(
     load, malformed, error, message, tmp_path, monkeypatch
 ):
@@ -61,6 +67,41 @@ def test_a_byte_that_is_not_utf8_is_blamed_on_its_line_for_every_line_ending(
     with pytest.raises(GraphLoadError) as err:
         load_graph(str(path))
     assert str(err.value) == f"{path}:3: not UTF-8 (invalid start byte)"
+
+
+@malformed_lines
+def test_a_bad_line_is_reported_before_a_later_byte_that_is_not_utf8(
+    load, malformed, error, message, tmp_path
+):
+    # all in one chunk and in text mode's first decoding block
+    path = tmp_path / "input"
+    path.write_bytes(b"\n" + malformed.encode() + b"\n\n\n\xff\n")
+    with pytest.raises(error) as err:
+        load(str(path))
+    assert f"{path}:2: {message}" in str(err.value)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 40, errors.CHUNK_SIZE])
+@pytest.mark.parametrize(
+    "data, reported",
+    [
+        (b"a\ta\t\x1c\n\n\n\n#\n\xc3", ":1: empty field"),
+        (b"a\tr\tb\nbad line\n" + b"c\tr\td\n" * 10 + b"e\tr\t\xff\n",
+         ":2: expected 3 tab-separated fields, got 1"),
+        (b"a\tr\tb\nbad line\n" + b"c\tr\td\n" * 10_000 + b"e\tr\t\xff\n",
+         ":2: expected 3 tab-separated fields, got 1"),
+    ],
+    ids=["empty-field", "bad-line-near-above", "bad-line-far-above"],
+)
+def test_the_first_bad_line_is_reported_whatever_the_chunk_size(
+    data, reported, chunk_size, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(errors, "CHUNK_SIZE", chunk_size)
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(data)
+    with pytest.raises(GraphLoadError) as err:
+        load_graph(str(path))
+    assert str(err.value) == f"{path}{reported}"
 
 
 _TOO_MANY, _TOO_FEW = "a\tr\tb\tc", "d\te"

@@ -274,6 +274,22 @@ def test_parse_answer_never_returns_the_seed():
 
 
 @pytest.mark.parametrize(
+    "response, message",
+    [
+        ("It is Brigitte Nielsen.", "the response names only the question's seed"),
+        ("It is Brigitte Nielsens.", "no evidence entity appears in the response"),
+        ("It is Nielsen.", "no evidence entity appears in the response"),
+    ],
+    ids=["seed-named", "seed-inside-a-token", "nothing-named"],
+)
+def test_parse_answer_says_when_the_response_names_only_the_seed(response, message):
+    evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
+    with pytest.raises(AnswerGroundingError) as err:
+        parse_answer(response, evidence, "Brigitte_Nielsen")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "response, expected",
     [
         ("Shorts", None),

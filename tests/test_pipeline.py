@@ -183,6 +183,7 @@ def test_a_reply_that_names_only_the_seed_fails_at_inference(metaqa_graph, metaq
         pipeline.run(Query.question("what type of film is Six Shooter?", seed, 1))
     assert err.value.stage == "inference"
     assert isinstance(err.value.cause, AnswerGroundingError)
+    assert str(err.value.cause) == "the response names only the question's seed"
     assert err.value.trace.inference["response"] == "It is Six Shooter."
 
 
