@@ -17,6 +17,7 @@ from .graph import KnowledgeGraph, TypeGraph, relations_within_n_hops
 CONCRETE = "concrete"
 TYPE_REF = "type"
 VARIABLE = "variable"
+HOPS = (1, 2, 3)  # the hop counts a question may span
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def extract_nhop_candidates(
     seed_id: int, hops: int, g: KnowledgeGraph
 ) -> RelationCandidates:
     """Candidate pool for a question: relations within ``hops`` of the seed entity."""
-    if hops not in (1, 2, 3):
+    if hops not in HOPS:
         raise CandidateError(f"hop count must be 1, 2 or 3, got {hops}")
     rels = relations_within_n_hops(g, seed_id, hops)
     return RelationCandidates(tuple(sorted(g.relation_label(r) for r in rels)))

@@ -15,7 +15,7 @@ import sys
 from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
-from .candidates import VARIABLE, resolve_mention
+from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import BackendError, KGReasonError, OutputError, PipelineError, UnknownEntityError
 from .evaluation import (
     OrderBoundScriptError,
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     answer = sub.add_parser("answer", help="answer one question")
     add_common(answer, "answer")
     answer.add_argument("--question", required=True, help="question with the seed in [brackets]")
-    answer.add_argument("--hops", required=True, type=int, choices=(1, 2, 3))
+    answer.add_argument("--hops", required=True, type=int, choices=HOPS)
 
     for name in ("eval", "ablate"):
         # No abbreviations for ablate, where "--k" would stand for "--k-values".
@@ -115,7 +115,7 @@ def _build_parser() -> _Parser:
         add_common(p, name)
         p.add_argument("--task", required=True, choices=("verification", "qa"))
         p.add_argument("--dataset", required=True)
-        p.add_argument("--hops", type=int, choices=(1, 2, 3))
+        p.add_argument("--hops", type=int, choices=HOPS)
         p.add_argument("--width", type=_int_in(1), default=1, help="worker pool width")
         p.add_argument("--report", help="write the machine-readable report here")
         if name == "ablate":

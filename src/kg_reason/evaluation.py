@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .backends import Backend, MockBackend
-from .candidates import VARIABLE, resolve_mention
+from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import (
     DatasetLoadError,
     KGReasonError,
@@ -71,11 +71,13 @@ def load_verification_dataset(path: str) -> list[VerificationExample]:
             raise DatasetLoadError(path, lineno, f"bad JSON ({exc})") from exc
         except (KeyError, TypeError) as exc:
             raise DatasetLoadError(path, lineno, f"missing field ({exc})") from exc
-        if not isinstance(claim, str):
-            raise DatasetLoadError(path, lineno, f"claim must be a string: {claim!r}")
-        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        if not isinstance(claim, str) or not claim.strip():
+            raise DatasetLoadError(path, lineno, f"claim must be a non-blank string: {claim!r}")
+        if not isinstance(entities, list) or not all(
+            isinstance(e, str) and e.strip() for e in entities
+        ):
             raise DatasetLoadError(
-                path, lineno, f"entities must be a list of strings: {entities!r}"
+                path, lineno, f"entities must be a list of non-blank strings: {entities!r}"
             )
         if not entities:
             raise DatasetLoadError(path, lineno, "entities must be non-empty")
@@ -105,16 +107,20 @@ _BRACKETED_SEED = re.compile(r"\[([^\[\]]+)\]")
 def split_seed(question: str) -> tuple[str, str]:
     """Split a question into its prompt text (brackets removed) and its seed.
 
-    Raises :class:`QueryError` unless exactly one ``[bracketed]`` seed is present.
+    Raises :class:`QueryError` unless exactly one ``[bracketed]`` seed is present, and not blank.
     """
     seeds = _BRACKETED_SEED.findall(question)
     if len(seeds) != 1:
         raise QueryError(f"expected exactly one bracketed seed, got {len(seeds)}")
+    if seeds[0].isspace():
+        raise QueryError("the bracketed seed is blank")
     return _BRACKETED_SEED.sub(lambda m: m.group(1), question).strip(), seeds[0]
 
 
 def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
     """Load ``question<TAB>answer|answer`` lines; the seed sits in brackets."""
+    if hops not in HOPS:
+        raise ValueError(f"hops must be 1, 2 or 3, got {hops}")
     examples: list[QAExample] = []
     for lineno, line in read_lines(path, partial(DatasetLoadError, path)):
         parts = line.rstrip("\n").split("\t")

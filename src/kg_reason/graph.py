@@ -115,17 +115,13 @@ class _Side(NamedTuple):
 class KnowledgeGraph:
     """Indexed triple store. Use :func:`load_graph` or :meth:`from_triples`."""
 
-    def __init__(self) -> None:
+    def __init__(self, triples: Iterable[list[str]], entity_types: Iterable[list[str]]) -> None:
+        """Build from flat field chunks, three fields per triple and two per (entity, type) pair."""
         self._entities = Interner(canonical_label)
         self._relations = Interner()
         self._types = Interner(canonical_label)
-        # one entry per triple, indexed by load position; read-only outside the build
-        self.head, self.relation, self.tail = array("i"), array("i"), array("i")
-        self._build_sides()
-        self.entity_types: dict[int, frozenset[int]] = {}
-        self.duplicate_count = 0
-
-    def _build_sides(self) -> None:
+        # the interning scratch dies with _intern's frame, before the sides' sort buffers
+        self._intern(triples, entity_types)
         n_entities, n_relations = len(self._entities.labels), len(self._relations.labels)
         # anchored at the head, and at the tail
         self._out = _Side.build(self.head, self.relation, self.tail, n_entities, n_relations)
@@ -138,11 +134,7 @@ class KnowledgeGraph:
         entity_types: Iterable[tuple[str, str]] = (),
     ) -> "KnowledgeGraph":
         """Build a graph from label triples and optional (entity, type) pairs."""
-        g = cls()
-        # the interning scratch dies with _intern's frame, before the sides' sort buffers
-        g._intern(_flat_batches(triples, 3), _flat_batches(entity_types, 2))
-        g._build_sides()
-        return g
+        return cls(_flat_batches(triples, 3), _flat_batches(entity_types, 2))
 
     def _intern(self, triples: Iterable[list[str]], entity_types: Iterable[list[str]]) -> None:
         """Fill the label tables, the id columns and ``entity_types`` from flat field chunks."""
@@ -163,6 +155,7 @@ class KnowledgeGraph:
             first.update(dict.fromkeys(map(or_, map(lshift, packed, repeat(32)), ends[1::2])))
         self.duplicate_count = read - len(first)
         low = repeat(0xFFFFFFFF)
+        # one entry per triple, indexed by load position; read-only outside the build
         self.head = array("i", map(rshift, first, repeat(64)))
         self.relation = array("i", map(and_, map(rshift, first, repeat(32)), low))
         self.tail = array("i", map(and_, first, low))
@@ -172,9 +165,8 @@ class KnowledgeGraph:
             for eid, tid in zip(map(entity_id, flat[::2]), map(type_id, flat[1::2])):
                 typed[eid].add(tid)
         shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
-        for eid, tids in typed.items():
-            type_set = frozenset(tids)
-            self.entity_types[eid] = shared.setdefault(type_set, type_set)
+        type_sets = map(frozenset, typed.values())
+        self.entity_types = {eid: shared.setdefault(s, s) for eid, s in zip(typed, type_sets)}
 
     # label/id plumbing -------------------------------------------------
 
@@ -236,11 +228,10 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
     skipped. Duplicate triples are dropped and counted on the returned
     graph. Entities appearing only in the type file are still interned.
     """
-    g = KnowledgeGraph()
-    g._intern(_read_tsv(triples_path, 3), () if types_path is None else _read_tsv(types_path, 2))
+    types = () if types_path is None else _read_tsv(types_path, 2)
+    g = KnowledgeGraph(_read_tsv(triples_path, 3), types)
     if not g.head:
         raise GraphLoadError(triples_path, None, "no triples in file")
-    g._build_sides()
     return g
 
 
@@ -256,10 +247,11 @@ def _flat_batches(rows: Iterable[Sequence[str]], width: int) -> Iterator[list[st
 def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
     """Each chunk's data lines as flat stripped fields, ``width`` to a line."""
     for first, lines in read_chunks(path, functools.partial(GraphLoadError, path)):
+        joined = "\t".join(lines)
         # the strip also removes the line ending
-        fields = list(map(str.strip, "\t".join(lines).split("\t")))
+        fields = list(map(str.strip, joined.split("\t")))
         # "#" may start a comment; tabs per line, as two bad lines could cancel out
-        if "#" in "".join(lines) or "" in fields or any(
+        if "#" in joined or "" in fields or any(
             map(ne, map(str.count, lines, repeat("\t")), repeat(width - 1))
         ):
             fields = []  # line by line: skip comments and blanks, raise at a bad line
@@ -354,11 +346,15 @@ def match_triples_by_id(
                 if run_relation[lo] == rid:
                     positions += perm[run_start[lo] : run_start[lo + 1]]
         found.append(positions)
-    # A side's runs are disjoint slices of a permutation, each ascending, so
-    # sorting one side merges its runs and meets no repeat. A triple repeats
-    # only across the sides, when both of its endpoints are anchors.
-    out, into = found
-    if not (out and into):
-        return sorted(out or into)
-    merged = sorted(out + into)
+    # a side's runs are disjoint slices of a permutation, so no side repeats a position
+    return merge_positions(found)
+
+
+def merge_positions(lists: Iterable[list[int]]) -> list[int]:
+    """The ascending union of position lists, none of which repeats a position."""
+    filled = list(filter(None, lists))
+    if len(filled) == 1:
+        return sorted(filled[0])
+    merged = sorted(chain.from_iterable(filled))
+    # a position repeats only across lists, where sorting puts its copies side by side
     return list(compress(merged, map(ne, merged, chain((-1,), merged))))

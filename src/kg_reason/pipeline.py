@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Union
 
 from .backends import Backend
 from .candidates import (
     CONCRETE,
+    HOPS,
     TYPE_REF,
     VARIABLE,
     Mention,
@@ -32,7 +32,7 @@ from .errors import (
     RetrievalError,
     SegmentationParseError,
 )
-from .graph import KnowledgeGraph, TypeGraph, gather, match_triples_by_id
+from .graph import KnowledgeGraph, TypeGraph, gather, match_triples_by_id, merge_positions
 from .parsing import (
     AnswerCandidate,
     SubSentence,
@@ -84,7 +84,7 @@ class Query:
             raise QueryError("question text is empty")
         if seed.kind != CONCRETE:
             raise QueryError(f"a question needs a concrete seed, got {seed.kind} {seed.surface!r}")
-        if hops not in (1, 2, 3):
+        if hops not in HOPS:
             raise QueryError(f"hops must be 1, 2 or 3, got {hops}")
         return cls(QUESTION, text, (seed,), hops)
 
@@ -283,7 +283,6 @@ class Pipeline:
         self,
         subsentences: list[SubSentence],
         retrieved: dict[int, RelationCandidates],
-        query: Query,
         trace: StageTrace,
     ) -> EvidenceGraph:
         """Collect matching triples sub-sentence by sub-sentence.
@@ -320,10 +319,7 @@ class Pipeline:
                 if m.kind == VARIABLE:
                     bindings[m.ref] = (matched, anchors)
             runs.append(matched)
-        # Each run is ascending and unique: sorting their concatenation merges
-        # them, and dict.fromkeys drops the repeats in order.
-        positions = runs[0] if len(runs) == 1 else dict.fromkeys(sorted(chain(*runs)))
-        evidence = EvidenceGraph(g, tuple(positions))
+        evidence = EvidenceGraph(g, tuple(merge_positions(runs)))
         trace.assembly = {"evidence": evidence, "bindings": bindings}
         return evidence
 
@@ -370,7 +366,7 @@ class Pipeline:
         evidence = self._stage(
             "assembly",
             trace,
-            lambda: self.assemble(subsentences, retrieved, query, trace),
+            lambda: self.assemble(subsentences, retrieved, trace),
             fails_as="retrieval",
         )
         return self._stage("inference", trace, lambda: self.infer(query, evidence, trace))

@@ -53,7 +53,8 @@ def test_answer_prints_the_entity(capsys):
 
 
 @pytest.mark.parametrize(
-    "question", ["what type of film is Six Shooter?", "is [Six Shooter] a [Short]?"]
+    "question",
+    ["what type of film is Six Shooter?", "is [Six Shooter] a [Short]?", "what is [ ]?"],
 )
 def test_answer_without_exactly_one_seed_is_a_data_error(question, capsys):
     code = main(

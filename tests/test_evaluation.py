@@ -151,11 +151,17 @@ def test_qa_line_with_no_seed_is_a_load_error(tmp_path):
         load_qa_dataset(str(path), 1)
 
 
+@pytest.mark.parametrize("hops", [0, 4, 5, -1])
+def test_qa_loader_rejects_a_hop_count_before_opening_the_file(hops, tmp_path):
+    with pytest.raises(ValueError, match=f"hops must be 1, 2 or 3, got {hops}"):
+        load_qa_dataset(str(tmp_path / "no such file"), hops)
+
+
 @pytest.mark.parametrize("hops", [1, 2, 3])
 def test_split_seed_agrees_with_the_loader(hops):
     for example in load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops):
         assert split_seed(example.question) == (example.text, example.seed)
-    for bad in ("what does X do?", "what do [X] and [Y] do?"):
+    for bad in ("what does X do?", "what do [X] and [Y] do?", "what is [ ]?"):
         with pytest.raises(QueryError):
             split_seed(bad)
 

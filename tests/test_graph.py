@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, errors, load_graph
 from kg_reason.errors import GraphLoadError
-from kg_reason.graph import gather, match_triples_by_id, relations_within_n_hops
+from kg_reason.graph import gather, match_triples_by_id, merge_positions, relations_within_n_hops
 
 from helpers import (
     FIXTURES,
@@ -581,6 +581,23 @@ def test_matching_returns_load_order(factkg_graph):
     positions = matching(factkg_graph, {"Alfredo_Zitarrosa"}, {"deathPlace", "birthPlace"})
     assert len(positions) >= 2
     assert positions == sorted(set(positions))
+
+
+# lists without inner repeats, each in any order, some empty, overlapping one another
+@given(st.lists(st.lists(st.integers(0, 40), unique=True, max_size=12), max_size=5))
+def test_merge_positions_is_the_ascending_union(lists):
+    assert merge_positions(lists) == sorted(set().union(*lists))
+
+
+def test_a_graph_built_from_no_triples_answers_empty():
+    g = KnowledgeGraph.from_triples([])
+    assert g.duplicate_count == 0
+    assert not g.head and not g.entity_types
+    assert g.incident_relation_ids(0) == set()
+    for n in (1, 2, 3):
+        assert relations_within_n_hops(g, 0, n) == set()
+    assert match_triples_by_id(g, {0}, {0}) == []
+    assert build_type_graph(g).type_relations == {}
 
 
 # --- ids the graph never handed out ----------------------------------------------

@@ -30,10 +30,17 @@ malformed_lines = pytest.mark.parametrize(
          DatasetLoadError, "unknown reasoning type 'two-hop'"),
         (lambda path: load_qa_dataset(path, 1), "what is [s]?\t | ", DatasetLoadError,
          "no gold answers"),
+        (load_verification_dataset, '{"claim": "  ", "entities": ["e"], "label": "Supported"}',
+         DatasetLoadError, "claim must be a non-blank string: '  '"),
+        (load_verification_dataset, '{"claim": "c", "entities": ["e", " "], "label": "Supported"}',
+         DatasetLoadError, "entities must be a list of non-blank strings: ['e', ' ']"),
+        (lambda path: load_qa_dataset(path, 1), "what is [ ]?\tZ", DatasetLoadError,
+         "the bracketed seed is blank"),
     ],
     ids=[
         "verification-jsonl", "qa-tsv", "mock-script", "graph-tsv",
         "verification-no-entities", "verification-unknown-type", "qa-no-answers",
+        "verification-blank-claim", "verification-blank-entity", "qa-blank-seed",
     ],
 )
 

@@ -647,10 +647,10 @@ def test_assembly_matches_the_reference_on_random_graphs(seed):
     trace = StageTrace()
     if expected is None:
         with pytest.raises(AssemblyError):
-            pipeline.assemble(subsentences, retrieved, None, trace)
+            pipeline.assemble(subsentences, retrieved, trace)
         return
     positions, bindings = expected
-    evidence = pipeline.assemble(subsentences, retrieved, None, trace)
+    evidence = pipeline.assemble(subsentences, retrieved, trace)
     assert list(evidence.positions) == positions
     assert trace.to_record()["assembly"]["bindings"] == {
         name: sorted(v) for name, v in bindings.items()
