@@ -47,8 +47,8 @@ class BackendConfig:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if type(self.max_retries) is not int or self.max_retries < 0:  # bools refused too
+            raise ValueError(f"max_retries must be an int >= 0, got {self.max_retries}")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if not 0 <= self.temperature < math.inf:

@@ -1,9 +1,9 @@
 """Relation candidate extraction for sub-sentences.
 
 Two routes produce the candidate pool a sub-sentence's relation is chosen
-from: schema intersection over the sub-sentence's entity mentions (claim
-verification), and the union of relations within n hops of a seed entity
-(question answering).
+from: schema intersection over the relations within one hop of each entity
+mention (claim verification), and the union of relations within n hops of a
+seed entity (question answering). Both read the graph with one walker.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def resolve_mention(
 
 def type_or_variable(surface: str, tg: TypeGraph | None) -> Mention:
     """A type mention when ``tg`` knows the surface as a type, else a variable."""
-    tid = None if tg is None else tg.resolve_type(surface)
+    tid = None if tg is None else tg.graph.maybe_type_id(surface)
     if tid is not None:
         return Mention.type_ref(surface, tid)
     return Mention.variable(surface)
@@ -76,8 +76,8 @@ def extract_relation_candidates(
 ) -> RelationCandidates:
     """Candidate pool for a claim sub-sentence.
 
-    Concrete mentions contribute the intersection of their incident
-    relations; type mentions contribute the union of their type's relation
+    Concrete mentions contribute the intersection of their relations within
+    one hop; type mentions contribute the union of their type's relation
     buckets, intersected with the concrete pool when both are present. When
     every mention is a type, the type pool is returned directly rather than
     intersecting with the empty concrete pool. Variables contribute nothing.
@@ -91,7 +91,7 @@ def extract_relation_candidates(
     type_ids: list[int] = []
     for m in mentions:
         if m.kind == CONCRETE:
-            rels = g.incident_relation_ids(m.ref)
+            rels = relations_within_n_hops(g, m.ref, 1)
             entity_pool = rels if entity_pool is None else entity_pool & rels
         elif m.kind == TYPE_REF:
             type_ids.append(m.ref)

@@ -261,7 +261,7 @@ def evaluate(
     records finished before it. The report's ``config["backend"]`` reads
     ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
     backend's class name otherwise. Raises :class:`ValueError` before any query for an empty
-    dataset, ``width < 1`` or an out-of-range ``k`` or ``shots``, and its
+    dataset, ``width < 1`` or a ``k`` or ``shots`` not an in-range int, and its
     subclass :class:`OrderBoundScriptError` for ``width > 1`` on an order-bound
     :class:`MockBackend`, whose sequence entries replay in call order.
     """

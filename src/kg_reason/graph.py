@@ -105,12 +105,6 @@ class _Side(NamedTuple):
             other=other,
         )
 
-    def relations(self, eid: int) -> array:
-        """The relations of the entity's runs; none for ids the graph never handed out."""
-        if 0 <= eid < len(self.first_run) - 1:
-            return self.run_relation[self.first_run[eid] : self.first_run[eid + 1]]
-        return self.run_relation[:0]
-
 
 class KnowledgeGraph:
     """Indexed triple store. Use :func:`load_graph` or :meth:`from_triples`."""
@@ -195,14 +189,6 @@ class KnowledgeGraph:
         relations = gather(relation, gather(self.relation, positions))
         return heads, relations, gather(entity, gather(self.tail, positions))
 
-    # id-level queries ---------------------------------------------------
-
-    def incident_relation_ids(self, eid: int) -> set[int]:
-        """Relations on edges where the entity is head or tail."""
-        rels = set(self._out.relations(eid))
-        rels.update(self._in.relations(eid))
-        return rels
-
 
 @dataclass
 class TypeGraph:
@@ -212,9 +198,6 @@ class TypeGraph:
 
     graph: KnowledgeGraph
     type_relations: dict[int, frozenset[int]]
-
-    def resolve_type(self, label: str) -> int | None:
-        return self.graph.maybe_type_id(label)
 
     def relation_ids_for(self, tid: int) -> frozenset[int]:
         return self.type_relations.get(tid, frozenset())

@@ -187,10 +187,10 @@ class Pipeline:
         k: int = DEFAULT_K[CLAIM],
         shots: int = MAX_SHOTS,
     ):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not 1 <= shots <= MAX_SHOTS:
-            raise ValueError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
+        if type(k) is not int or k < 1:  # bools refused too
+            raise ValueError(f"k must be an int >= 1, got {k}")
+        if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be an int between 1 and {MAX_SHOTS}, got {shots}")
         self.graph = graph
         self.type_graph = type_graph
         self.backend = backend

@@ -11,11 +11,15 @@ import ast
 import os
 import random
 import re
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import kg_reason
 from kg_reason import (
     KnowledgeGraph,
     Mention,
@@ -372,6 +376,26 @@ def test_backend_call_accounting_on_every_fixture_query(
         # 12 of factkg's 23 sub-sentences, 3 of 1-hop's 3 and 2 of 2-hop's 6
         # are offered a single relation, so the skip is exercised
         assert skipped == 17
+
+
+def test_every_module_imports_without_site_packages():
+    with criterion("the package has no runtime dependency"):
+        package = Path(kg_reason.__file__).parent
+        modules = sorted(f"kg_reason.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+        # -I drops PYTHONPATH, the user site and the working directory; -S drops site-packages
+        code = (
+            "import importlib, sys\n"
+            f"sys.path.insert(0, {str(package.parent)!r})\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(all('-packages' not in p for p in sys.path))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+        assert len(modules) >= 9
 
 
 @pytest.mark.skipif(

@@ -4,6 +4,7 @@ import base64
 import gc
 import json
 import os
+import re
 import select
 import socket
 import subprocess
@@ -440,6 +441,13 @@ def test_importing_the_package_loads_no_third_party_http_client():
 def test_negative_retries_rejected():
     with pytest.raises(ValueError):
         BackendConfig(endpoint="http://x", max_retries=-1)
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2", None])
+def test_retries_that_are_not_an_int_rejected(value):
+    # a float count would get past construction and fail inside complete as a TypeError
+    with pytest.raises(ValueError, match=f"^max_retries must be .*, got {re.escape(str(value))}$"):
+        BackendConfig(endpoint="http://x", max_retries=value)
 
 
 def test_sampling_defaults():

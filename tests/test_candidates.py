@@ -16,7 +16,12 @@ from kg_reason import (
 from kg_reason.errors import CandidateError, UnknownEntityError
 from kg_reason.evaluation import QAExample, build_query
 
-from helpers import candidate_oracle, enumerate_nhop_relations, random_graph_data
+from helpers import (
+    candidate_oracle,
+    enumerate_nhop_relations,
+    random_graph_data,
+    scan_relations_of_entity,
+)
 
 
 def graph_with_types(triples, type_pairs=()):
@@ -181,8 +186,7 @@ def test_single_mention_identity(seed):
     g, tg = graph_with_types(triples)
     entity = rng.choice(present_entities(g, entities))
     got = extract_relation_candidates([concrete(g, entity)], g, tg)
-    incident = g.incident_relation_ids(g.maybe_entity_id(entity))
-    assert set(got.relations) == {g.relation_label(r) for r in incident}
+    assert set(got.relations) == scan_relations_of_entity(triples, entity)
 
 
 # --- question-style extraction ------------------------------------------------------

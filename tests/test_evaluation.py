@@ -547,7 +547,11 @@ def test_backend_echo_names_endpoint_and_model_or_class(tmp_path, factkg_graph, 
 # --- ablation grid ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k, shots", [(0, 12), (-1, 12), (3, 0), (3, 13)])
+@pytest.mark.parametrize(
+    "k, shots",
+    # a float or a bool gets past a range check alone, then fails mid-run or runs
+    [(0, 12), (-1, 12), (3, 0), (3, 13), (2.5, 12), (True, 12), ("3", 12), (3, 12.0), (3, True)],
+)
 def test_out_of_range_k_or_shots_fails_before_any_query(k, shots, metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
     backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))

@@ -42,11 +42,11 @@ def relation_labels(g, relation_ids):
 
 
 def entity_relations(g, entity):
-    return relation_labels(g, g.incident_relation_ids(g.maybe_entity_id(entity)))
+    return nhop_relations(g, entity, 1)
 
 
 def type_relations(tg, type_label):
-    tid = tg.resolve_type(type_label)
+    tid = tg.graph.maybe_type_id(type_label)
     return set() if tid is None else relation_labels(tg.graph, tg.relation_ids_for(tid))
 
 
@@ -432,7 +432,7 @@ def test_type_graph_without_types_is_empty_not_an_error():
 def test_relations_of_unknown_type_is_empty():
     g = KnowledgeGraph.from_triples([("a", "r", "b")], [("a", "T1")])
     tg = build_type_graph(g)
-    assert tg.resolve_type("never heard of it") is None
+    assert g.maybe_type_id("never heard of it") is None
     assert type_relations(tg, "never heard of it") == set()
 
 
@@ -455,7 +455,7 @@ def test_type_graph_soundness(seed):
     g = KnowledgeGraph.from_triples(triples, _pairs(type_map))
     tg = build_type_graph(g)
     for type_label in set().union(*type_map.values()) if type_map else set():
-        rel_ids = tg.relation_ids_for(tg.resolve_type(type_label))
+        rel_ids = tg.relation_ids_for(g.maybe_type_id(type_label))
         carriers = [e for e, tls in type_map.items() if type_label in tls]
         incident = set().union(*(scan_relations_of_entity(triples, e) for e in carriers))
         assert {g.relation_label(r) for r in rel_ids} <= incident
@@ -593,7 +593,6 @@ def test_a_graph_built_from_no_triples_answers_empty():
     g = KnowledgeGraph.from_triples([])
     assert g.duplicate_count == 0
     assert not g.head and not g.entity_types
-    assert g.incident_relation_ids(0) == set()
     for n in (1, 2, 3):
         assert relations_within_n_hops(g, 0, n) == set()
     assert match_triples_by_id(g, {0}, {0}) == []
@@ -622,7 +621,6 @@ def test_ids_never_handed_out_reach_nothing(triples, types):
     every_relation = {0, 1}
     for bad in (-1, len(ids), 10**9):  # before the first id, one past the last, far beyond
         assert match_triples_by_id(g, {bad}, every_relation) == []
-        assert g.incident_relation_ids(bad) == set()
         for n in (1, 2, 3):
             assert relations_within_n_hops(g, bad, n) == set()
     # the ids next to them still answer

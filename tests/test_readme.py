@@ -1,4 +1,4 @@
-"""README.md runs as written: its CLI examples and its first library example."""
+"""README.md runs as written: its CLI examples and its first and id-level library examples."""
 
 from __future__ import annotations
 
@@ -14,15 +14,16 @@ from helpers import FIXTURES
 ROOT = FIXTURES.parents[1]
 
 
-def _first_block(section: str, language: str) -> str:
+def _first_block(after: str, language: str) -> str:
+    """The first ``language`` code block of README.md after the text ``after``."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    start = readme.index(f"\n{section}\n")
+    start = readme.index(after)
     return re.search(rf"```{language}\n(.*?)```", readme[start:], re.DOTALL).group(1)
 
 
 def _cli_examples() -> list[list[str]]:
     commands = []
-    for command in _first_block("## CLI", "bash").replace("\\\n", " ").splitlines():
+    for command in _first_block("\n## CLI\n", "bash").replace("\\\n", " ").splitlines():
         if command.strip() and not command.lstrip().startswith("#"):
             argv = shlex.split(command)
             assert argv[0] == "kg-reason"
@@ -43,10 +44,29 @@ def test_readme_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def _printed_comments(block: str) -> list[str]:
+    """The comment on each ``print(`` line: what that line prints."""
+    return [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+
+
 def test_readme_library_example_prints_its_comments(monkeypatch, capsys):
-    block = _first_block("## Library use", "python")
-    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    block = _first_block("\n## Library use\n", "python")
+    expected = _printed_comments(block)
     assert len(expected) == 2
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_id_level_example_runs_after_the_first(monkeypatch, capsys):
+    # a renamed graph reader fails here rather than leaving the README stale
+    first = _first_block("\n## Library use\n", "python")
+    block = _first_block("The graph answers in ids", "python")
+    expected = _printed_comments(block)
+    assert len(expected) == 3
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    exec(compile(first, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), namespace)
     assert capsys.readouterr().out.splitlines() == expected
