@@ -261,14 +261,14 @@ def evaluate(
     records finished before it. The report's ``config["backend"]`` reads
     ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
     backend's class name otherwise. Raises :class:`ValueError` before any query for an empty
-    dataset, ``width < 1`` or a ``k`` or ``shots`` not an in-range int, and its
+    dataset, a ``width`` not an int >= 1 or a ``k`` or ``shots`` not an in-range int, and its
     subclass :class:`OrderBoundScriptError` for ``width > 1`` on an order-bound
     :class:`MockBackend`, whose sequence entries replay in call order.
     """
     if not dataset:
         raise ValueError("dataset is empty")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    if type(width) is not int or width < 1:  # bools refused too
+        raise ValueError(f"width must be >= 1 and an int, got {width!r}")
     if width > 1 and isinstance(backend, MockBackend) and backend.order_bound:
         raise OrderBoundScriptError(
             f"the mock script's sequence entries replay in call order and need width 1, got"

@@ -21,11 +21,10 @@ from __future__ import annotations
 import functools
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, ne, or_, rshift, sub
+from operator import itemgetter, ne, sub
 from typing import NamedTuple, TypeVar
 
 from .errors import GraphLoadError, read_chunks
@@ -87,23 +86,45 @@ class _Side(NamedTuple):
 
     @classmethod
     def build(
-        cls, anchor: array, relation: array, other: array, n_entities: int, n_relations: int
-    ) -> "_Side":
-        """The side keyed on the ``anchor`` column: the heads, or the tails."""
-        # run key = anchor * n_relations + relation: sorting keys sorts (anchor, relation)
-        key = list(map(add, map(mul, anchor, repeat(n_relations)), relation))
-        perm = array("i", sorted(range(len(key)), key=key.__getitem__))
-        sizes = Counter(key)
-        runs = sorted(sizes)
-        per_entity = Counter(map(floordiv, runs, repeat(n_relations)))
-        runs_of = map(per_entity.get, range(n_entities), repeat(0))
-        return cls(
-            first_run=array("i", accumulate(runs_of, initial=0)),
-            run_relation=array("i", map(mod, runs, repeat(n_relations))),
-            run_start=array("i", accumulate(map(sizes.__getitem__, runs), initial=0)),
-            perm=perm,
-            other=other,
-        )
+        cls, anchor: array, relation: array, other: array, by_relation: array, n_entities: int
+    ) -> tuple["_Side", bytearray]:
+        """The side keyed on ``anchor`` (the heads, or the tails), and a mask of the triples
+        to keep: 0 at each position whose far endpoint appeared earlier in its run. ``perm``
+        is ``by_relation``, every position sorted stably by relation, counting-sorted by anchor.
+        """
+        perm = _counting_sort(anchor, n_entities, by_relation)
+        run_relation, run_start = array("i"), array("i")
+        keep = bytearray(b"\1") * len(perm)
+        runs_of = [0] * (n_entities + 1)  # runs per entity, one slot on
+        last_anchor = last_relation = -1
+        for i, p in enumerate(perm):
+            a, r = anchor[p], relation[p]
+            if r != last_relation or a != last_anchor:
+                last_anchor, last_relation, seen = a, r, set()
+                run_start.append(i)
+                run_relation.append(r)
+                runs_of[a + 1] += 1
+            elif other[p] in seen:
+                keep[p] = 0  # a repeated triple
+            seen.add(other[p])
+        run_start.append(len(perm))
+        first_run = array("i", accumulate(runs_of))
+        # [:] copies an array to its exact size: one grown item by item keeps spare room
+        return cls(first_run[:], run_relation[:], run_start[:], perm, other), keep
+
+
+def _counting_sort(keys: array, n_keys: int, order: Iterable[int]) -> array:
+    """``order``, which holds every position once, sorted stably by ``keys``."""
+    count = [0] * n_keys
+    for k in keys:
+        count[k] += 1
+    free = list(accumulate(count, initial=0))  # each key's next slot in the output
+    out = array("i", [0]) * len(keys)  # sized exactly, as array("i", bytes(...)) is not
+    for p in order:
+        k = keys[p]
+        out[free[k]] = p
+        free[k] += 1
+    return out
 
 
 class KnowledgeGraph:
@@ -114,12 +135,19 @@ class KnowledgeGraph:
         self._entities = Interner(canonical_label)
         self._relations = Interner()
         self._types = Interner(canonical_label)
-        # the interning scratch dies with _intern's frame, before the sides' sort buffers
+        # the interning scratch dies with _intern's frame, before the sides are sorted
         self._intern(triples, entity_types)
         n_entities, n_relations = len(self._entities.labels), len(self._relations.labels)
-        # anchored at the head, and at the tail
-        self._out = _Side.build(self.head, self.relation, self.tail, n_entities, n_relations)
-        self._in = _Side.build(self.tail, self.relation, self.head, n_entities, n_relations)
+        self.duplicate_count = 0
+        while True:  # twice at most: again once the repeated triples are dropped
+            by_rel = _counting_sort(self.relation, n_relations, range(len(self.relation)))
+            self._out, keep = _Side.build(self.head, self.relation, self.tail, by_rel, n_entities)
+            if all(keep):
+                break
+            self.duplicate_count = keep.count(0)
+            cols = (self.head, self.relation, self.tail)
+            self.head, self.relation, self.tail = (array("i", compress(c, keep))[:] for c in cols)
+        self._in = _Side.build(self.tail, self.relation, self.head, by_rel, n_entities)[0]
 
     @classmethod
     def from_triples(
@@ -131,36 +159,27 @@ class KnowledgeGraph:
         return cls(_flat_batches(triples, 3), _flat_batches(entity_types, 2))
 
     def _intern(self, triples: Iterable[list[str]], entity_types: Iterable[list[str]]) -> None:
-        """Fill the label tables, the id columns and ``entity_types`` from flat field chunks."""
+        """Fill the label tables, the id columns (repeated triples too) and ``entity_types``."""
         # per-build caches, so each distinct spelling is canonicalized once
         entity_id, relation_id, type_id = (
             functools.cache(t.intern) for t in (self._entities, self._relations, self._types)
         )
-        # Keyed by the packed ids (head, relation, tail), 32 bits each, the dict
-        # keeps each triple's first occurrence, in order. Ints are not GC-tracked.
-        first: dict[int, None] = {}
-        read = 0
+        head, relation, tail = array("i"), array("i"), array("i")
         for flat in triples:
-            relations = list(map(relation_id, flat[1::3]))
+            relation.extend(map(relation_id, flat[1::3]))
             del flat[1::3]  # heads and tails now alternate, in line order
-            ends = list(map(entity_id, flat))
-            read += len(relations)
-            packed = map(or_, map(lshift, ends[::2], repeat(32)), relations)  # head, relation
-            first.update(dict.fromkeys(map(or_, map(lshift, packed, repeat(32)), ends[1::2])))
-        self.duplicate_count = read - len(first)
-        low = repeat(0xFFFFFFFF)
+            ends = array("i", map(entity_id, flat))
+            head.extend(ends[::2])
+            tail.extend(ends[1::2])
         # one entry per triple, indexed by load position; read-only outside the build
-        self.head = array("i", map(rshift, first, repeat(64)))
-        self.relation = array("i", map(and_, map(rshift, first, repeat(32)), low))
-        self.tail = array("i", map(and_, first, low))
-        del first  # freed before the type sets are made, to keep this phase's peak down
-        typed: defaultdict[int, set[int]] = defaultdict(set)
+        self.head, self.relation, self.tail = head[:], relation[:], tail[:]  # exact size
+        # each entity's type set grows one type at a time, as the one frozenset of its members
+        self.entity_types: dict[int, frozenset[int]] = {}
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
         for flat in entity_types:
             for eid, tid in zip(map(entity_id, flat[::2]), map(type_id, flat[1::2])):
-                typed[eid].add(tid)
-        shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
-        type_sets = map(frozenset, typed.values())
-        self.entity_types = {eid: shared.setdefault(s, s) for eid, s in zip(typed, type_sets)}
+                grown = self.entity_types.get(eid, frozenset()) | {tid}
+                self.entity_types[eid] = shared.setdefault(grown, grown)
 
     # label/id plumbing -------------------------------------------------
 

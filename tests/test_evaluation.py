@@ -579,6 +579,21 @@ def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type
     assert backend.total_calls == 0
 
 
+@pytest.mark.parametrize("width", [2.5, 2.0, True, "2"])
+def test_width_that_is_not_an_int_fails_before_any_query(width, metaqa_graph, metaqa_type_graph):
+    # a bool ran and was reported as "width": true; a float reached the order-bound check
+    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
+    with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
+        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
+    with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
+        ablate(
+            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            k_values=[3], shot_values=[12], width=width,
+        )
+    assert backend.total_calls == 0
+
+
 @pytest.mark.parametrize("k_values, shot_values", [([], [12]), ([3], [])])
 def test_empty_dataset_or_grid_fails_before_any_query(
     k_values, shot_values, metaqa_graph, metaqa_type_graph

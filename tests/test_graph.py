@@ -3,7 +3,9 @@ from __future__ import annotations
 import codecs
 import gc
 import random
+import sys
 import tracemalloc
+from array import array
 from contextlib import contextmanager
 from unittest import mock
 
@@ -223,6 +225,40 @@ def test_a_chunked_load_equals_a_build_from_rows_read_line_by_line(
     assert graph_state(g) == graph_state(reference)
     assert g.duplicate_count > 0 and g.maybe_entity_id("Only typed") is not None
     assert build_type_graph(g).type_relations == build_type_graph(reference).type_relations
+
+
+# Rows with repeated triples, and the same rows with each repeat dropped.
+REPEATED_TRIPLES = {
+    "within-one-run": (
+        [("a", "r", "b"), ("a", "r", "c"), ("x", "q", "a"), ("a", "r", "b"), ("a", "s", "b"),
+         ("a", "r", "c"), ("x", "q", "b"), ("a", "r", "b")],
+        [("a", "r", "b"), ("a", "r", "c"), ("x", "q", "a"), ("a", "s", "b"), ("x", "q", "b")],
+    ),
+    "respelled": (
+        [("William_Anders", "occupation", "Fighter_pilot"), ("Apollo_8", "crewMembers", "William_Anders"),
+         (" William Anders ", "occupation", "Fighter pilot")],
+        [("William_Anders", "occupation", "Fighter_pilot"), ("Apollo_8", "crewMembers", "William_Anders")],
+    ),
+    "self-loop": (
+        [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("a", "r", "a"), ("a", "r", "a")],
+        [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a")],
+    ),
+    "one-triple-only": ([("a", "r", "b")] * 5, [("a", "r", "b")]),
+}
+REPEATED_TRIPLES_TYPES = [("a", "T"), ("b", "T"), ("b", "U"), ("William Anders", "Astronaut")]
+
+
+@pytest.mark.parametrize("rows, unique", REPEATED_TRIPLES.values(), ids=list(REPEATED_TRIPLES))
+def test_repeated_triples_build_the_graph_of_the_rows_without_them(rows, unique):
+    g = KnowledgeGraph.from_triples(rows, REPEATED_TRIPLES_TYPES)
+    reference = KnowledgeGraph.from_triples(unique, REPEATED_TRIPLES_TYPES)
+    assert reference.duplicate_count == 0 and g.duplicate_count == len(rows) - len(unique)
+    *state, _ = graph_state(g)  # all but the duplicate count
+    *expected, _ = graph_state(reference)
+    assert state == expected
+    # dropping the repeats leaves no array with spare room
+    for a in (g.head, g.relation, g.tail, *g._out[:4], *g._in[:4]):
+        assert sys.getsizeof(a) == sys.getsizeof(array("i", a))
 
 
 # Labels with respellings that canonicalize alike, "#" inside, and a few
@@ -661,9 +697,11 @@ def test_graph_and_type_projection_retain_under_400_bytes_per_triple():
 
 
 def test_graph_build_peaks_under_200_bytes_per_triple():
-    # The interning scratch (caches, dedup dict, type sets) has to be freed
-    # before the sides' sort buffers are made; kept alive through the side
-    # build, it takes the peak to about 240 bytes per triple on this graph.
+    # The interning scratch (the per-build caches) has to be freed before the
+    # sides are sorted. On this graph the build and the type projection peak
+    # at about 133 bytes per triple, and at about 170 when a dict keyed by one
+    # packed int per triple found the repeats and key-function sorts built
+    # the sides.
     triples, typed = memory_test_graph_data()
     gc.collect()
     tracemalloc.start()
@@ -675,6 +713,26 @@ def test_graph_build_peaks_under_200_bytes_per_triple():
         tracemalloc.stop()
     assert len(g.head) > 19_900
     assert peak / len(g.head) < 200
+
+
+def test_graph_build_scratch_stays_under_60_bytes_per_triple():
+    # What a build allocates beyond what the graph keeps. The counting sorts over
+    # the id columns take a few int arrays and per-key counts: about 30 bytes per
+    # triple on this graph, which holds repeats, so the sides are built twice. A
+    # dict keyed by one packed int per triple and key-function sorts over every
+    # position took about 93.
+    triples, typed = memory_test_graph_data()
+    triples += triples[::1000]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = KnowledgeGraph.from_triples(triples, typed)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.duplicate_count >= 20 and len(g.head) > 19_900
+    assert (peak - retained) / len(g.head) < 60
 
 
 def test_graph_build_adds_few_gc_tracked_objects():
