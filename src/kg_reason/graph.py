@@ -86,11 +86,18 @@ class _Side(NamedTuple):
 
     @classmethod
     def build(
-        cls, anchor: array, relation: array, other: array, by_relation: array, n_entities: int
+        cls,
+        anchor: array,
+        relation: array,
+        other: array,
+        by_relation: array,
+        n_entities: int,
+        find_repeats: bool = True,
     ) -> tuple["_Side", bytearray]:
         """The side keyed on ``anchor`` (the heads, or the tails), and a mask of the triples
-        to keep: 0 at each position whose far endpoint appeared earlier in its run. ``perm``
-        is ``by_relation``, every position sorted stably by relation, counting-sorted by anchor.
+        to keep: 0 at each position whose far endpoint appeared earlier in its run, if
+        ``find_repeats``, else all 1. ``perm`` is ``by_relation``, every position sorted
+        stably by relation, counting-sorted by anchor.
         """
         perm = _counting_sort(anchor, n_entities, by_relation)
         run_relation, run_start = array("i"), array("i")
@@ -100,13 +107,17 @@ class _Side(NamedTuple):
         for i, p in enumerate(perm):
             a, r = anchor[p], relation[p]
             if r != last_relation or a != last_anchor:
-                last_anchor, last_relation, seen = a, r, set()
+                last_anchor, last_relation = a, r
                 run_start.append(i)
                 run_relation.append(r)
                 runs_of[a + 1] += 1
-            elif other[p] in seen:
-                keep[p] = 0  # a repeated triple
-            seen.add(other[p])
+                if find_repeats:
+                    seen = {other[p]}
+            elif find_repeats:
+                if other[p] in seen:
+                    keep[p] = 0  # a repeated triple
+                else:
+                    seen.add(other[p])
         run_start.append(len(perm))
         first_run = array("i", accumulate(runs_of))
         # [:] copies an array to its exact size: one grown item by item keeps spare room
@@ -147,7 +158,8 @@ class KnowledgeGraph:
             self.duplicate_count = keep.count(0)
             cols = (self.head, self.relation, self.tail)
             self.head, self.relation, self.tail = (array("i", compress(c, keep))[:] for c in cols)
-        self._in = _Side.build(self.tail, self.relation, self.head, by_rel, n_entities)[0]
+        # the head side's pass dropped every repeat, so the tail side has none to find
+        self._in = _Side.build(self.tail, self.relation, self.head, by_rel, n_entities, False)[0]
 
     @classmethod
     def from_triples(
@@ -161,9 +173,8 @@ class KnowledgeGraph:
     def _intern(self, triples: Iterable[list[str]], entity_types: Iterable[list[str]]) -> None:
         """Fill the label tables, the id columns (repeated triples too) and ``entity_types``."""
         # per-build caches, so each distinct spelling is canonicalized once
-        entity_id, relation_id, type_id = (
-            functools.cache(t.intern) for t in (self._entities, self._relations, self._types)
-        )
+        entity_id = functools.cache(self._entities.intern)
+        relation_id = functools.cache(self._relations.intern)
         head, relation, tail = array("i"), array("i"), array("i")
         for flat in triples:
             relation.extend(map(relation_id, flat[1::3]))
@@ -176,10 +187,18 @@ class KnowledgeGraph:
         # each entity's type set grows one type at a time, as the one frozenset of its members
         self.entity_types: dict[int, frozenset[int]] = {}
         shared: dict[frozenset[int], frozenset[int]] = {}  # one frozenset per distinct type set
+
+        @functools.cache  # per spelling, like the caches above
+        def one_type(label: str) -> frozenset[int]:
+            single = frozenset((self._types.intern(label),))
+            return shared.setdefault(single, single)
+
         for flat in entity_types:
-            for eid, tid in zip(map(entity_id, flat[::2]), map(type_id, flat[1::2])):
-                grown = self.entity_types.get(eid, frozenset()) | {tid}
-                self.entity_types[eid] = shared.setdefault(grown, grown)
+            for eid, single in zip(map(entity_id, flat[::2]), map(one_type, flat[1::2])):
+                held = self.entity_types.setdefault(eid, single)  # an entity's first type
+                if held is not single:
+                    grown = held | single
+                    self.entity_types[eid] = shared.setdefault(grown, grown)
 
     # label/id plumbing -------------------------------------------------
 
@@ -250,11 +269,18 @@ def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
     """Each chunk's data lines as flat stripped fields, ``width`` to a line."""
     for first, lines in read_chunks(path, functools.partial(GraphLoadError, path)):
         joined = "\t".join(lines)
-        # the strip also removes the line ending
-        fields = list(map(str.strip, joined.split("\t")))
-        # "#" may start a comment; tabs per line, as two bad lines could cancel out
-        if "#" in joined or "" in fields or any(
-            map(ne, map(str.count, lines, repeat("\t")), repeat(width - 1))
+        fields = joined.split("\t")
+        # Every line holds width fields exactly when the total is width a line and every
+        # line ending sits in a last-column field: a line of the wrong width changes the
+        # total, or moves its own ending, or a later line's, off the last column.
+        ends = "".join(fields[width - 1 :: width])
+        fields = list(map(str.strip, fields))  # the strip also removes the line ending
+        # "#" may start a comment
+        if (
+            "#" in joined
+            or "" in fields
+            or len(fields) != width * len(lines)
+            or ends.count("\n") != joined.count("\n")
         ):
             fields = []  # line by line: skip comments and blanks, raise at a bad line
             for lineno, raw in enumerate(lines, start=first):

@@ -348,6 +348,25 @@ def test_multi_type_entities(tmp_path):
     assert type_relations(tg, "t2") == {"r"}
 
 
+def test_entities_with_equal_type_sets_share_one_frozenset():
+    pairs = [
+        ("d", "U"), ("b", "U"), ("a", "T"), ("b", "T"), ("c", " T "), ("e", "T"), ("a", "T"),
+        ("e", "U"), ("f", "V"), ("f", "U_"), ("f", "T"), ("g", "T"), ("g", "V"), ("g", "U"),
+    ]
+    g = KnowledgeGraph.from_triples([("a", "r", "z")], pairs)
+    types = {label: g.entity_types[g.maybe_entity_id(label)] for label in "abcdefg"}
+    assert g.entity_labels(g.entity_types) == ["d", "b", "a", "c", "e", "f", "g"]
+    t, u, v = map(g.maybe_type_id, "TUV")
+    assert types["a"] == {t} and types["b"] == {t, u} and types["f"] == {t, u, v}
+    # one type, a repeated pair or a respelled type: the same object
+    assert types["a"] is types["c"]
+    assert types["d"] == {u}
+    # several types, added in any order
+    assert types["b"] is types["e"]
+    assert types["f"] is types["g"]
+    assert len(set(map(id, g.entity_types.values()))) == len(set(g.entity_types.values())) == 4
+
+
 def test_canonicalization_unifies_space_and_underscore():
     g = KnowledgeGraph.from_triples([("William Anders", "r", "b"), ("William_Anders", "q", "c")])
     assert g.maybe_entity_id("William Anders") == g.maybe_entity_id("William_Anders") == 0

@@ -97,8 +97,19 @@ def test_a_bad_line_is_reported_before_a_later_byte_that_is_not_utf8(
          ":2: expected 3 tab-separated fields, got 1"),
         (b"a\tr\tb\nbad line\n" + b"c\tr\td\n" * 10_000 + b"e\tr\t\xff\n",
          ":2: expected 3 tab-separated fields, got 1"),
+        # the last line, without an ending
+        (b"a\tr\tb\nc\tr", ":2: expected 3 tab-separated fields, got 2"),
+        (b"a\tr\tb\nc\tr\td\te", ":2: expected 3 tab-separated fields, got 4"),
+        # no comment or blank line, so a chunk of several lines is checked as a whole:
+        # its field total is right, and a line ending is off the last column
+        (b"a\tr\tb\na\tr\tb\tc\td\ne\nf\tr\tg\n", ":2: expected 3 tab-separated fields, got 5"),
+        (b"a\tr\tb\tc\nd\te", ":1: expected 3 tab-separated fields, got 4"),
     ],
-    ids=["empty-field", "bad-line-near-above", "bad-line-far-above"],
+    ids=[
+        "empty-field", "bad-line-near-above", "bad-line-far-above",
+        "too-few-last-unended", "too-many-last-unended",
+        "total-right-ending-off", "total-right-last-unended",
+    ],
 )
 def test_the_first_bad_line_is_reported_whatever_the_chunk_size(
     data, reported, chunk_size, tmp_path, monkeypatch
@@ -119,11 +130,12 @@ _TOO_MANY, _TOO_FEW = "a\tr\tb\tc", "d\te"
     [
         ([_TOO_MANY], "expected 3 tab-separated fields, got 4"),
         ([_TOO_FEW], "expected 3 tab-separated fields, got 2"),
-        # one chunk's tab total is right: only a per-line count sees these
+        # one chunk's field total is right for these two; a line ending is off the last column
         ([_TOO_MANY, _TOO_FEW], "expected 3 tab-separated fields, got 4"),
+        (["a\tr\tb\tc\td", "e"], "expected 3 tab-separated fields, got 5"),
         (["a\t \tb"], "empty field"),
     ],
-    ids=["too-many", "too-few", "counts-cancel-out", "empty-field"],
+    ids=["too-many", "too-few", "counts-cancel-out", "total-right-ending-off", "empty-field"],
 )
 def test_a_bad_line_in_a_later_chunk_is_reported_at_its_own_line(
     bad_lines, message, tmp_path, monkeypatch
