@@ -28,7 +28,7 @@ from typing import Protocol
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from .errors import BackendError, MockScriptError, read_lines
-from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION
+from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION, task_sentence
 
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
@@ -74,46 +74,46 @@ class MockEntry:
     """One scripted response, checked here whether built directly or read from a script."""
 
     stage: str
-    match_kind: str  # "hash" | "sequence"
-    key: str | int
+    match_kind: str  # "hash" | "sentence"
+    key: str  # the prompt's prompt_hash, or the sentence it asks about
     response: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.stage, str) or not isinstance(self.response, str):
-            raise MockScriptError("-", "-", "stage and response must be strings")
+        if not all(isinstance(x, str) for x in (self.stage, self.key, self.response)):
+            raise MockScriptError("-", "-", "stage, key and response must be strings")
         if self.stage not in (SEGMENTATION, RETRIEVAL, INFERENCE):
             raise MockScriptError("-", "-", f"unknown stage {self.stage!r}")
-        if self.match_kind not in ("hash", "sequence"):
-            raise MockScriptError("-", "-", f"bad match_kind {self.match_kind!r}")
-        key = self.key
-        if self.match_kind == "hash" and not (isinstance(key, str) and _DIGEST.fullmatch(key)):
-            raise MockScriptError("-", "-", f"hash key must be 64 lowercase hex digits, got {key!r}")
+        if self.match_kind not in ("hash", "sentence"):
+            message = f'bad match_kind {self.match_kind!r}, not "hash" or "sentence"'
+            raise MockScriptError("-", "-", message)
+        if self.match_kind == "hash" and not _DIGEST.fullmatch(self.key):
+            message = f"hash key must be 64 lowercase hex digits, got {self.key!r}"
+            raise MockScriptError("-", "-", message)
 
 
 class MockBackend:
-    """Replays scripted responses.
+    """Replays scripted responses, each keyed by what it answers.
 
-    Hash entries match on (stage, sha256 of the rendered prompt) and take
-    precedence. Sequence entries are consumed per stage in script order; the
-    i-th call at a stage that falls through to sequence matching gets the
-    stage's i-th sequence entry. Index assignment is serialized, so the
-    backend is safe for concurrent callers.
+    A hash entry matches on (stage, :func:`prompt_hash` of the prompt), and a
+    sentence entry on (stage, the sentence the prompt asks about, as
+    :func:`~kg_reason.prompts.task_sentence` reads it); a hash entry wins. No
+    reply depends on call order, so the backend keeps no state. One (match
+    kind, stage, key) given two responses is a :class:`MockScriptError`.
     """
 
     def __init__(self, entries: list[MockEntry]):
-        self._by_hash: dict[tuple[str, str], str] = {}
-        self._sequences: dict[str, list[str]] = {}
-        for e in entries:
-            if e.match_kind == "hash":
-                self._by_hash[(e.stage, e.key)] = e.response
-            else:
-                self._sequences.setdefault(e.stage, []).append(e.response)
-        self._cursor: dict[str, int] = {}
-        self._lock = threading.Lock()
+        self._replies: dict[tuple[str, str, str], str] = {}
+        for entry in entries:
+            self._add(entry)
+
+    def _add(self, e: MockEntry) -> None:
+        if self._replies.setdefault((e.match_kind, e.stage, e.key), e.response) != e.response:
+            message = f"{e.stage} {e.match_kind} key {e.key!r} has two responses"
+            raise MockScriptError("-", "-", message)
 
     @classmethod
     def from_path(cls, path: str) -> "MockBackend":
-        entries: list[MockEntry] = []
+        backend = cls([])
 
         def script_error(line: int | None, message: str) -> MockScriptError:
             if line is not None:
@@ -123,37 +123,20 @@ class MockBackend:
         for lineno, line in read_lines(path, script_error):
             try:
                 record = json.loads(line.strip())
-                entry = MockEntry(
-                    stage=record["stage"],
-                    match_kind=record["match_kind"],
-                    key=record.get("key", ""),
-                    response=record["response"],
-                )
+                fields = (record["stage"], record["match_kind"], record["key"], record["response"])
+                backend._add(MockEntry(*fields))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise script_error(lineno, f"bad record ({exc})") from exc
-            except MockScriptError as exc:  # a rule of MockEntry's
+            except MockScriptError as exc:  # a rule of MockEntry's, or a repeated key
                 raise script_error(lineno, exc.message) from None
-            entries.append(entry)
-        return cls(entries)
-
-    @property
-    def order_bound(self) -> bool:
-        """Whether any response is keyed by call order; with concurrent queries,
-        which query gets which sequence entry then depends on thread timing."""
-        return bool(self._sequences)
+        return backend
 
     def complete(self, prompt: str, stage: str) -> str:
-        digest = prompt_hash(prompt)
-        hashed = self._by_hash.get((stage, digest))
-        if hashed is not None:
-            return hashed
-        with self._lock:
-            index = self._cursor.get(stage, 0)
-            self._cursor[stage] = index + 1
-        sequence = self._sequences.get(stage, [])
-        if index < len(sequence):
-            return sequence[index]
-        raise MockScriptError(stage, digest, f"no entry for call #{index + 1}")
+        digest, sentence = prompt_hash(prompt), task_sentence(prompt)
+        for key in (("hash", stage, digest), ("sentence", stage, sentence)):
+            if key in self._replies:
+                return self._replies[key]
+        raise MockScriptError(stage, digest, f"no entry for the prompt or for {sentence!r}")
 
 
 @dataclass

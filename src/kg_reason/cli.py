@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from collections.abc import Callable
@@ -18,7 +17,6 @@ from .backends import BackendConfig, make_backend
 from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import BackendError, KGReasonError, OutputError, PipelineError, UnknownEntityError
 from .evaluation import (
-    OrderBoundScriptError,
     QAExample,
     ablate,
     append_trace,
@@ -202,7 +200,7 @@ def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
         dataset,
         g,
         tg,
-        functools.partial(make_backend, config),
+        make_backend(config),
         k_values=args.k_values if grid else [_default_k(args, qa=args.task == "qa")],
         shot_values=args.shot_values if grid else [args.shots],
         width=args.width,
@@ -240,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
             if path is not None and os.path.isdir(path):
                 raise OutputError(path, "is a directory")
         return _COMMANDS[args.command](args, config)
-    except (_UsageError, OrderBoundScriptError) as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except BackendError as exc:

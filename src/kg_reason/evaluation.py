@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from .backends import Backend, MockBackend
+from .backends import Backend
 from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import (
     DatasetLoadError,
@@ -35,10 +35,6 @@ from .prompts import MAX_SHOTS
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
 _STAGES = ("query", "segmentation", "retrieval", "inference")
-
-
-class OrderBoundScriptError(ValueError):
-    """A mock script with sequence entries was asked to run on several workers."""
 
 
 @dataclass(frozen=True)
@@ -261,19 +257,12 @@ def evaluate(
     records finished before it. The report's ``config["backend"]`` reads
     ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
     backend's class name otherwise. Raises :class:`ValueError` before any query for an empty
-    dataset, a ``width`` not an int >= 1 or a ``k`` or ``shots`` not an in-range int, and its
-    subclass :class:`OrderBoundScriptError` for ``width > 1`` on an order-bound
-    :class:`MockBackend`, whose sequence entries replay in call order.
+    dataset, a ``width`` not an int >= 1 or a ``k`` or ``shots`` not an in-range int.
     """
     if not dataset:
         raise ValueError("dataset is empty")
     if type(width) is not int or width < 1:  # bools refused too
         raise ValueError(f"width must be >= 1 and an int, got {width!r}")
-    if width > 1 and isinstance(backend, MockBackend) and backend.order_bound:
-        raise OrderBoundScriptError(
-            f"the mock script's sequence entries replay in call order and need width 1, got"
-            f" width {width}; run at width 1, or use hash entries keyed by prompt hash"
-        )
     config = {"k": k, "shots": shots, "width": width, "backend": type(backend).__name__}
     backend_config = getattr(backend, "config", None)
     if backend_config is not None:
@@ -310,24 +299,18 @@ def ablate(
     dataset: Sequence[VerificationExample] | Sequence[QAExample],
     g: KnowledgeGraph,
     tg: TypeGraph,
-    make_backend: Callable[[], Backend],
+    backend: Backend,
     *,
     k_values: Sequence[int],
     shot_values: Sequence[int],
     width: int = 1,
     trace_path: str | None = None,
 ) -> list[EvalReport]:
-    """One evaluate run per (k, shots) grid cell, k-major.
-
-    ``make_backend`` is called once per cell, so each cell gets a fresh
-    backend and scripted sequence replay starts over.
-    """
+    """One evaluate run per (k, shots) grid cell, k-major, each on ``backend``."""
     if not k_values or not shot_values:
         raise ValueError("k_values and shot_values must be non-empty")
     return [
-        evaluate(
-            dataset, g, tg, make_backend(), k=k, shots=shots, width=width, trace_path=trace_path
-        )
+        evaluate(dataset, g, tg, backend, k=k, shots=shots, width=width, trace_path=trace_path)
         for k in k_values
         for shots in shot_values
     ]

@@ -1,4 +1,4 @@
-"""Stage prompt templates and rendering.
+"""Stage prompt templates, rendering, and the sentence a rendered prompt asks about.
 
 Each template is a header, twelve few-shot example blocks, and a task footer
 carrying ``<<<<NAME>>>>`` placeholders. Rendering picks the first ``shots``
@@ -100,6 +100,23 @@ def render_prompt(template: PromptTemplate, bindings: dict[str, str], shots: int
     filled = list(pieces)
     filled[1::2] = map(bindings.__getitem__, pieces[1::2])
     return "".join(filled)
+
+
+def task_sentence(prompt: str) -> str | None:
+    """The sentence a rendered prompt asks about (its ``CLAIM`` or ``SENTENCE``
+    binding), whatever its text, or None when no template's footer ends it: it
+    runs from the first footer opening, which no header or example holds, to
+    the last opening of the footer's next line, which no rendered set holds."""
+    match = _TASK.search(prompt)
+    return match and match[match.lastindex]
+
+
+def _footer_regex(template: PromptTemplate) -> str:
+    """``template``'s footer ending a prompt, with the asked-about sentence as its group."""
+    pieces = _PLACEHOLDER.split(template.footer)
+    pieces[::2] = map(re.escape, pieces[::2])
+    pieces[1::2] = ["(.*)" if name in ("CLAIM", "SENTENCE") else ".*?" for name in pieces[1::2]]
+    return "".join(pieces) + r"\Z"
 
 
 @functools.cache
@@ -389,3 +406,9 @@ QA_INFERENCE_TEMPLATE = PromptTemplate(
     examples=_QA_INFERENCE_EXAMPLES,
     footer=_QA_INFERENCE_FOOTER,
 )
+
+
+# task_sentence's pattern: the footer of any template, ending the prompt
+_TASK = re.compile("|".join(map(_footer_regex, (
+    SEGMENTATION_TEMPLATE, RETRIEVAL_TEMPLATE, VERIFICATION_INFERENCE_TEMPLATE, QA_INFERENCE_TEMPLATE
+))), re.DOTALL)

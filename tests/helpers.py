@@ -7,6 +7,7 @@ indexed implementation they check.
 from __future__ import annotations
 
 import codecs
+import json
 import random
 import re
 import subprocess
@@ -26,6 +27,7 @@ from kg_reason import (
     render_triple_list,
 )
 from kg_reason.errors import GraphLoadError
+from kg_reason.prompts import task_sentence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -313,7 +315,6 @@ def random_graph_data(
 
 # --- programmatic backends ---------------------------------------------------
 
-_TASK_CLAIM = re.compile(r"Your Task\)\nSentence: (?P<claim>.*)\nEntity set:", re.DOTALL)
 _TASK_WORDS = re.compile(r"\nWords set: (?P<words>\[.*\])\nTop \d+ Answer:$", re.DOTALL)
 _TASK_EVIDENCE = re.compile(r"\nEvidence set: (?P<evidence>.*)\nAnswer:$", re.DOTALL)
 
@@ -329,8 +330,7 @@ class FirstKBackend:
 
     def complete(self, prompt: str, stage: str) -> str:
         if stage == "segmentation":
-            claim = _TASK_CLAIM.search(prompt).group("claim")
-            return self.segmentations[claim]
+            return self.segmentations[task_sentence(prompt)]
         if stage == "retrieval":
             return _TASK_WORDS.search(prompt).group("words")
         if "Now let's answer the Question" in prompt:
@@ -368,19 +368,11 @@ def mock_backend(name: str) -> MockBackend:
     return MockBackend.from_path(str(FIXTURES / name))
 
 
-def segmentations_from_script(name: str, inputs: list[str]) -> dict[str, str]:
-    """Pair each query text with the script's scripted segmentation, for
-    driving :class:`FirstKBackend` over a fixture dataset."""
-    import json
-
-    responses = []
-    with open(FIXTURES / name, encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            if record["stage"] == "segmentation":
-                responses.append(record["response"])
-    assert len(responses) == len(inputs)
-    return dict(zip(inputs, responses))
+def segmentations_from_script(name: str) -> dict[str, str]:
+    """A fixture script's segmentation replies by the query text they answer,
+    for driving :class:`FirstKBackend` over a fixture dataset."""
+    records = map(json.loads, (FIXTURES / name).read_text(encoding="utf-8").splitlines())
+    return {r["key"]: r["response"] for r in records if r["stage"] == "segmentation"}
 
 
 # --- frozen expected evidence for the fixture suites -------------------------

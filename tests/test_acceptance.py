@@ -264,15 +264,11 @@ def test_mean_evidence_is_monotone_in_k(
         k_values = (1, 3, 5, 10)
         suites = []
         verification = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-        seg = segmentations_from_script(
-            "mock_factkg.jsonl", [e.claim for e in verification]
-        )
+        seg = segmentations_from_script("mock_factkg.jsonl")
         suites.append((verification, factkg_graph, factkg_type_graph, seg))
         for hops in (1, 2, 3):
             qa = load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops)
-            seg = segmentations_from_script(
-                f"mock_metaqa_{hops}hop.jsonl", [e.text for e in qa]
-            )
+            seg = segmentations_from_script(f"mock_metaqa_{hops}hop.jsonl")
             suites.append((qa, metaqa_graph, metaqa_type_graph, seg))
         for dataset, g, tg, seg in suites:
             means = []

@@ -18,6 +18,7 @@ import pytest
 
 import kg_reason
 from kg_reason import BackendConfig, HttpBackend, MockBackend, backends, make_backend, prompt_hash
+from kg_reason import RETRIEVAL_TEMPLATE, VERIFICATION_INFERENCE_TEMPLATE, render_prompt
 from kg_reason.backends import MockEntry
 from kg_reason.errors import BackendError, MockScriptError
 
@@ -51,37 +52,71 @@ def test_hash_entry_matches_exact_prompt(tmp_path):
     assert backend.complete(prompt, "inference") == "True, because scripted."
 
 
-def test_sequence_entries_consumed_per_stage(tmp_path):
+def test_sentence_entries_answer_the_sentence_a_prompt_asks_about(tmp_path):
+    claim = "AIDAstella was built by Meyer Werft."
     path = write_script(
         tmp_path,
         [
-            {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "first"},
-            {"stage": "inference", "match_kind": "sequence", "key": 1, "response": "second"},
-            {"stage": "inference", "match_kind": "sequence", "key": 2, "response": "third"},
-            {"stage": "retrieval", "match_kind": "sequence", "key": 0, "response": "other stage"},
+            {"stage": "inference", "match_kind": "sentence", "key": claim, "response": "True."},
+            {"stage": "retrieval", "match_kind": "sentence", "key": claim, "response": "['builder']"},
         ],
     )
     backend = MockBackend.from_path(path)
-    assert backend.complete("a", "inference") == "first"
-    assert backend.complete("b", "retrieval") == "other stage"
-    assert backend.complete("c", "inference") == "second"
-    assert backend.complete("d", "inference") == "third"
+    for shots in (1, 12):  # the key holds whatever the examples and evidence are
+        for evidence in ("[]", "[['AIDAstella', 'builder', 'Meyer_Werft']]"):
+            bindings = {"CLAIM": claim, "EVIDENCE_SET": evidence}
+            prompt = render_prompt(VERIFICATION_INFERENCE_TEMPLATE, bindings, shots)
+            assert backend.complete(prompt, "inference") == "True."
+    bindings = {"SENTENCE": claim, "RELATION_SET": "['builder']", "TOP_K": "5"}
+    assert backend.complete(render_prompt(RETRIEVAL_TEMPLATE, bindings, 12), "retrieval") == "['builder']"
+    with pytest.raises(MockScriptError, match="no entry for the prompt or for None$"):
+        backend.complete(claim, "inference")  # no footer: the prompt asks about no sentence
 
 
-def test_hash_match_takes_precedence_and_preserves_sequence(tmp_path):
-    special = "special prompt"
+def test_hash_match_takes_precedence_over_the_sentence(tmp_path):
+    claim = "AIDAstella was built by Meyer Werft."
+    special = render_prompt(VERIFICATION_INFERENCE_TEMPLATE, {"CLAIM": claim, "EVIDENCE_SET": "[]"}, 4)
+    other = render_prompt(VERIFICATION_INFERENCE_TEMPLATE, {"CLAIM": claim, "EVIDENCE_SET": "[]"}, 5)
     path = write_script(
         tmp_path,
         [
+            {"stage": "inference", "match_kind": "sentence", "key": claim, "response": "by sentence"},
             {"stage": "inference", "match_kind": "hash", "key": prompt_hash(special), "response": "hashed"},
-            {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "seq0"},
-            {"stage": "inference", "match_kind": "sequence", "key": 1, "response": "seq1"},
         ],
     )
     backend = MockBackend.from_path(path)
-    assert backend.complete("x", "inference") == "seq0"
+    assert backend.complete(other, "inference") == "by sentence"
     assert backend.complete(special, "inference") == "hashed"
-    assert backend.complete("y", "inference") == "seq1"
+    assert backend.complete(other, "inference") == "by sentence"
+    with pytest.raises(MockScriptError):  # keyed per stage
+        backend.complete(other, "segmentation")
+
+
+@pytest.mark.parametrize("match_kind, key", [("sentence", "A claim."), ("hash", prompt_hash("p"))])
+def test_a_key_given_two_responses_is_refused_with_its_line(tmp_path, match_kind, key):
+    entry = {"stage": "inference", "match_kind": match_kind, "key": key, "response": "True."}
+    other_stage = {**entry, "stage": "segmentation", "response": "1. A claim."}
+    # the same response again is the same entry, and another stage another key
+    path = write_script(tmp_path, [entry, other_stage, entry, {**entry, "response": "False."}])
+    with pytest.raises(MockScriptError) as err:
+        MockBackend.from_path(path)
+    assert str(err.value) == f"stage=- hash=-: {path}:4: inference {match_kind} key {key!r} has two responses"
+    with pytest.raises(MockScriptError) as err:
+        MockBackend([MockEntry(**entry), MockEntry(**{**entry, "response": "False."})])
+    assert str(err.value) == f"stage=- hash=-: inference {match_kind} key {key!r} has two responses"
+
+
+def test_a_sequence_entry_is_refused_naming_sentence_entries(tmp_path):
+    # the message names the kind that keys a hand-written reply
+    path = write_script(
+        tmp_path,
+        [{"stage": "inference", "match_kind": "sequence", "key": "0", "response": "True."}],
+    )
+    with pytest.raises(MockScriptError) as err:
+        MockBackend.from_path(path)
+    assert str(err.value) == (
+        f'stage=- hash=-: {path}:1: bad match_kind \'sequence\', not "hash" or "sentence"'
+    )
 
 
 def test_mock_miss_reports_stage_and_hash(tmp_path):
@@ -104,16 +139,17 @@ def test_bad_script_record_reports_line(tmp_path):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"response": None}, "stage and response must be strings"),
-        ({"stage": ["inference"]}, "stage and response must be strings"),
-        ({"match_kind": "fuzzy"}, "bad match_kind 'fuzzy'"),
+        ({"response": None}, "stage, key and response must be strings"),
+        ({"stage": ["inference"]}, "stage, key and response must be strings"),
+        ({"key": 0}, "stage, key and response must be strings"),
+        ({"match_kind": "fuzzy"}, 'bad match_kind \'fuzzy\', not "hash" or "sentence"'),
         # stage names are compared verbatim: a near miss could never match a call
         ({"stage": "Segmentation"}, "unknown stage 'Segmentation'"),
         ({"stage": "retrieve"}, "unknown stage 'retrieve'"),
     ],
 )
 def test_script_record_of_the_wrong_form_reports_path_and_line(tmp_path, change, message):
-    good = {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "True."}
+    good = {"stage": "inference", "match_kind": "sentence", "key": "A claim.", "response": "True."}
     path = write_script(tmp_path, [good, {**good, **change}])
     with pytest.raises(MockScriptError) as err:
         MockBackend.from_path(path)
@@ -122,17 +158,18 @@ def test_script_record_of_the_wrong_form_reports_path_and_line(tmp_path, change,
 
 def test_bad_match_kind_rejected():
     with pytest.raises(MockScriptError):
-        MockBackend([MockEntry("inference", "fuzzy", 0, "x")])
+        MockBackend([MockEntry("inference", "fuzzy", "A claim.", "x")])
 
 
 @pytest.mark.parametrize(
     "entry, message",
     [
-        (("Segmentation", "sequence", 0, "x"), "unknown stage 'Segmentation'"),
-        (("segmentation", "sequence", 0, None), "stage and response must be strings"),
+        (("Segmentation", "sentence", "A claim.", "x"), "unknown stage 'Segmentation'"),
+        (("segmentation", "sentence", "A claim.", None), "stage, key and response must be strings"),
+        (("segmentation", "sentence", 0, "x"), "stage, key and response must be strings"),
         (("inference", "hash", "abc", "x"), "hash key must be 64 lowercase hex digits, got 'abc'"),
     ],
-    ids=["bad-stage", "none-response", "short-hash-key"],
+    ids=["bad-stage", "none-response", "integer-key", "short-hash-key"],
 )
 def test_a_directly_built_entry_is_checked_like_a_script_line(entry, message):
     with pytest.raises(MockScriptError) as err:
@@ -528,25 +565,25 @@ def test_timeout_must_be_finite_and_above_zero(timeout):
         BackendConfig(endpoint="http://x", timeout=timeout)
 
 
+_NOT_A_DIGEST = "hash key must be 64 lowercase hex digits, got "
+
+
 @pytest.mark.parametrize(
-    "change",
+    "change, message",
     [
-        {},  # no key, read as ""
-        {"key": "abc"},
-        {"key": prompt_hash("p").upper()},
-        {"key": prompt_hash("p")[:-1]},
-        {"key": prompt_hash("p") + "0"},
-        {"key": 7},
+        ({}, "bad record ('key')"),  # every entry has a key
+        ({"key": "abc"}, _NOT_A_DIGEST + "'abc'"),
+        ({"key": prompt_hash("p").upper()}, _NOT_A_DIGEST + repr(prompt_hash("p").upper())),
+        ({"key": prompt_hash("p")[:-1]}, _NOT_A_DIGEST + repr(prompt_hash("p")[:-1])),
+        ({"key": prompt_hash("p") + "0"}, _NOT_A_DIGEST + repr(prompt_hash("p") + "0")),
+        ({"key": 7}, "stage, key and response must be strings"),
     ],
     ids=["missing", "short", "upper-case", "63-digits", "65-digits", "integer"],
 )
-def test_hash_entry_whose_key_no_prompt_hash_can_equal_is_rejected(tmp_path, change):
+def test_hash_entry_whose_key_no_prompt_hash_can_equal_is_rejected(tmp_path, change, message):
     good = {"stage": "inference", "match_kind": "hash", "key": prompt_hash("p"), "response": "a"}
     bad = {"stage": "inference", "match_kind": "hash", "response": "b", **change}
     path = write_script(tmp_path, [good, bad])
     with pytest.raises(MockScriptError) as err:
         MockBackend.from_path(path)
-    key = change.get("key", "")
-    assert str(err.value) == (
-        f"stage=- hash=-: {path}:2: hash key must be 64 lowercase hex digits, got {key!r}"
-    )
+    assert str(err.value) == f"stage=- hash=-: {path}:2: {message}"

@@ -343,11 +343,11 @@ def test_ablate_takes_no_k_or_shots(flag, value, capsys):
 def test_unparseable_response_is_a_data_error(tmp_path):
     script = tmp_path / "bad.jsonl"
     records = [
-        {"stage": "segmentation", "match_kind": "sequence", "key": 0,
-         "response": "1. Al-Taqaddum Air Base is located in Fallujah., Entity set: ['Al-Taqaddum_Air_Base' ## 'Fallujah']\n2. Fallujah is not in Iraq., Entity set: ['Fallujah' ## 'Iraq']"},
-        {"stage": "retrieval", "match_kind": "sequence", "key": 0, "response": "['city', 'cityServed']"},
-        {"stage": "inference", "match_kind": "sequence", "key": 0, "response": "Maybe."},
+        json.loads(line)
+        for line in (FIXTURES / "mock_cli_verify.jsonl").read_text(encoding="utf-8").splitlines()
     ]
+    assert records[-1]["stage"] == "inference"
+    records[-1]["response"] = "Maybe."
     script.write_text(
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
     )
@@ -382,16 +382,22 @@ def test_unparseable_retrieval_reply_is_in_the_trace_record(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])
-def test_sequence_script_above_width_one_is_a_usage_error(command, tmp_path, capsys):
-    trace_path = tmp_path / "trace.jsonl"
-    assert main(grid_args(command) + ["--width", "4", "--trace", str(trace_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line.startswith("usage error: ")
-    assert "need width 1, got width 4" in line
-    assert "hash entries" in line
-    assert not trace_path.exists()
+def test_a_script_scores_the_same_at_any_width(command, tmp_path, capsys):
+    reports, traces = [], []
+    for width in ("1", "4"):
+        report, trace = tmp_path / f"report-{width}.json", tmp_path / f"trace-{width}.jsonl"
+        args = ["--width", width, "--report", str(report), "--trace", str(trace)]
+        assert main(grid_args(command) + args) == 0
+        reports.append(json.loads(report.read_text(encoding="utf-8")))
+        traces.append([json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()])
+        for record in traces[-1]:
+            del record["trace"]["timings"]
+    for report in reports:
+        for cell in report if command == "ablate" else [report]:
+            assert cell["correct"] == 12
+            del cell["config"]["width"]
+    assert reports[0] == reports[1]
+    assert traces[0] == traces[1]
 
 
 @pytest.mark.parametrize(
@@ -548,10 +554,6 @@ def test_input_errors_write_a_query_stage_record(args, source, stderr, tmp_path,
 
 
 def test_ablate_command_runs_grid(tmp_path, capsys):
-    # two cells over one sequence script: entries replay per evaluate call
-    script = tmp_path / "grid.jsonl"
-    base = (FIXTURES / "mock_metaqa_1hop.jsonl").read_text(encoding="utf-8")
-    script.write_text(base, encoding="utf-8")
     code = main(
         [
             "ablate",
@@ -559,7 +561,7 @@ def test_ablate_command_runs_grid(tmp_path, capsys):
             "--dataset", str(FIXTURES / "qa_1hop.txt"),
             "--hops", "1",
             "--graph", METAQA,
-            "--backend", f"mock:{script}",
+            "--backend", f"mock:{FIXTURES / 'mock_metaqa_1hop.jsonl'}",
             "--k-values", "1,3",
             "--shot-values", "12",
             "--report", str(tmp_path / "grid_report.json"),

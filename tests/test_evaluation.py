@@ -15,7 +15,6 @@ from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntr
 from kg_reason.errors import DatasetLoadError, OutputError, QueryError
 from kg_reason.evaluation import (
     EvalReport,
-    OrderBoundScriptError,
     ablate,
     append_trace,
     build_query,
@@ -237,11 +236,12 @@ def test_hits_at_1_is_order_insensitive(tmp_path, metaqa_graph, metaqa_type_grap
         "what films does [Brigitte Nielsen] appear in?\tRed Sonja|Cobra\n", encoding="utf-8"
     )
     examples = load_qa_dataset(str(path), 1)
+    question = "what films does Brigitte Nielsen appear in?"
     backend = MockBackend(
         [
-            MockEntry("segmentation", "sequence", 0,
+            MockEntry("segmentation", "sentence", question,
                       "1. Brigitte Nielsen appears in films., Entity set: ['Brigitte Nielsen' ## 'films']"),
-            MockEntry("inference", "sequence", 0, "Cobra"),
+            MockEntry("inference", "sentence", question, "Cobra"),
         ]
     )
     report = evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3)
@@ -253,12 +253,13 @@ def test_hits_at_1_canonicalizes_labels(tmp_path, factkg_graph, factkg_type_grap
     path = tmp_path / "qa.txt"
     path.write_text("who built [AIDAstella]?\tMeyer Werft\n", encoding="utf-8")
     examples = load_qa_dataset(str(path), 1)
+    sub = "AIDAstella was built by a company."
     backend = MockBackend(
         [
-            MockEntry("segmentation", "sequence", 0,
-                      "1. AIDAstella was built by a company., Entity set: ['AIDAstella' ## 'company']"),
-            MockEntry("retrieval", "sequence", 0, "['shipBuilder']"),
-            MockEntry("inference", "sequence", 0, "Meyer_Werft"),
+            MockEntry("segmentation", "sentence", "who built AIDAstella?",
+                      f"1. {sub}, Entity set: ['AIDAstella' ## 'company']"),
+            MockEntry("retrieval", "sentence", sub, "['shipBuilder']"),
+            MockEntry("inference", "sentence", "who built AIDAstella?", "Meyer_Werft"),
         ]
     )
     report = evaluate(examples, factkg_graph, factkg_type_graph, backend, k=3)
@@ -342,13 +343,13 @@ def test_evaluate_labels_traces_only_for_a_trace_file(
 
 def test_every_ablate_cell_folds_from_its_trace_records(tmp_path, metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
+    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
     trace_path = tmp_path / "trace.jsonl"
     reports = ablate(
         examples,
         metaqa_graph,
         metaqa_type_graph,
-        lambda: FirstKBackend(seg),
+        FirstKBackend(seg),
         k_values=[1, 3],
         shot_values=[4, 12],
         trace_path=str(trace_path),
@@ -369,9 +370,7 @@ def test_folding_no_records_is_a_value_error():
 def test_evaluation_with_worker_pool_matches_sequential(tmp_path, metaqa_graph, metaqa_type_graph):
     for hops in (1, 2):
         examples = load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops)
-        seg = segmentations_from_script(
-            f"mock_metaqa_{hops}hop.jsonl", [e.text for e in examples]
-        )
+        seg = segmentations_from_script(f"mock_metaqa_{hops}hop.jsonl")
         reports, traces = {}, {}
         for width in (1, 4):
             trace_path = tmp_path / f"trace-{hops}hop-width{width}.jsonl"
@@ -412,73 +411,48 @@ class _Recorder:
         return response
 
 
-def _scored(script, width, trace_path, g, tg, examples):
+def _scored(script, width, trace_path, g, tg, examples, k):
     """The report (less its width) and the timing-free trace records of one run."""
     report = evaluate(
-        examples, g, tg, MockBackend.from_path(str(script)), k=5, width=width,
+        examples, g, tg, MockBackend.from_path(str(script)), k=k, width=width,
         trace_path=str(trace_path),
     ).to_record()
     del report["config"]["width"]
     return report, _records_without_timings(trace_path)
 
 
-def test_scripts_score_the_same_at_every_width_or_are_refused(
-    tmp_path, factkg_graph, factkg_type_graph
-):
-    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-    recorder = _Recorder(mock_backend("mock_factkg.jsonl"))
-    evaluate(examples, factkg_graph, factkg_type_graph, recorder, k=5)
-    responses: dict[tuple[str, str], str] = {}
-    for stage, digest, response in recorder.calls:
-        assert responses.setdefault((stage, digest), response) == response, (stage, digest)
+@pytest.mark.parametrize("suite", ["factkg", "qa_1hop", "qa_2hop", "qa_3hop"])
+def test_scripts_score_the_same_at_every_width(suite, tmp_path, request):
+    """The fixture's sentence script, and a hash script recorded from it, give
+    one report and one set of trace records at every width, run after run."""
+    if suite == "factkg":
+        examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
+        graph, script, k = "factkg", FIXTURES / "mock_factkg.jsonl", 5
+    else:
+        hops = int(suite[3])
+        examples = load_qa_dataset(str(FIXTURES / f"{suite}.txt"), hops)
+        graph, script, k = "metaqa", FIXTURES / f"mock_metaqa_{hops}hop.jsonl", 3
+    g = request.getfixturevalue(f"{graph}_graph")
+    tg = request.getfixturevalue(f"{graph}_type_graph")
+    recorder = _Recorder(MockBackend.from_path(str(script)))
+    evaluate(examples, g, tg, recorder, k=k)
     hashed = tmp_path / "hashed.jsonl"
     hashed.write_text(
         "".join(
             json.dumps({"stage": stage, "match_kind": "hash", "key": digest, "response": response})
             + "\n"
-            for (stage, digest), response in responses.items()
+            for stage, digest, response in dict.fromkeys(recorder.calls)
         ),
         encoding="utf-8",
     )
-    sequence = FIXTURES / "mock_factkg.jsonl"
-    expected = _scored(
-        sequence, 1, tmp_path / "expected.jsonl", factkg_graph, factkg_type_graph, examples
-    )
-    assert expected[0]["correct"] == 12
-    for script in (hashed, sequence):
+    expected = _scored(script, 1, tmp_path / "expected.jsonl", g, tg, examples, k)
+    assert expected[0]["correct"] == len(examples)
+    for path in (script, hashed):
         for width in (1, 4, 16):
             for run in range(3):
-                trace_path = tmp_path / f"{script.stem}-{width}-{run}.jsonl"
-                try:
-                    scored = _scored(
-                        script, width, trace_path, factkg_graph, factkg_type_graph, examples
-                    )
-                except OrderBoundScriptError:
-                    # only call-order replay may be refused, and only off width 1
-                    assert script == sequence and width > 1
-                    continue
-                assert scored == expected, (script.name, width, run)
-
-
-@pytest.mark.parametrize("run", ["evaluate", "ablate"])
-def test_sequence_script_is_refused_above_width_one(run, tmp_path, factkg_graph, factkg_type_graph):
-    examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-    backend = mock_backend("mock_factkg.jsonl")
-    trace_path = tmp_path / "trace.jsonl"
-    with pytest.raises(ValueError, match=r"need width 1, got width 4; .*hash entries"):
-        if run == "evaluate":
-            evaluate(
-                examples, factkg_graph, factkg_type_graph, backend, k=5, width=4,
-                trace_path=str(trace_path),
-            )
-        else:
-            ablate(
-                examples, factkg_graph, factkg_type_graph, lambda: backend,
-                k_values=[5], shot_values=[12], width=4, trace_path=str(trace_path),
-            )
-    assert not trace_path.exists()
-    # no query ran, so no sequence entry was spent
-    assert evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5).correct == 12
+                trace_path = tmp_path / f"{path.stem}-{width}-{run}.jsonl"
+                scored = _scored(path, width, trace_path, g, tg, examples, k)
+                assert scored == expected, (path.name, width, run)
 
 
 class _CrashesOnThirdQuery:
@@ -559,7 +533,7 @@ def test_out_of_range_k_or_shots_fails_before_any_query(k, shots, metaqa_graph, 
         evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=k, shots=shots)
     with pytest.raises(ValueError, match="k must be|shots must be"):
         ablate(
-            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            examples, metaqa_graph, metaqa_type_graph, backend,
             k_values=[k], shot_values=[shots],
         )
     assert backend.total_calls == 0
@@ -573,7 +547,7 @@ def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type
         evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
     with pytest.raises(ValueError, match="width must be >= 1"):
         ablate(
-            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            examples, metaqa_graph, metaqa_type_graph, backend,
             k_values=[3], shot_values=[12], width=width,
         )
     assert backend.total_calls == 0
@@ -581,14 +555,14 @@ def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type
 
 @pytest.mark.parametrize("width", [2.5, 2.0, True, "2"])
 def test_width_that_is_not_an_int_fails_before_any_query(width, metaqa_graph, metaqa_type_graph):
-    # a bool ran and was reported as "width": true; a float reached the order-bound check
+    # a bool ran and was reported as "width": true
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
     backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
     with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
         evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
     with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
         ablate(
-            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            examples, metaqa_graph, metaqa_type_graph, backend,
             k_values=[3], shot_values=[12], width=width,
         )
     assert backend.total_calls == 0
@@ -604,7 +578,7 @@ def test_empty_dataset_or_grid_fails_before_any_query(
         evaluate([], metaqa_graph, metaqa_type_graph, backend, k=3)
     with pytest.raises(ValueError, match="^k_values and shot_values must be non-empty$"):
         ablate(
-            examples, metaqa_graph, metaqa_type_graph, lambda: backend,
+            examples, metaqa_graph, metaqa_type_graph, backend,
             k_values=k_values, shot_values=shot_values,
         )
     assert backend.total_calls == 0
@@ -612,12 +586,12 @@ def test_empty_dataset_or_grid_fails_before_any_query(
 
 def test_ablate_grid_size_and_config_echo(metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
+    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
     reports = ablate(
         examples,
         metaqa_graph,
         metaqa_type_graph,
-        lambda: FirstKBackend(seg),
+        FirstKBackend(seg),
         k_values=[1, 3, 5],
         shot_values=[12],
     )
@@ -626,31 +600,28 @@ def test_ablate_grid_size_and_config_echo(metaqa_graph, metaqa_type_graph):
     assert all(r.config["shots"] == 12 for r in reports)
 
 
-def test_ablate_builds_one_backend_per_cell(metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
-    built = []
-
-    def make_backend():
-        built.append(FirstKBackend(seg))
-        return built[-1]
-
-    ablate(
-        examples, metaqa_graph, metaqa_type_graph, make_backend, k_values=[1, 3], shot_values=[4, 12]
+def test_ablate_runs_every_cell_on_its_one_backend(metaqa_graph, metaqa_type_graph):
+    examples = load_qa_dataset(str(FIXTURES / "qa_2hop.txt"), 2)
+    one_cell = CountingBackend(mock_backend("mock_metaqa_2hop.jsonl"))
+    evaluate(examples, metaqa_graph, metaqa_type_graph, one_cell, k=3)
+    backend = CountingBackend(mock_backend("mock_metaqa_2hop.jsonl"))
+    reports = ablate(
+        examples, metaqa_graph, metaqa_type_graph, backend, k_values=[3], shot_values=[4, 8, 12]
     )
-    assert len(built) == 4
-    assert len({id(b) for b in built}) == 4
+    # sentence keys hold at every shot count
+    assert [r.correct for r in reports] == [len(examples)] * 3
+    assert backend.total_calls == 3 * one_cell.total_calls
 
 
 def test_ablate_trace_records_name_their_cell(tmp_path, metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl", [e.text for e in examples])
+    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
     trace_path = tmp_path / "trace.jsonl"
     ablate(
         examples,
         metaqa_graph,
         metaqa_type_graph,
-        lambda: FirstKBackend(seg),
+        FirstKBackend(seg),
         k_values=[1, 3],
         shot_values=[12],
         trace_path=str(trace_path),
@@ -662,12 +633,12 @@ def test_ablate_trace_records_name_their_cell(tmp_path, metaqa_graph, metaqa_typ
 
 def test_ablate_mean_evidence_non_decreasing_in_k(metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_3hop.txt"), 3)
-    seg = segmentations_from_script("mock_metaqa_3hop.jsonl", [e.text for e in examples])
+    seg = segmentations_from_script("mock_metaqa_3hop.jsonl")
     reports = ablate(
         examples,
         metaqa_graph,
         metaqa_type_graph,
-        lambda: FirstKBackend(seg),
+        FirstKBackend(seg),
         k_values=[1, 3, 5, 10],
         shot_values=[12],
     )
@@ -677,7 +648,7 @@ def test_ablate_mean_evidence_non_decreasing_in_k(metaqa_graph, metaqa_type_grap
 
 def test_ablate_is_deterministic(metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_2hop.txt"), 2)
-    seg = segmentations_from_script("mock_metaqa_2hop.jsonl", [e.text for e in examples])
+    seg = segmentations_from_script("mock_metaqa_2hop.jsonl")
 
     def run():
         return [
@@ -686,7 +657,7 @@ def test_ablate_is_deterministic(metaqa_graph, metaqa_type_graph):
                 examples,
                 metaqa_graph,
                 metaqa_type_graph,
-                lambda: FirstKBackend(seg),
+                FirstKBackend(seg),
                 k_values=[1, 3],
                 shot_values=[4, 12],
             )

@@ -9,9 +9,18 @@ from __future__ import annotations
 
 import pytest
 
-from kg_reason import MockBackend, load_graph, load_qa_dataset, load_verification_dataset
+from kg_reason import (
+    VERIFICATION_INFERENCE_TEMPLATE,
+    MockBackend,
+    load_graph,
+    load_qa_dataset,
+    load_verification_dataset,
+    render_prompt,
+)
 from kg_reason import errors
 from kg_reason.errors import DatasetLoadError, GraphLoadError, MockScriptError
+
+_CLAIM_C_PROMPT = render_prompt(VERIFICATION_INFERENCE_TEMPLATE, {"CLAIM": "c", "EVIDENCE_SET": "[]"}, 12)
 
 
 # one malformed record or line per case, for every kind of input file
@@ -172,8 +181,8 @@ def test_a_byte_that_is_not_utf8_in_a_later_chunk_is_reported_at_its_line(tmp_pa
         (lambda path: load_qa_dataset(path, 1), "who knows [Alice]?\tBob",
          lambda examples: examples[0].question == "who knows [Alice]?"),
         (MockBackend.from_path,
-         '{"stage": "inference", "match_kind": "sequence", "response": "True"}',
-         lambda backend: backend.order_bound),
+         '{"stage": "inference", "match_kind": "sentence", "key": "c", "response": "True"}',
+         lambda backend: backend.complete(_CLAIM_C_PROMPT, "inference") == "True"),
     ],
     ids=["graph-tsv", "verification-jsonl", "qa-tsv", "mock-script"],
 )

@@ -20,7 +20,6 @@ benchmark's oracle backend.
 from __future__ import annotations
 
 import random
-import re
 import subprocess
 import sys
 from collections.abc import Callable
@@ -41,6 +40,7 @@ from kg_reason import (
 )
 from kg_reason.evaluation import QAExample, VerificationExample, build_query
 from kg_reason.parsing import AnswerCandidate
+from kg_reason.prompts import task_sentence
 
 from helpers import FIXTURES, mock_backend
 
@@ -167,9 +167,6 @@ def _outcomes(suite: Suite, lines, directory: Path) -> list[tuple]:
     return [outcome for outcome, _ in _run(suite, lines, directory)]
 
 
-_TASK_SENTENCE = re.compile(r"\nSentence: (?P<sentence>[^\n]*)\nWords set: [^\n]*\nTop \d+ Answer:$")
-
-
 class _RetrievalBySentence:
     """A fixture suite's mock script for segmentation and inference, with each
     retrieval call answered by the relations picked for its sub-sentence."""
@@ -180,7 +177,7 @@ class _RetrievalBySentence:
 
     def complete(self, prompt: str, stage: str) -> str:
         if stage == "retrieval":
-            return repr(list(self.picked[_TASK_SENTENCE.search(prompt).group("sentence")]))
+            return repr(list(self.picked[task_sentence(prompt)]))
         return self.inner.complete(prompt, stage)
 
 
@@ -233,8 +230,8 @@ def test_unrelated_triples_change_no_outcome_of_a_query_that_picks_as_before(
 
     The relation speaks for a query only while it retrieves what it retrieved
     before. An added triple can grow a one-relation pool, which is taken
-    without a call, to two, which is sent, and so shift every later reply of
-    an order-bound script. So the fixture suites answer each retrieval call
+    without a call, to two, which is sent and needs a reply the fixture
+    script does not hold. So the fixture suites answer each retrieval call
     with the relations the run on the file as written picked for its
     sub-sentence, and every fixture query counts. The kgbench oracle picks
     the gold relation, then the offered ones in offered order, so an added

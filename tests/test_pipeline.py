@@ -41,10 +41,16 @@ from helpers import (
 )
 
 
-def seq_backend(seg=(), ret=(), inf=()):
-    entries = [MockEntry("segmentation", "sequence", i, r) for i, r in enumerate(seg)]
-    entries += [MockEntry("retrieval", "sequence", i, r) for i, r in enumerate(ret)]
-    entries += [MockEntry("inference", "sequence", i, r) for i, r in enumerate(inf)]
+def scripted(text, seg=None, ret=None, inf=None):
+    """A mock answering segmentation and inference of the query ``text`` with
+    ``seg`` and ``inf``, and the retrieval of each sub-sentence in ``ret``
+    with its reply."""
+    entries = [
+        MockEntry(stage, "sentence", text, reply)
+        for stage, reply in (("segmentation", seg), ("inference", inf))
+        if reply is not None
+    ]
+    entries += [MockEntry("retrieval", "sentence", sub, reply) for sub, reply in (ret or {}).items()]
     return MockBackend(entries)
 
 
@@ -78,14 +84,14 @@ def test_question_requires_concrete_seed():
 # --- the crewed-flight walkthrough ----------------------------------------------
 
 
+CREWED_FLIGHT = (
+    "William Anders, who was a crew member of the artificial satellite alongside "
+    "Frank Borman, received AFIT, M.S. 1962."
+)
+
+
 def crewed_flight_query(g, tg):
-    return claim_query(
-        g,
-        tg,
-        "William Anders, who was a crew member of the artificial satellite alongside "
-        "Frank Borman, received AFIT, M.S. 1962.",
-        ["William_Anders", "AFIT, M.S. 1962", "Frank_Borman"],
-    )
+    return claim_query(g, tg, CREWED_FLIGHT, ["William_Anders", "AFIT, M.S. 1962", "Frank_Borman"])
 
 
 # One-line segmentations of the walkthrough: its first sub-sentence, offered
@@ -139,9 +145,10 @@ def test_call_accounting_is_two_plus_the_pools_sent(crewed_flight_graph, crewed_
 def test_one_triple_claim_segments_to_one_subsentence():
     g = KnowledgeGraph.from_triples([("X", "club", "Y")])
     tg = build_type_graph(g)
-    backend = seq_backend(
-        seg=["1. X's club is Y., Entity set: ['X' ## 'Y']"],
-        inf=["True, based on the evidence set, X's club is Y."],
+    backend = scripted(
+        "X's club is Y.",
+        seg="1. X's club is Y., Entity set: ['X' ## 'Y']",
+        inf="True, based on the evidence set, X's club is Y.",
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     conclusion = pipeline.run(claim_query(g, tg, "X's club is Y.", ["X", "Y"]))
@@ -150,9 +157,10 @@ def test_one_triple_claim_segments_to_one_subsentence():
 
 
 def test_one_hop_question_falls_back_to_whole_question(metaqa_graph, metaqa_type_graph):
-    backend = seq_backend(
-        seg=["complete garbage, not a single parseable line"],
-        inf=["The answer is Short."],
+    backend = scripted(
+        "what type of film is Six Shooter?",
+        seg="complete garbage, not a single parseable line",
+        inf="The answer is Short.",
     )
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
     seed = resolve_mention("Six Shooter", metaqa_graph, metaqa_type_graph)
@@ -176,7 +184,7 @@ def test_question_answer_does_not_echo_the_seed():
 
 
 def test_a_reply_that_names_only_the_seed_fails_at_inference(metaqa_graph, metaqa_type_graph):
-    backend = seq_backend(seg=["garbage"], inf=["It is Six Shooter."])
+    backend = scripted("what type of film is Six Shooter?", seg="garbage", inf="It is Six Shooter.")
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
     seed = resolve_mention("Six Shooter", metaqa_graph, metaqa_type_graph)
     with pytest.raises(PipelineError) as err:
@@ -190,7 +198,7 @@ def test_a_reply_that_names_only_the_seed_fails_at_inference(metaqa_graph, metaq
 def test_claim_segmentation_parse_error_propagates():
     g = KnowledgeGraph.from_triples([("X", "club", "Y")])
     tg = build_type_graph(g)
-    backend = seq_backend(seg=["garbage"], ret=[], inf=[])
+    backend = scripted("X's club is Y.", seg="garbage")
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(claim_query(g, tg, "X's club is Y.", ["X", "Y"]))
@@ -199,7 +207,7 @@ def test_claim_segmentation_parse_error_propagates():
 
 
 def test_multi_hop_question_parse_error_propagates(metaqa_graph, metaqa_type_graph):
-    backend = seq_backend(seg=["garbage"], ret=[], inf=[])
+    backend = scripted("when did it release?", seg="garbage")
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
     seed = resolve_mention("Seeking Justice", metaqa_graph, metaqa_type_graph)
     with pytest.raises(PipelineError) as err:
@@ -213,10 +221,11 @@ def test_multi_hop_question_parse_error_propagates(metaqa_graph, metaqa_type_gra
 def test_retrieval_clips_k_by_available_candidates():
     g = KnowledgeGraph.from_triples([("A", "r1", "B"), ("A", "r2", "C")])
     tg = build_type_graph(g)
-    backend = seq_backend(
-        seg=["1. A relates., Entity set: ['A']"],
-        ret=["['r1', 'r2']"],
-        inf=["True, fine."],
+    backend = scripted(
+        "A relates.",
+        seg="1. A relates., Entity set: ['A']",
+        ret={"A relates.": "['r1', 'r2']"},
+        inf="True, fine.",
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     conclusion = pipeline.run(claim_query(g, tg, "A relates.", ["A"]))
@@ -227,9 +236,7 @@ def test_retrieval_clips_k_by_available_candidates():
 def test_empty_candidate_pool_is_a_retrieval_error():
     g = KnowledgeGraph.from_triples([("A", "r1", "B"), ("C", "r2", "D")])
     tg = build_type_graph(g)
-    backend = seq_backend(
-        seg=["1. A and C., Entity set: ['A' ## 'C']"], ret=[], inf=[]
-    )
+    backend = scripted("A relates to C.", seg="1. A and C., Entity set: ['A' ## 'C']")
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(claim_query(g, tg, "A relates to C.", ["A", "C"]))
@@ -255,7 +262,7 @@ def test_question_subsentences_share_the_nhop_pool(metaqa_graph, metaqa_type_gra
 
 
 def test_a_one_relation_pool_is_taken_without_a_call(crewed_flight_graph, crewed_flight_type_graph):
-    backend = CountingBackend(seq_backend(seg=[SATELLITE], inf=["True, fine."]))
+    backend = CountingBackend(scripted(CREWED_FLIGHT, seg=SATELLITE, inf="True, fine."))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert dict(backend.calls) == {"segmentation": 1, "inference": 1}
@@ -272,7 +279,10 @@ def test_a_one_relation_pool_is_taken_without_a_call(crewed_flight_graph, crewed
 
 def test_a_one_relation_pool_ignores_a_reply_without_a_list(crewed_flight_graph, crewed_flight_type_graph):
     # Sending this pool would raise RelationParseError on the reply; no call is made.
-    backend = seq_backend(seg=[SATELLITE], ret=["I cannot tell."], inf=["True, fine."])
+    sentence = "William Anders was a crew member of an artificial satellite."
+    backend = scripted(
+        CREWED_FLIGHT, seg=SATELLITE, ret={sentence: "I cannot tell."}, inf="True, fine."
+    )
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     conclusion = pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert conclusion.result.label == SUPPORTED
@@ -283,20 +293,19 @@ def test_a_one_relation_pool_ignores_a_reply_without_a_list(crewed_flight_graph,
 
 
 def test_assembly_matches_city_country_chain(factkg_graph, factkg_type_graph):
-    backend = seq_backend(
-        seg=[
+    claim = "Al-Taqaddum Air Base is located in Fallujah which is not in Iraq."
+    backend = scripted(
+        claim,
+        seg=(
             "1. Al-Taqaddum Air Base is located in Fallujah., Entity set: ['Al-Taqaddum_Air_Base' ## 'Fallujah']\n"
             "2. Fallujah is not in Iraq., Entity set: ['Fallujah' ## 'Iraq']"
-        ],
-        ret=["['city', 'cityServed']"],
-        inf=["False, the evidence shows that Fallujah is in Iraq."],
+        ),
+        ret={"Al-Taqaddum Air Base is located in Fallujah.": "['city', 'cityServed']"},
+        inf="False, the evidence shows that Fallujah is in Iraq.",
     )
     pipeline = Pipeline(factkg_graph, factkg_type_graph, backend, k=5, shots=12)
     query = claim_query(
-        factkg_graph,
-        factkg_type_graph,
-        "Al-Taqaddum Air Base is located in Fallujah which is not in Iraq.",
-        ["Al-Taqaddum_Air_Base", "Fallujah", "Iraq"],
+        factkg_graph, factkg_type_graph, claim, ["Al-Taqaddum_Air_Base", "Fallujah", "Iraq"]
     )
     conclusion = pipeline.run(query)
     assert set(conclusion.evidence.labels()) == {
@@ -324,8 +333,8 @@ def test_variable_binding_bridges_hops(metaqa_graph, metaqa_type_graph):
 
 
 def test_unanchored_subsentence_is_an_assembly_error(metaqa_graph, metaqa_type_graph):
-    backend = seq_backend(
-        seg=["1. The movies released., Entity set: ['movies']"],
+    backend = scripted(
+        "when did the movies release?", seg="1. The movies released., Entity set: ['movies']"
     )
     pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=12)
     seed = resolve_mention("Six Shooter", metaqa_graph, metaqa_type_graph)
@@ -343,9 +352,10 @@ def test_type_filter_drops_mismatched_endpoints():
         [("B", "good"), ("C", "bad")],
     )
     tg = build_type_graph(g)
-    backend = seq_backend(
-        seg=["1. A has a good thing., Entity set: ['A' ## 'good']"],
-        inf=["True, fine."],
+    backend = scripted(
+        "A has a good thing.",
+        seg="1. A has a good thing., Entity set: ['A' ## 'good']",
+        inf="True, fine.",
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     conclusion = pipeline.run(claim_query(g, tg, "A has a good thing.", ["A"]))
@@ -357,9 +367,10 @@ def test_untyped_endpoints_pass_the_type_filter():
         [("A", "rel", "B"), ("T", "rel", "Z")], [("T", "good")]
     )
     tg = build_type_graph(g)
-    backend = seq_backend(
-        seg=["1. A has a good thing., Entity set: ['A' ## 'good']"],
-        inf=["True, fine."],
+    backend = scripted(
+        "A has a good thing.",
+        seg="1. A has a good thing., Entity set: ['A' ## 'good']",
+        inf="True, fine.",
     )
     pipeline = Pipeline(g, tg, backend, k=5, shots=12)
     conclusion = pipeline.run(claim_query(g, tg, "A has a good thing.", ["A"]))
@@ -368,21 +379,16 @@ def test_untyped_endpoints_pass_the_type_filter():
 
 
 def test_evidence_order_follows_graph_load_order(factkg_graph, factkg_type_graph):
-    backend = seq_backend(
-        seg=[
-            "1. Alfredo Zitarrosa was not born in Uruguay., Entity set: ['Alfredo_Zitarrosa' ## 'Uruguay']"
-        ],
-        ret=["['birthPlace', 'deathPlace']"],
-        inf=["False, the evidence shows Alfredo Zitarrosa was born in Uruguay."],
+    claim = "Alfredo Zitarrosa was not born in Uruguay."
+    backend = scripted(
+        claim,
+        seg=f"1. {claim}, Entity set: ['Alfredo_Zitarrosa' ## 'Uruguay']",
+        ret={claim: "['birthPlace', 'deathPlace']"},
+        inf="False, the evidence shows Alfredo Zitarrosa was born in Uruguay.",
     )
     pipeline = Pipeline(factkg_graph, factkg_type_graph, backend, k=5, shots=12)
     conclusion = pipeline.run(
-        claim_query(
-            factkg_graph,
-            factkg_type_graph,
-            "Alfredo Zitarrosa was not born in Uruguay.",
-            ["Alfredo_Zitarrosa", "Uruguay"],
-        )
+        claim_query(factkg_graph, factkg_type_graph, claim, ["Alfredo_Zitarrosa", "Uruguay"])
     )
     positions = list(conclusion.evidence.positions)
     assert len(positions) >= 2
@@ -445,15 +451,17 @@ def test_the_query_path_labels_no_trace_and_the_record_does(monkeypatch):
 
     counted(KnowledgeGraph, "entity_labels")
     counted(EvidenceGraph, "labels")
-    backend = seq_backend(
-        seg=[
+    claim = "A is r of x, which with D is s of something."
+    backend = scripted(
+        claim,
+        seg=(
             "1. A is r of x., Entity set: ['A' ## 'x']\n"
             "2. x and D are s of something., Entity set: ['x' ## 'D']"
-        ],
-        inf=["True, A reaches C and D reaches E."],
+        ),
+        inf="True, A reaches C and D reaches E.",
     )
     pipeline = Pipeline(g, tg, backend, k=3, shots=12)
-    query = claim_query(g, tg, "A is r of x, which with D is s of something.", ["A", "D", "x"])
+    query = claim_query(g, tg, claim, ["A", "D", "x"])
     conclusion = pipeline.run(query)
     assert conclusion.result.label == SUPPORTED
     assert calls == {"entity_labels": 0, "labels": 0}
@@ -486,8 +494,8 @@ def test_empty_evidence_still_infers(crewed_flight_graph, crewed_flight_type_gra
     assert len(conclusion.evidence) == 0
 
 
-def test_exhausted_script_is_tagged_with_the_failing_stage(crewed_flight_graph, crewed_flight_type_graph):
-    backend = seq_backend(seg=[ALONGSIDE], ret=[], inf=[])
+def test_a_call_the_script_lacks_is_tagged_with_the_failing_stage(crewed_flight_graph, crewed_flight_type_graph):
+    backend = scripted(CREWED_FLIGHT, seg=ALONGSIDE)
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
@@ -513,7 +521,8 @@ class _FailsAt:
 
 
 def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, crewed_flight_type_graph):
-    backend = CountingBackend(seq_backend(seg=[ALONGSIDE], ret=["I cannot tell."]))
+    sentence = "William Anders served alongside Frank Borman."
+    backend = CountingBackend(scripted(CREWED_FLIGHT, seg=ALONGSIDE, ret={sentence: "I cannot tell."}))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))

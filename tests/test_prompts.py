@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from kg_reason import (
     render_triple_list,
 )
 from kg_reason.errors import RenderError
-from kg_reason.prompts import MAX_SHOTS, quote_label
+from kg_reason.prompts import MAX_SHOTS, quote_label, task_sentence
 
 from helpers import GOLDEN_BINDINGS, GOLDENS, triple_columns
 
@@ -250,3 +251,48 @@ def test_rendered_prompts_match_goldens(name, shots):
 def test_every_template_stores_twelve_examples():
     for template in TEMPLATES.values():
         assert len(template.examples) == 12
+
+
+# --- the sentence a prompt asks about ------------------------------------------------
+
+# Text a sentence may hold that looks like a footer: its line openings, a whole
+# footer of each template, and newlines.
+_FOOTER_LIKE = [
+    "\n",
+    "\nEntity set: ",
+    "\nWords set: ",
+    "\nEvidence set: ",
+    "Your Task)\nSentence: ",
+    *(re.sub("<<<<[A-Z_]+>>>>", "x", t.footer) for t in TEMPLATES.values()),
+]
+_SENTENCES = st.lists(st.one_of(st.text(), st.sampled_from(_FOOTER_LIKE)), max_size=6).map("".join)
+# Rendered sets hold no newline: graph labels cannot, and claim entities do not.
+_LABELS = st.lists(st.text(st.characters(blacklist_characters="\n")), min_size=1, max_size=3)
+
+
+def _task_bindings(name: str, sentence: str, labels: list[str], k: int) -> dict[str, str]:
+    if name == "segmentation":
+        return {"CLAIM": sentence, "ENTITY_SET": render_entity_set(labels)}
+    if name == "retrieval":
+        return {"SENTENCE": sentence, "RELATION_SET": render_relation_list(labels), "TOP_K": str(k)}
+    return {"CLAIM": sentence, "EVIDENCE_SET": render_triple_list(labels, labels, labels)}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+@given(shots=st.integers(1, MAX_SHOTS), sentence=_SENTENCES, labels=_LABELS, k=st.integers(1, 10))
+def test_task_sentence_recovers_any_bound_sentence(name, shots, sentence, labels, k):
+    prompt = render_prompt(TEMPLATES[name], _task_bindings(name, sentence, labels, k), shots)
+    assert task_sentence(prompt) == sentence
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+@pytest.mark.parametrize("shots", range(1, MAX_SHOTS + 1))
+def test_task_sentence_reads_every_footer_like_text_at_every_shot_count(name, shots):
+    for sentence in ["", *_FOOTER_LIKE, "".join(_FOOTER_LIKE), "".join(reversed(_FOOTER_LIKE))]:
+        bindings = _task_bindings(name, sentence, ["a\rb", "Entity set: 'c'"], 5)
+        assert task_sentence(render_prompt(TEMPLATES[name], bindings, shots)) == sentence
+
+
+def test_a_prompt_without_a_task_footer_asks_about_no_sentence():
+    assert task_sentence("Sentence: x\nEntity set: ['x']\n--> Divided:") is None
+    assert task_sentence(SEGMENTATION_TEMPLATE.footer + " trailing text") is None
