@@ -18,9 +18,9 @@ from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import BackendError, KGReasonError, OutputError, PipelineError, UnknownEntityError
 from .evaluation import (
     QAExample,
-    ablate,
     append_trace,
     build_query,
+    evaluate,
     load_qa_dataset,
     load_verification_dataset,
     split_seed,
@@ -191,21 +191,18 @@ def _load_dataset(args: argparse.Namespace):
 
 
 def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
-    """``eval`` and ``ablate``: ``eval`` is a one-cell grid, without cell headers or report list."""
+    """One run per (k, shots) grid cell, k-major, all on one backend; ``eval`` is one cell."""
     grid = args.command == "ablate"
     dataset = _load_dataset(args)
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
-    reports = ablate(
-        dataset,
-        g,
-        tg,
-        make_backend(config),
-        k_values=args.k_values if grid else [_default_k(args, qa=args.task == "qa")],
-        shot_values=args.shot_values if grid else [args.shots],
-        width=args.width,
-        trace_path=args.trace,
+    backend = make_backend(config)
+    k_values = args.k_values if grid else [_default_k(args, qa=args.task == "qa")]
+    shot_values = args.shot_values if grid else [args.shots]
+    pipelines = (
+        Pipeline(g, tg, backend, k=k, shots=shots) for k in k_values for shots in shot_values
     )
+    reports = [evaluate(dataset, p, width=args.width, trace_path=args.trace) for p in pipelines]
     for report in reports:
         if grid:
             print(f"--- k={report.config['k']} shots={report.config['shots']}")

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
-from .backends import Backend
 from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import (
     DatasetLoadError,
@@ -30,7 +29,6 @@ from .errors import (
 from .graph import KnowledgeGraph, TypeGraph, canonical_label
 from .parsing import REFUTED, SUPPORTED, AnswerCandidate
 from .pipeline import Conclusion, Pipeline, Query, StageTrace
-from .prompts import MAX_SHOTS
 
 REASONING_TYPES = ("one-hop", "conjunction", "existence", "multi-hop", "negation")
 
@@ -237,16 +235,12 @@ def append_trace(path: str, record: dict) -> None:
 
 def evaluate(
     dataset: Sequence[VerificationExample] | Sequence[QAExample],
-    g: KnowledgeGraph,
-    tg: TypeGraph,
-    backend: Backend,
+    pipeline: Pipeline,
     *,
-    k: int,
-    shots: int = MAX_SHOTS,
     width: int = 1,
     trace_path: str | None = None,
 ) -> EvalReport:
-    """Run the pipeline over the dataset on ``width`` worker threads and report.
+    """Run ``pipeline`` over the dataset on ``width`` worker threads and report.
 
     The report is :meth:`EvalReport.from_records` of each example's
     :func:`trace_record` with its ``correct`` flag, folded as the records
@@ -254,21 +248,26 @@ def evaluate(
     "query" when it cannot be turned into a query. When ``trace_path`` is
     given, each record is appended as soon as it and every earlier one are
     done, so records keep dataset order and a run that raises keeps the
-    records finished before it. The report's ``config["backend"]`` reads
+    records finished before it. The report's ``config`` echoes the
+    pipeline's ``k`` and ``shots``, the width and the backend:
     ``"<endpoint> (<model>)"`` for a backend carrying a ``config``, and the
-    backend's class name otherwise. Raises :class:`ValueError` before any query for an empty
-    dataset, a ``width`` not an int >= 1 or a ``k`` or ``shots`` not an in-range int.
+    backend's class name otherwise. Raises :class:`ValueError` before any
+    query for an empty dataset, one that mixes claims and questions, or a
+    ``width`` not an int >= 1.
     """
     if not dataset:
         raise ValueError("dataset is empty")
+    is_qa = isinstance(dataset[0], QAExample)
+    if any(isinstance(example, QAExample) is not is_qa for example in dataset):
+        raise ValueError("dataset mixes claims and questions")
     if type(width) is not int or width < 1:  # bools refused too
         raise ValueError(f"width must be >= 1 and an int, got {width!r}")
-    config = {"k": k, "shots": shots, "width": width, "backend": type(backend).__name__}
+    g, tg, backend = pipeline.graph, pipeline.type_graph, pipeline.backend
+    config = {"k": pipeline.k, "shots": pipeline.shots, "width": width}
+    config["backend"] = type(backend).__name__
     backend_config = getattr(backend, "config", None)
     if backend_config is not None:
         config["backend"] = f"{backend_config.endpoint} ({backend_config.model})"
-    pipeline = Pipeline(g, tg, backend, k=k, shots=shots)
-    is_qa = isinstance(dataset[0], QAExample)
 
     def run_one(example) -> dict:
         try:
@@ -293,27 +292,6 @@ def evaluate(
                 yield record
 
     return EvalReport.from_records(records(), "hits_at_1" if is_qa else "accuracy", config)
-
-
-def ablate(
-    dataset: Sequence[VerificationExample] | Sequence[QAExample],
-    g: KnowledgeGraph,
-    tg: TypeGraph,
-    backend: Backend,
-    *,
-    k_values: Sequence[int],
-    shot_values: Sequence[int],
-    width: int = 1,
-    trace_path: str | None = None,
-) -> list[EvalReport]:
-    """One evaluate run per (k, shots) grid cell, k-major, each on ``backend``."""
-    if not k_values or not shot_values:
-        raise ValueError("k_values and shot_values must be non-empty")
-    return [
-        evaluate(dataset, g, tg, backend, k=k, shots=shots, width=width, trace_path=trace_path)
-        for k in k_values
-        for shots in shot_values
-    ]
 
 
 def write_report(report: EvalReport | Sequence[EvalReport], path: str) -> None:

@@ -280,7 +280,7 @@ def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
             "#" in joined
             or "" in fields
             or len(fields) != width * len(lines)
-            or ends.count("\n") != joined.count("\n")
+            or ends.count("\n") != len(lines) - (not lines[-1].endswith("\n"))
         ):
             fields = []  # line by line: skip comments and blanks, raise at a bad line
             for lineno, raw in enumerate(lines, start=first):

@@ -184,7 +184,7 @@ class Pipeline:
         type_graph: TypeGraph,
         backend: Backend,
         *,
-        k: int = DEFAULT_K[CLAIM],
+        k: int,
         shots: int = MAX_SHOTS,
     ):
         if type(k) is not int or k < 1:  # bools refused too

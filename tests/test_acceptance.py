@@ -273,9 +273,9 @@ def test_mean_evidence_is_monotone_in_k(
         for dataset, g, tg, seg in suites:
             means = []
             for k in k_values:
-                report = evaluate(dataset, g, tg, FirstKBackend(seg), k=k)
+                report = evaluate(dataset, Pipeline(g, tg, FirstKBackend(seg), k=k))
                 # rerun-and-compare: an independent second run must agree
-                rerun = evaluate(dataset, g, tg, FirstKBackend(seg), k=k)
+                rerun = evaluate(dataset, Pipeline(g, tg, FirstKBackend(seg), k=k))
                 assert rerun.mean_evidence_triples == report.mean_evidence_triples
                 means.append(report.mean_evidence_triples)
             assert all(m is not None for m in means)

@@ -7,15 +7,17 @@ import pytest
 from kg_reason import (
     REFUTED,
     SUPPORTED,
+    Pipeline,
+    cli,
     evaluate,
     load_qa_dataset,
     load_verification_dataset,
+    make_backend,
 )
 from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry, prompt_hash
 from kg_reason.errors import DatasetLoadError, OutputError, QueryError
 from kg_reason.evaluation import (
     EvalReport,
-    ablate,
     append_trace,
     build_query,
     split_seed,
@@ -178,9 +180,8 @@ def test_helen_mack_style_line(tmp_path):
 
 def test_scripted_verification_suite_scores_perfectly(factkg_graph, factkg_type_graph):
     examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-    report = evaluate(
-        examples, factkg_graph, factkg_type_graph, mock_backend("mock_factkg.jsonl"), k=5
-    )
+    backend = mock_backend("mock_factkg.jsonl")
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, backend, k=5))
     assert report.n == 12
     assert report.correct == 12
     assert report.metric_name == "accuracy"
@@ -199,9 +200,8 @@ def test_flipped_inference_response_costs_accuracy_and_counts(tmp_path, factkg_g
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
     )
     examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-    report = evaluate(
-        examples, factkg_graph, factkg_type_graph, MockBackend.from_path(str(path)), k=5
-    )
+    backend = MockBackend.from_path(str(path))
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, backend, k=5))
     assert report.correct == report.n - 1
     assert report.metric_value == pytest.approx((report.n - 1) / report.n)
     assert report.stage_failures["inference"] == 1
@@ -209,9 +209,8 @@ def test_flipped_inference_response_costs_accuracy_and_counts(tmp_path, factkg_g
 
 def test_mean_evidence_matches_hand_count(factkg_graph, factkg_type_graph):
     examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
-    report = evaluate(
-        examples, factkg_graph, factkg_type_graph, mock_backend("mock_factkg.jsonl"), k=5
-    )
+    backend = mock_backend("mock_factkg.jsonl")
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, backend, k=5))
     sizes = [len(e) for e in EXPECTED_VERIFICATION_EVIDENCE]
     assert report.mean_evidence_triples == pytest.approx(sum(sizes) / len(sizes))
 
@@ -219,13 +218,8 @@ def test_mean_evidence_matches_hand_count(factkg_graph, factkg_type_graph):
 @pytest.mark.parametrize("hops", [1, 2, 3])
 def test_scripted_qa_suites_score_perfectly(hops, metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / f"qa_{hops}hop.txt"), hops)
-    report = evaluate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        mock_backend(f"mock_metaqa_{hops}hop.jsonl"),
-        k=3,
-    )
+    backend = mock_backend(f"mock_metaqa_{hops}hop.jsonl")
+    report = evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3))
     assert report.metric_name == "hits_at_1"
     assert report.metric_value == 1.0
 
@@ -244,7 +238,7 @@ def test_hits_at_1_is_order_insensitive(tmp_path, metaqa_graph, metaqa_type_grap
             MockEntry("inference", "sentence", question, "Cobra"),
         ]
     )
-    report = evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3)
+    report = evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3))
     assert report.metric_value == 1.0
 
 
@@ -262,21 +256,16 @@ def test_hits_at_1_canonicalizes_labels(tmp_path, factkg_graph, factkg_type_grap
             MockEntry("inference", "sentence", "who built AIDAstella?", "Meyer_Werft"),
         ]
     )
-    report = evaluate(examples, factkg_graph, factkg_type_graph, backend, k=3)
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, backend, k=3))
     assert report.metric_value == 1.0
 
 
 def test_trace_dump_allows_metric_recomputation(tmp_path, metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
     trace_path = tmp_path / "trace.jsonl"
-    report = evaluate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        mock_backend("mock_metaqa_1hop.jsonl"),
-        k=3,
-        trace_path=str(trace_path),
-    )
+    backend = mock_backend("mock_metaqa_1hop.jsonl")
+    pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3)
+    report = evaluate(examples, pipeline, trace_path=str(trace_path))
     records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
     assert len(records) == report.n
     assert sum(1 for r in records if r["correct"]) == report.correct
@@ -314,7 +303,8 @@ def test_a_trace_read_back_folds_to_the_returned_report(
         examples = load_verification_dataset(str(dataset))
         g, tg, script, k = factkg_graph, factkg_type_graph, "mock_factkg.jsonl", 5
     trace_path = tmp_path / "trace.jsonl"
-    report = evaluate(examples, g, tg, mock_backend(script), k=k, trace_path=str(trace_path))
+    pipeline = Pipeline(g, tg, mock_backend(script), k=k)
+    report = evaluate(examples, pipeline, trace_path=str(trace_path))
     folded = EvalReport.from_records(_read_trace(trace_path), report.metric_name, report.config)
     assert folded == report
     assert report.n == len(examples)
@@ -331,8 +321,8 @@ def test_evaluate_labels_traces_only_for_a_trace_file(
     examples = load_verification_dataset(str(FIXTURES / "verification.jsonl"))
 
     def run(**kwargs):
-        backend = mock_backend("mock_factkg.jsonl")
-        return evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5, **kwargs)
+        pipeline = Pipeline(factkg_graph, factkg_type_graph, mock_backend("mock_factkg.jsonl"), k=5)
+        return evaluate(examples, pipeline, **kwargs)
 
     untraced = run()
     assert labelled == []
@@ -341,25 +331,28 @@ def test_evaluate_labels_traces_only_for_a_trace_file(
     assert len(labelled) == sum(r["trace"] is not None for r in _read_trace(trace_path)) > 0
 
 
-def test_every_ablate_cell_folds_from_its_trace_records(tmp_path, metaqa_graph, metaqa_type_graph):
+def test_every_grid_cell_folds_from_its_trace_records(tmp_path, metaqa_graph, metaqa_type_graph):
+    # a k-major grid, one Pipeline per cell on one backend, all appending to one trace file
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
+    backend = FirstKBackend(segmentations_from_script("mock_metaqa_1hop.jsonl"))
     trace_path = tmp_path / "trace.jsonl"
-    reports = ablate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        FirstKBackend(seg),
-        k_values=[1, 3],
-        shot_values=[4, 12],
-        trace_path=str(trace_path),
-    )
-    cells: dict[tuple[int, int], list[dict]] = {}
-    for record in _read_trace(trace_path):
-        cells.setdefault((record["k"], record["shots"]), []).append(record)
-    assert list(cells) == [(r.config["k"], r.config["shots"]) for r in reports]
-    for report, records in zip(reports, cells.values()):
-        assert EvalReport.from_records(records, report.metric_name, report.config) == report
+    cells = [(1, 4), (1, 12), (3, 4), (3, 12)]
+    reports = [
+        evaluate(
+            examples,
+            Pipeline(metaqa_graph, metaqa_type_graph, backend, k=k, shots=shots),
+            trace_path=str(trace_path),
+        )
+        for k, shots in cells
+    ]
+    records = _read_trace(trace_path)
+    # each record names its cell, and each cell's records run together in dataset order
+    assert [(r["k"], r["shots"]) for r in records] == [c for c in cells for _ in examples]
+    assert [r["input"] for r in records] == [e.question for e in examples] * len(cells)
+    for i, report in enumerate(reports):
+        assert (report.config["k"], report.config["shots"]) == cells[i]
+        cell_records = records[i * len(examples) : (i + 1) * len(examples)]
+        assert EvalReport.from_records(cell_records, report.metric_name, report.config) == report
 
 
 def test_folding_no_records_is_a_value_error():
@@ -374,15 +367,8 @@ def test_evaluation_with_worker_pool_matches_sequential(tmp_path, metaqa_graph, 
         reports, traces = {}, {}
         for width in (1, 4):
             trace_path = tmp_path / f"trace-{hops}hop-width{width}.jsonl"
-            reports[width] = evaluate(
-                examples,
-                metaqa_graph,
-                metaqa_type_graph,
-                FirstKBackend(seg),
-                k=3,
-                width=width,
-                trace_path=str(trace_path),
-            )
+            pipeline = Pipeline(metaqa_graph, metaqa_type_graph, FirstKBackend(seg), k=3)
+            reports[width] = evaluate(examples, pipeline, width=width, trace_path=str(trace_path))
             traces[width] = _records_without_timings(trace_path)
         assert reports[4].correct == reports[1].correct
         assert reports[4].mean_evidence_triples == reports[1].mean_evidence_triples
@@ -413,10 +399,8 @@ class _Recorder:
 
 def _scored(script, width, trace_path, g, tg, examples, k):
     """The report (less its width) and the timing-free trace records of one run."""
-    report = evaluate(
-        examples, g, tg, MockBackend.from_path(str(script)), k=k, width=width,
-        trace_path=str(trace_path),
-    ).to_record()
+    pipeline = Pipeline(g, tg, MockBackend.from_path(str(script)), k=k)
+    report = evaluate(examples, pipeline, width=width, trace_path=str(trace_path)).to_record()
     del report["config"]["width"]
     return report, _records_without_timings(trace_path)
 
@@ -435,7 +419,7 @@ def test_scripts_score_the_same_at_every_width(suite, tmp_path, request):
     g = request.getfixturevalue(f"{graph}_graph")
     tg = request.getfixturevalue(f"{graph}_type_graph")
     recorder = _Recorder(MockBackend.from_path(str(script)))
-    evaluate(examples, g, tg, recorder, k=k)
+    evaluate(examples, Pipeline(g, tg, recorder, k=k))
     hashed = tmp_path / "hashed.jsonl"
     hashed.write_text(
         "".join(
@@ -477,9 +461,8 @@ def test_trace_keeps_the_records_finished_before_a_crash(
     trace_path = tmp_path / "trace.jsonl"
     backend = _CrashesOnThirdQuery(mock_backend("mock_factkg.jsonl"))
     with pytest.raises(RuntimeError, match="backend crashed"):
-        evaluate(
-            examples, factkg_graph, factkg_type_graph, backend, k=5, trace_path=str(trace_path)
-        )
+        pipeline = Pipeline(factkg_graph, factkg_type_graph, backend, k=5)
+        evaluate(examples, pipeline, trace_path=str(trace_path))
     records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
     assert [r["input"] for r in records] == [e.claim for e in examples[:2]]
     assert all(r["correct"] for r in records)
@@ -496,8 +479,7 @@ def test_query_builder_rejects_nothing_but_stage_counts_catch_failures(
         encoding="utf-8",
     )
     examples = load_verification_dataset(str(path))
-    backend = MockBackend([])
-    report = evaluate(examples, factkg_graph, factkg_type_graph, backend, k=5)
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, MockBackend([]), k=5))
     assert report.correct == 0
     assert report.stage_failures["query"] == 1
     assert report.stage_failures["segmentation"] == 0
@@ -512,13 +494,13 @@ def test_backend_echo_names_endpoint_and_model_or_class(tmp_path, factkg_graph, 
     )
     examples = load_verification_dataset(str(path))
     http = HttpBackend(BackendConfig(endpoint="http://localhost:1", model="m1", max_retries=0))
-    report = evaluate(examples, factkg_graph, factkg_type_graph, http, k=5)
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, http, k=5))
     assert report.config["backend"] == "http://localhost:1 (m1)"
-    report = evaluate(examples, factkg_graph, factkg_type_graph, MockBackend([]), k=5)
+    report = evaluate(examples, Pipeline(factkg_graph, factkg_type_graph, MockBackend([]), k=5))
     assert report.config["backend"] == "MockBackend"
 
 
-# --- ablation grid ----------------------------------------------------------------
+# --- argument checks and grids --------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -527,16 +509,8 @@ def test_backend_echo_names_endpoint_and_model_or_class(tmp_path, factkg_graph, 
     [(0, 12), (-1, 12), (3, 0), (3, 13), (2.5, 12), (True, 12), ("3", 12), (3, 12.0), (3, True)],
 )
 def test_out_of_range_k_or_shots_fails_before_any_query(k, shots, metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
     with pytest.raises(ValueError, match="k must be|shots must be"):
-        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=k, shots=shots)
-    with pytest.raises(ValueError, match="k must be|shots must be"):
-        ablate(
-            examples, metaqa_graph, metaqa_type_graph, backend,
-            k_values=[k], shot_values=[shots],
-        )
-    assert backend.total_calls == 0
+        Pipeline(metaqa_graph, metaqa_type_graph, MockBackend([]), k=k, shots=shots)
 
 
 @pytest.mark.parametrize("width", [0, -5])
@@ -544,12 +518,7 @@ def test_width_below_one_fails_before_any_query(width, metaqa_graph, metaqa_type
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
     backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
     with pytest.raises(ValueError, match="width must be >= 1"):
-        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
-    with pytest.raises(ValueError, match="width must be >= 1"):
-        ablate(
-            examples, metaqa_graph, metaqa_type_graph, backend,
-            k_values=[3], shot_values=[12], width=width,
-        )
+        evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3), width=width)
     assert backend.total_calls == 0
 
 
@@ -559,111 +528,78 @@ def test_width_that_is_not_an_int_fails_before_any_query(width, metaqa_graph, me
     examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
     backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
     with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
-        evaluate(examples, metaqa_graph, metaqa_type_graph, backend, k=3, width=width)
-    with pytest.raises(ValueError, match="width must be >= 1 and an int, got"):
-        ablate(
-            examples, metaqa_graph, metaqa_type_graph, backend,
-            k_values=[3], shot_values=[12], width=width,
-        )
+        evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3), width=width)
     assert backend.total_calls == 0
 
 
-@pytest.mark.parametrize("k_values, shot_values", [([], [12]), ([3], [])])
-def test_empty_dataset_or_grid_fails_before_any_query(
-    k_values, shot_values, metaqa_graph, metaqa_type_graph
+@pytest.mark.parametrize(
+    "mix, message",
+    [
+        ("", "^dataset is empty$"),
+        ("claim claim question", "^dataset mixes claims and questions$"),
+        ("question claim", "^dataset mixes claims and questions$"),
+    ],
+)
+def test_an_empty_or_mixed_dataset_fails_before_any_query(
+    mix, message, tmp_path, metaqa_graph, metaqa_type_graph
 ):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
+    # the run would otherwise fail at the first example of the other kind, its trace half written
+    examples = {
+        "claim": iter(load_verification_dataset(str(FIXTURES / "verification.jsonl"))),
+        "question": iter(load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)),
+    }
+    dataset = [next(examples[kind]) for kind in mix.split()]
     backend = CountingBackend(mock_backend("mock_metaqa_1hop.jsonl"))
-    with pytest.raises(ValueError, match="^dataset is empty$"):
-        evaluate([], metaqa_graph, metaqa_type_graph, backend, k=3)
-    with pytest.raises(ValueError, match="^k_values and shot_values must be non-empty$"):
-        ablate(
-            examples, metaqa_graph, metaqa_type_graph, backend,
-            k_values=k_values, shot_values=shot_values,
-        )
+    pipeline = Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3)
+    trace_path = tmp_path / "trace.jsonl"
+    with pytest.raises(ValueError, match=message):
+        evaluate(dataset, pipeline, trace_path=str(trace_path))
     assert backend.total_calls == 0
+    assert not trace_path.exists()
 
 
-def test_ablate_grid_size_and_config_echo(metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
-    reports = ablate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        FirstKBackend(seg),
-        k_values=[1, 3, 5],
-        shot_values=[12],
-    )
-    assert len(reports) == 3
-    assert [r.config["k"] for r in reports] == [1, 3, 5]
-    assert all(r.config["shots"] == 12 for r in reports)
-
-
-def test_ablate_runs_every_cell_on_its_one_backend(metaqa_graph, metaqa_type_graph):
+def test_one_backend_serves_a_pipeline_per_cell(metaqa_graph, metaqa_type_graph):
     examples = load_qa_dataset(str(FIXTURES / "qa_2hop.txt"), 2)
     one_cell = CountingBackend(mock_backend("mock_metaqa_2hop.jsonl"))
-    evaluate(examples, metaqa_graph, metaqa_type_graph, one_cell, k=3)
+    evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, one_cell, k=3))
     backend = CountingBackend(mock_backend("mock_metaqa_2hop.jsonl"))
-    reports = ablate(
-        examples, metaqa_graph, metaqa_type_graph, backend, k_values=[3], shot_values=[4, 8, 12]
-    )
+    reports = [
+        evaluate(examples, Pipeline(metaqa_graph, metaqa_type_graph, backend, k=3, shots=shots))
+        for shots in (4, 8, 12)
+    ]
     # sentence keys hold at every shot count
     assert [r.correct for r in reports] == [len(examples)] * 3
+    assert [r.config["shots"] for r in reports] == [4, 8, 12]
     assert backend.total_calls == 3 * one_cell.total_calls
 
 
-def test_ablate_trace_records_name_their_cell(tmp_path, metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_1hop.txt"), 1)
-    seg = segmentations_from_script("mock_metaqa_1hop.jsonl")
-    trace_path = tmp_path / "trace.jsonl"
-    ablate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        FirstKBackend(seg),
-        k_values=[1, 3],
-        shot_values=[12],
-        trace_path=str(trace_path),
-    )
-    records = [json.loads(line) for line in trace_path.read_text(encoding="utf-8").splitlines()]
-    assert [r["k"] for r in records] == [1] * len(examples) + [3] * len(examples)
-    assert all(r["shots"] == 12 for r in records)
+def test_ablate_command_runs_a_pipeline_per_cell_k_major_on_one_backend(
+    tmp_path, monkeypatch, capsys
+):
+    built = []
 
+    def recording(config):
+        built.append(config)
+        return make_backend(config)
 
-def test_ablate_mean_evidence_non_decreasing_in_k(metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_3hop.txt"), 3)
-    seg = segmentations_from_script("mock_metaqa_3hop.jsonl")
-    reports = ablate(
-        examples,
-        metaqa_graph,
-        metaqa_type_graph,
-        FirstKBackend(seg),
-        k_values=[1, 3, 5, 10],
-        shot_values=[12],
-    )
-    means = [r.mean_evidence_triples for r in reports]
-    assert all(a <= b for a, b in zip(means, means[1:]))
-
-
-def test_ablate_is_deterministic(metaqa_graph, metaqa_type_graph):
-    examples = load_qa_dataset(str(FIXTURES / "qa_2hop.txt"), 2)
-    seg = segmentations_from_script("mock_metaqa_2hop.jsonl")
-
-    def run():
-        return [
-            (r.correct, r.mean_evidence_triples, r.config["k"])
-            for r in ablate(
-                examples,
-                metaqa_graph,
-                metaqa_type_graph,
-                FirstKBackend(seg),
-                k_values=[1, 3],
-                shot_values=[4, 12],
-            )
-        ]
-
-    assert run() == run()
+    monkeypatch.setattr(cli, "make_backend", recording)
+    report_path = tmp_path / "report.json"
+    argv = [
+        "ablate", "--task", "qa", "--hops", "1",
+        "--dataset", str(FIXTURES / "qa_1hop.txt"),
+        "--graph", str(FIXTURES / "metaqa_graph.tsv"),
+        "--backend", f"mock:{FIXTURES / 'mock_metaqa_1hop.jsonl'}",
+        "--k-values", "5,1,3", "--shot-values", "12,4",
+        "--report", str(report_path),
+    ]
+    assert cli.main(argv) == 0
+    cells = [(k, shots) for k in (5, 1, 3) for shots in (12, 4)]
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("--- ")]
+    assert headers == [f"--- k={k} shots={shots}" for k, shots in cells]
+    assert [cell["config"] for cell in json.loads(report_path.read_text(encoding="utf-8"))] == [
+        {"k": k, "shots": shots, "width": 1, "backend": "MockBackend"} for k, shots in cells
+    ]
+    assert len(built) == 1
 
 
 # --- expected evidence tables (sanity for the frozen data itself) --------------------

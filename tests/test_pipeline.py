@@ -81,6 +81,12 @@ def test_question_requires_concrete_seed():
         Query.question("text", Mention.concrete("a", 0), 5)
 
 
+def test_a_pipeline_is_built_with_its_k(metaqa_graph, metaqa_type_graph):
+    # the paper's k differs by task, so no one value serves as a default
+    with pytest.raises(TypeError, match="'k'"):
+        Pipeline(metaqa_graph, metaqa_type_graph, MockBackend([]))
+
+
 # --- the crewed-flight walkthrough ----------------------------------------------
 
 
@@ -540,7 +546,7 @@ def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, cre
 def test_failed_backend_call_keeps_its_prompt(crewed_flight_graph, crewed_flight_type_graph):
     query = crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph)
     working = CountingBackend(mock_backend("mock_crewed_flight.jsonl"))
-    ok = Pipeline(crewed_flight_graph, crewed_flight_type_graph, working).run(query)
+    ok = Pipeline(crewed_flight_graph, crewed_flight_type_graph, working, k=5).run(query)
     backend = CountingBackend(_FailsAt(mock_backend("mock_crewed_flight.jsonl"), "inference"))
     pipeline = Pipeline(crewed_flight_graph, crewed_flight_type_graph, backend, k=5, shots=12)
     with pytest.raises(PipelineError) as err:

@@ -1,4 +1,4 @@
-"""README.md runs as written: its CLI examples and its first and id-level library examples."""
+"""README.md runs as written: its CLI examples and its library examples."""
 
 from __future__ import annotations
 
@@ -58,10 +58,15 @@ def test_readme_library_example_prints_its_comments(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-def test_readme_id_level_example_runs_after_the_first(monkeypatch, capsys):
-    # a renamed graph reader fails here rather than leaving the README stale
+@pytest.mark.parametrize(
+    "after",
+    ["The graph answers in ids", "Batch runs take a ready `Pipeline`"],
+    ids=["id-level", "batch"],
+)
+def test_readme_example_runs_after_the_first(after, monkeypatch, capsys):
+    # a renamed graph reader or batch entry point fails here rather than leaving the README stale
     first = _first_block("\n## Library use\n", "python")
-    block = _first_block("The graph answers in ids", "python")
+    block = _first_block(after, "python")
     expected = _printed_comments(block)
     assert len(expected) == 3
     monkeypatch.chdir(ROOT)
