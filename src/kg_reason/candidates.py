@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import CandidateError
+from .errors import RetrievalError
 from .graph import KnowledgeGraph, TypeGraph, relations_within_n_hops
 
 CONCRETE = "concrete"
@@ -84,9 +84,9 @@ def extract_relation_candidates(
     """
     mentions = tuple(mentions)
     if not mentions:
-        raise CandidateError("no mentions given")
+        raise RetrievalError("no mentions given")
     if len(mentions) > 2:
-        raise CandidateError(f"a sub-sentence carries at most two mentions, got {len(mentions)}")
+        raise RetrievalError(f"a sub-sentence carries at most two mentions, got {len(mentions)}")
     entity_pool: set[int] | None = None
     type_ids: list[int] = []
     for m in mentions:
@@ -96,7 +96,7 @@ def extract_relation_candidates(
         elif m.kind == TYPE_REF:
             type_ids.append(m.ref)
     if entity_pool is None and not type_ids:
-        raise CandidateError("all mentions are variables; nothing to retrieve from")
+        raise RetrievalError("all mentions are variables; nothing to retrieve from")
     if type_ids:
         type_pool: set[int] = set()
         for tid in type_ids:
@@ -112,6 +112,6 @@ def extract_nhop_candidates(
 ) -> RelationCandidates:
     """Candidate pool for a question: relations within ``hops`` of the seed entity."""
     if hops not in HOPS:
-        raise CandidateError(f"hop count must be 1, 2 or 3, got {hops}")
+        raise RetrievalError(f"hop count must be 1, 2 or 3, got {hops}")
     rels = relations_within_n_hops(g, seed_id, hops)
     return RelationCandidates(tuple(sorted(g.relation_label(r) for r in rels)))

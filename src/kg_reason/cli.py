@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
 from .candidates import HOPS, VARIABLE, resolve_mention
-from .errors import BackendError, KGReasonError, OutputError, PipelineError, UnknownEntityError
+from .errors import BackendError, KGReasonError, OutputError, PipelineError, QueryError
 from .evaluation import (
     QAExample,
     append_trace,
@@ -150,7 +150,7 @@ def _query(args: argparse.Namespace, g: KnowledgeGraph, tg: TypeGraph) -> Query:
     mentions = tuple(resolve_mention(label, g, tg) for label in args.entities)
     for mention in mentions:
         if mention.kind == VARIABLE:
-            raise UnknownEntityError(mention.surface)
+            raise QueryError(f"unknown entity: {mention.surface!r}")
     return Query.claim(args.claim, mentions)
 
 

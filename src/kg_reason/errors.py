@@ -1,4 +1,15 @@
-"""The kg_reason exception hierarchy, and the file readers and writer that raise its errors."""
+"""The kg_reason exception hierarchy, and the file readers and writer that raise its errors.
+
+A query fails in one of four ways, one class each: :class:`QueryError` (the
+input cannot become a query; raised by ``Query``, ``split_seed``,
+``build_query`` and the command line), :class:`RetrievalError` (the graph
+offers a sub-sentence nothing to match; raised by the candidate extractors and
+``Pipeline.retrieve`` and ``Pipeline.assemble``), :class:`ParseError` (a
+backend reply cannot be used; raised by the parsers of ``parsing``) and
+:class:`BackendError` (no reply at all; raised by the backends). A failed run
+wraps its cause in :class:`PipelineError`, whose ``stage`` names the stage the
+failure is charged to; the cause's message says what happened.
+"""
 
 from __future__ import annotations
 
@@ -77,14 +88,6 @@ class GraphLoadError(LoadError):
     """A graph or type file could not be parsed."""
 
 
-class UnknownEntityError(KGReasonError):
-    """An entity label was not found in the graph."""
-
-    def __init__(self, label: str):
-        self.label = label
-        super().__init__(f"unknown entity: {label!r}")
-
-
 class DatasetLoadError(LoadError):
     """A dataset file could not be parsed."""
 
@@ -116,39 +119,17 @@ class MockScriptError(BackendError):
 
 
 class ParseError(KGReasonError):
-    """Base class for response parsing failures."""
-
-
-class SegmentationParseError(ParseError):
-    """No line of the segmentation response matched the grammar."""
-
-
-class RelationParseError(ParseError):
-    """No bracketed relation list was found in the response."""
-
-
-class VerdictParseError(ParseError):
-    """The response did not start with a True/False token."""
-
-
-class AnswerGroundingError(ParseError):
-    """No evidence entity could be grounded in the answer response."""
-
-
-class CandidateError(KGReasonError):
-    """Relation candidate extraction was called with unusable mentions."""
+    """A backend reply cannot be used: a segmentation, relation list, verdict or answer."""
 
 
 class RetrievalError(KGReasonError):
-    """A sub-sentence had no candidate relations to offer."""
-
-
-class AssemblyError(KGReasonError):
-    """Evidence assembly hit a sub-sentence with no anchored entities."""
+    """The graph offers a sub-sentence nothing to match: no usable mention, no
+    candidate relation, no anchored entity, or a hop count outside 1 to 3."""
 
 
 class QueryError(KGReasonError):
-    """A query object violated its construction contract."""
+    """An input cannot become a query: blank text, not one bracketed seed, an
+    unknown entity, no concrete or type mention, or a hop count outside 1 to 3."""
 
 
 class PipelineError(KGReasonError):

@@ -22,7 +22,6 @@ from .errors import (
     KGReasonError,
     PipelineError,
     QueryError,
-    UnknownEntityError,
     read_lines,
     writing,
 )
@@ -193,14 +192,15 @@ def build_query(
     """Turn a dataset example into a pipeline query.
 
     A claim entity that names nothing in the graph becomes a variable; a
-    question seed that names nothing raises :class:`UnknownEntityError`.
+    question seed that names nothing raises :class:`QueryError`
+    (``unknown entity: 'X'``), as does an example :class:`Query` refuses.
     """
     if isinstance(example, VerificationExample):
         mentions = tuple(resolve_mention(label, g, tg) for label in example.entities)
         return Query.claim(example.claim, mentions)
     seed = resolve_mention(example.seed, g, tg)
     if seed.kind == VARIABLE:
-        raise UnknownEntityError(example.seed)
+        raise QueryError(f"unknown entity: {example.seed!r}")
     return Query.question(example.text, seed, example.hops)
 
 

@@ -257,12 +257,16 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
 
 
 def _flat_batches(rows: Iterable[Sequence[str]], width: int) -> Iterator[list[str]]:
-    """The rows' fields, flat, a few thousand rows at a time."""
+    """The rows' fields, flat, a few thousand rows at a time; a blank field is refused,
+    as :func:`load_graph` refuses it."""
     rows = iter(rows)
     while batch := list(islice(rows, 4096)):
         if any(map(ne, map(len, batch), repeat(width))):
             raise ValueError(f"every row must hold {width} fields")
-        yield list(chain.from_iterable(batch))
+        fields = list(chain.from_iterable(batch))
+        if not all(map(str.strip, fields)):
+            raise ValueError("every field must hold a label, not blanks")
+        yield fields
 
 
 def _read_tsv(path: str, width: int) -> Iterator[list[str]]:

@@ -1,9 +1,10 @@
 """Parsers for the structured responses each stage expects.
 
 All parsers accept arbitrary UTF-8 text and either return a value or raise
-one of the typed errors from :mod:`kg_reason.errors`; they never raise
-anything else. Callers may pass a ``notes`` list to collect trace remarks
-about skipped lines or dropped items.
+:class:`~kg_reason.errors.ParseError`, the failure kind of a reply that
+cannot be used, with a message saying why; they never raise anything else.
+Callers may pass a ``notes`` list to collect trace remarks about skipped
+lines or dropped items.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .candidates import Mention, RelationCandidates, type_or_variable
-from .errors import (
-    AnswerGroundingError,
-    RelationParseError,
-    SegmentationParseError,
-    VerdictParseError,
-)
+from .errors import ParseError
 from .graph import TypeGraph, canonical_label
 
 SUPPORTED = "Supported"
@@ -69,7 +65,7 @@ def parse_segmentation(
     Entity surfaces are resolved against the query's mentions first, then
     the type vocabulary, and otherwise become variables. Lines that fail the
     grammar, or that carry more than two entities, are skipped with a note.
-    Raises :class:`SegmentationParseError` when no line parses.
+    Raises :class:`ParseError` when no line parses.
     """
     by_surface = {canonical_label(m.surface): m for m in query_mentions}
     parsed: list[SubSentence] = []
@@ -93,7 +89,7 @@ def parse_segmentation(
         )
         parsed.append(SubSentence(len(parsed) + 1, match.group("text").strip(), mentions))
     if not parsed:
-        raise SegmentationParseError("no response line matched the segmentation grammar")
+        raise ParseError("no response line matched the segmentation grammar")
     return parsed
 
 
@@ -112,14 +108,14 @@ def parse_relations(
     Items are matched case-sensitively; unmatched items are dropped with a
     note. The result keeps response order, has no duplicates, and is
     truncated to k. If every item was dropped, the first k offered labels
-    are used instead. Raises :class:`RelationParseError` when no bracketed
+    are used instead. Raises :class:`ParseError` when no bracketed
     list is present.
     """
     if k < 1:
-        raise RelationParseError(f"k must be >= 1, got {k}")
+        raise ParseError(f"k must be >= 1, got {k}")
     match = _BRACKETED.search(response)
     if match is None:
-        raise RelationParseError("no bracketed list in response")
+        raise ParseError("no bracketed list in response")
     inner = match.group(1)
     items = [a or b for a, b in _QUOTED.findall(inner)]
     if not items:
@@ -145,11 +141,11 @@ def parse_verdict(response: str) -> Verdict:
     """Map a leading True/False token to a verdict.
 
     The rationale is whatever follows the first comma. Raises
-    :class:`VerdictParseError` when neither token leads the response.
+    :class:`ParseError` when neither token leads the response.
     """
     match = _VERDICT_TOKEN.match(response)
     if match is None:
-        raise VerdictParseError(f"response does not start with True/False: {response[:80]!r}")
+        raise ParseError(f"response does not start with True/False: {response[:80]!r}")
     label = SUPPORTED if match.group(1).lower() == "true" else REFUTED
     rationale = response.split(",", 1)[1].strip() if "," in response else ""
     return Verdict(label, rationale)
@@ -163,11 +159,11 @@ def parse_answer(
     The answer is the longest evidence endpoint label (canonicalized,
     case-insensitive) that the response mentions as whole tokens, never the
     question's ``seed``. The full response is kept as the rationale. Raises
-    :class:`AnswerGroundingError` when the evidence is empty or no endpoint
+    :class:`ParseError` when the evidence is empty or no endpoint
     but the seed is mentioned, with a message of its own when the seed is.
     """
     if not evidence:
-        raise AnswerGroundingError("cannot ground an answer in empty evidence")
+        raise ParseError("cannot ground an answer in empty evidence")
     labels: dict[str, str] = {}  # comparison form -> first spelling in the evidence
     # each distinct spelling is canonicalized once, in order of first appearance
     for spelling in dict.fromkeys(x for head, _, tail in evidence for x in (head, tail)):
@@ -184,9 +180,9 @@ def parse_answer(
     ]
     others = [needle for needle in mentioned if needle != seed_key]
     if mentioned and not others:
-        raise AnswerGroundingError("the response names only the question's seed")
+        raise ParseError("the response names only the question's seed")
     if not others:
-        raise AnswerGroundingError("no evidence entity appears in the response")
+        raise ParseError("no evidence entity appears in the response")
     return AnswerCandidate(entity=labels[max(others, key=len)], rationale=response)
 
 

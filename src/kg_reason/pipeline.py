@@ -24,14 +24,7 @@ from .candidates import (
     extract_nhop_candidates,
     extract_relation_candidates,
 )
-from .errors import (
-    AssemblyError,
-    KGReasonError,
-    PipelineError,
-    QueryError,
-    RetrievalError,
-    SegmentationParseError,
-)
+from .errors import KGReasonError, ParseError, PipelineError, QueryError, RetrievalError
 from .graph import KnowledgeGraph, TypeGraph, gather, match_triples_by_id, merge_positions
 from .parsing import (
     AnswerCandidate,
@@ -222,7 +215,7 @@ class Pipeline:
             subsentences = parse_segmentation(
                 response, query.mentions, self.type_graph, notes
             )
-        except SegmentationParseError:
+        except ParseError:
             if query.kind == QUESTION and query.hops == 1:
                 notes.append("parse failed; fell back to the whole question")
                 subsentences = [SubSentence(1, query.text, query.mentions)]
@@ -308,7 +301,7 @@ class Pipeline:
                 elif m.kind == VARIABLE and m.ref in bindings:
                     anchors.update(bound_entities(g, *bindings[m.ref]))
             if not anchors:
-                raise AssemblyError(
+                raise RetrievalError(
                     f"sub-sentence {sub.index} has no anchored entities: {sub.text!r}"
                 )
             matched = match_triples_by_id(g, anchors, relation_ids)

@@ -43,7 +43,7 @@ from kg_reason import (
     render_prompt,
     resolve_mention,
 )
-from kg_reason.errors import CandidateError, ParseError
+from kg_reason.errors import ParseError, RetrievalError
 from kg_reason.evaluation import build_query
 from kg_reason.graph import relations_within_n_hops
 
@@ -112,7 +112,7 @@ def test_candidate_extraction_matches_oracle_on_randomized_graphs():
                     mentions.append(Mention.variable(label))
             expected = candidate_oracle(specs, triples, type_map)
             if all(kind == "variable" for kind, _ in specs):
-                with pytest.raises(CandidateError):
+                with pytest.raises(RetrievalError, match="^all mentions are variables; "):
                     extract_relation_candidates(mentions, g, tg)
             else:
                 got = extract_relation_candidates(mentions, g, tg)

@@ -13,7 +13,7 @@ from kg_reason import (
     extract_relation_candidates,
     resolve_mention,
 )
-from kg_reason.errors import CandidateError, UnknownEntityError
+from kg_reason.errors import QueryError, RetrievalError
 from kg_reason.evaluation import QAExample, build_query
 
 from helpers import (
@@ -103,20 +103,20 @@ def test_variables_contribute_no_constraint():
 
 def test_all_variables_is_an_error():
     g, tg = graph_with_types([("A", "r1", "X")])
-    with pytest.raises(CandidateError):
+    with pytest.raises(RetrievalError, match="^all mentions are variables; nothing to retrieve from$"):
         extract_relation_candidates([Mention.variable("a"), Mention.variable("b")], g, tg)
 
 
 def test_too_many_mentions_is_an_error():
     g, tg = graph_with_types([("A", "r1", "X")])
     mentions = [concrete(g, "A"), Mention.variable("b"), Mention.variable("c")]
-    with pytest.raises(CandidateError):
+    with pytest.raises(RetrievalError, match="^a sub-sentence carries at most two mentions, got 3$"):
         extract_relation_candidates(mentions, g, tg)
 
 
 def test_no_mentions_is_an_error():
     g, tg = graph_with_types([("A", "r1", "X")])
-    with pytest.raises(CandidateError):
+    with pytest.raises(RetrievalError, match="^no mentions given$"):
         extract_relation_candidates([], g, tg)
 
 
@@ -155,7 +155,7 @@ def test_extraction_matches_scan_oracle(seed):
     specs, mentions = _random_mentions(rng, g, tg, entities, type_labels)
     expected = candidate_oracle(specs, triples, type_map)
     if all(kind == "variable" for kind, _ in specs):
-        with pytest.raises(CandidateError):
+        with pytest.raises(RetrievalError, match="^all mentions are variables; nothing to retrieve from$"):
             extract_relation_candidates(mentions, g, tg)
         return
     got = extract_relation_candidates(mentions, g, tg)
@@ -210,16 +210,15 @@ def test_nhop_chain_fixture():
 
 def test_nhop_requires_known_hop_count():
     g, _ = graph_with_types([("a", "r", "b")])
-    with pytest.raises(CandidateError):
+    with pytest.raises(RetrievalError, match="^hop count must be 1, 2 or 3, got 4$"):
         extract_nhop_candidates(g.maybe_entity_id("a"), 4, g)
 
 
 def test_nhop_unknown_seed_propagates():
     # an unknown seed stops at query building and never reaches the pool
     g, tg = graph_with_types([("a", "r", "b")])
-    with pytest.raises(UnknownEntityError) as err:
+    with pytest.raises(QueryError, match="^unknown entity: 'zz'$"):
         build_query(QAExample("what is [zz]?", "what is zz?", "zz", 1, ()), g, tg)
-    assert "zz" in str(err.value)
 
 
 @given(st.integers(0, 20_000), st.integers(1, 3))

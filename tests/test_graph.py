@@ -129,6 +129,28 @@ def test_from_triples_rejects_a_row_of_the_wrong_width(triples, entity_types, wi
         KnowledgeGraph.from_triples(triples, entity_types)
 
 
+@pytest.mark.parametrize(
+    "triples, entity_types",
+    [
+        ([(" ", "r", "t")], ()),
+        ([("h", "", "t")], ()),
+        ([("h", "r", "  ")], ()),
+        ([("h", "r", "t")], [("", "T")]),
+        ([("h", "r", "t")], [("h", " ")]),
+    ],
+    ids=["head", "relation", "tail", "type-entity", "type"],
+)
+def test_from_triples_refuses_a_blank_field_as_load_graph_does(triples, entity_types, tmp_path):
+    with pytest.raises(ValueError, match="^every field must hold a label, not blanks$"):
+        KnowledgeGraph.from_triples(triples, entity_types)
+    paths = []
+    for name, rows in (("triples.tsv", triples), ("types.tsv", entity_types)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(GraphLoadError, match=":1: empty field$"):
+        load_graph(*map(str, paths))
+
+
 @contextmanager
 def gc_set_to(enabled):
     caller_state = gc.isenabled()

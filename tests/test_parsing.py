@@ -21,13 +21,7 @@ from kg_reason import (
     parse_segmentation,
     parse_verdict,
 )
-from kg_reason.errors import (
-    AnswerGroundingError,
-    ParseError,
-    RelationParseError,
-    SegmentationParseError,
-    VerdictParseError,
-)
+from kg_reason.errors import ParseError
 
 
 # --- segmentation ------------------------------------------------------------
@@ -112,7 +106,7 @@ def test_empty_entity_set_skips_the_line_with_a_note():
 
 def test_garbage_lines_collect_notes():
     notes: list[str] = []
-    with pytest.raises(SegmentationParseError):
+    with pytest.raises(ParseError, match="^no response line matched the segmentation grammar$"):
         parse_segmentation("no structure here\nat all", q(["a"]), notes=notes)
     assert len(notes) == 2
 
@@ -176,12 +170,12 @@ def test_parse_relations_case_sensitive():
 
 
 def test_parse_relations_without_brackets_is_an_error():
-    with pytest.raises(RelationParseError):
+    with pytest.raises(ParseError, match="^no bracketed list in response$"):
         parse_relations("club and clubs", ["club"], 2)
 
 
 def test_parse_relations_rejects_bad_k():
-    with pytest.raises(RelationParseError):
+    with pytest.raises(ParseError, match="^k must be >= 1, got 0$"):
         parse_relations("['a']", ["a"], 0)
 
 
@@ -199,7 +193,8 @@ def test_a_one_relation_pool_parses_to_itself_or_fails(reply, k):
     # pick anything else from it.
     try:
         got = parse_relations(reply, ["r"], k)
-    except RelationParseError:
+    except ParseError as exc:
+        assert str(exc) == "no bracketed list in response"
         return
     assert got.relations == ("r",)
 
@@ -223,17 +218,17 @@ def test_parse_verdict_case_insensitive_token():
 
 
 def test_parse_verdict_out_of_grammar():
-    with pytest.raises(VerdictParseError):
+    with pytest.raises(ParseError, match=r"^response does not start with True/False: 'Maybe\.'$"):
         parse_verdict("Maybe.")
 
 
 def test_parse_verdict_requires_leading_token():
-    with pytest.raises(VerdictParseError):
+    with pytest.raises(ParseError, match="^response does not start with True/False: "):
         parse_verdict("the answer is True")
 
 
 def test_parse_verdict_token_boundary():
-    with pytest.raises(VerdictParseError):
+    with pytest.raises(ParseError, match="^response does not start with True/False: "):
         parse_verdict("Truestory, yes.")
 
 
@@ -267,7 +262,7 @@ def test_parse_answer_skips_the_seed_when_another_endpoint_is_named():
 
 def test_parse_answer_never_returns_the_seed():
     evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
-    with pytest.raises(AnswerGroundingError):
+    with pytest.raises(ParseError, match="^the response names only the question's seed$"):
         parse_answer("It is Brigitte Nielsen.", evidence, "Brigitte_Nielsen")
     # without a seed the same endpoint grounds the answer
     assert parse_answer("It is Brigitte Nielsen.", evidence).entity == "Brigitte Nielsen"
@@ -284,7 +279,7 @@ def test_parse_answer_never_returns_the_seed():
 )
 def test_parse_answer_says_when_the_response_names_only_the_seed(response, message):
     evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
-    with pytest.raises(AnswerGroundingError) as err:
+    with pytest.raises(ParseError) as err:
         parse_answer(response, evidence, "Brigitte_Nielsen")
     assert str(err.value) == message
 
@@ -302,19 +297,19 @@ def test_parse_answer_says_when_the_response_names_only_the_seed(response, messa
 def test_parse_answer_requires_token_boundaries(response, expected):
     evidence = [("Six Shooter", "has_genre", "Short")]
     if expected is None:
-        with pytest.raises(AnswerGroundingError):
+        with pytest.raises(ParseError, match="^no evidence entity appears in the response$"):
             parse_answer(response, evidence)
     else:
         assert parse_answer(response, evidence).entity == expected
 
 
 def test_parse_answer_no_grounding():
-    with pytest.raises(AnswerGroundingError):
+    with pytest.raises(ParseError, match="^no evidence entity appears in the response$"):
         parse_answer("I do not know.", [("a", "r", "b")])
 
 
 def test_parse_answer_empty_evidence():
-    with pytest.raises(AnswerGroundingError):
+    with pytest.raises(ParseError, match="^cannot ground an answer in empty evidence$"):
         parse_answer("anything", [])
 
 

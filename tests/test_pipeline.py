@@ -19,13 +19,11 @@ from kg_reason import (
 )
 from kg_reason.backends import MockBackend, MockEntry
 from kg_reason.errors import (
-    AnswerGroundingError,
-    AssemblyError,
     BackendError,
     MockScriptError,
+    ParseError,
     PipelineError,
     QueryError,
-    RelationParseError,
     RetrievalError,
 )
 from kg_reason.candidates import RelationCandidates
@@ -175,6 +173,7 @@ def test_one_hop_question_falls_back_to_whole_question(metaqa_graph, metaqa_type
     subs = conclusion.trace.segmentation["subsentences"]
     assert len(subs) == 1
     assert subs[0]["text"] == query.text
+    assert conclusion.trace.segmentation["notes"][-1] == "parse failed; fell back to the whole question"
     assert conclusion.result.entity == "Short"
 
 
@@ -196,7 +195,7 @@ def test_a_reply_that_names_only_the_seed_fails_at_inference(metaqa_graph, metaq
     with pytest.raises(PipelineError) as err:
         pipeline.run(Query.question("what type of film is Six Shooter?", seed, 1))
     assert err.value.stage == "inference"
-    assert isinstance(err.value.cause, AnswerGroundingError)
+    assert isinstance(err.value.cause, ParseError)
     assert str(err.value.cause) == "the response names only the question's seed"
     assert err.value.trace.inference["response"] == "It is Six Shooter."
 
@@ -209,6 +208,8 @@ def test_claim_segmentation_parse_error_propagates():
     with pytest.raises(PipelineError) as err:
         pipeline.run(claim_query(g, tg, "X's club is Y.", ["X", "Y"]))
     assert err.value.stage == "segmentation"
+    assert isinstance(err.value.cause, ParseError)
+    assert str(err.value.cause) == "no response line matched the segmentation grammar"
     assert err.value.trace.segmentation is not None
 
 
@@ -219,6 +220,7 @@ def test_multi_hop_question_parse_error_propagates(metaqa_graph, metaqa_type_gra
     with pytest.raises(PipelineError) as err:
         pipeline.run(Query.question("when did it release?", seed, 2))
     assert err.value.stage == "segmentation"
+    assert isinstance(err.value.cause, ParseError)
 
 
 # --- retrieval stage -----------------------------------------------------------------
@@ -284,7 +286,7 @@ def test_a_one_relation_pool_is_taken_without_a_call(crewed_flight_graph, crewed
 
 
 def test_a_one_relation_pool_ignores_a_reply_without_a_list(crewed_flight_graph, crewed_flight_type_graph):
-    # Sending this pool would raise RelationParseError on the reply; no call is made.
+    # Sending this pool would raise ParseError on the reply; no call is made.
     sentence = "William Anders was a crew member of an artificial satellite."
     backend = scripted(
         CREWED_FLIGHT, seg=SATELLITE, ret={sentence: "I cannot tell."}, inf="True, fine."
@@ -347,7 +349,8 @@ def test_unanchored_subsentence_is_an_assembly_error(metaqa_graph, metaqa_type_g
     with pytest.raises(PipelineError) as err:
         pipeline.run(Query.question("when did the movies release?", seed, 1))
     assert err.value.stage == "retrieval"
-    assert isinstance(err.value.cause, AssemblyError)
+    assert isinstance(err.value.cause, RetrievalError)
+    assert str(err.value.cause) == "sub-sentence 1 has no anchored entities: 'The movies released.'"
     # timed under its own key all the same
     assert list(err.value.trace.timings) == ["segmentation", "retrieval", "assembly"]
 
@@ -533,7 +536,8 @@ def test_unparseable_retrieval_reply_stays_in_the_trace(crewed_flight_graph, cre
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert err.value.stage == "retrieval"
-    assert isinstance(err.value.cause, RelationParseError)
+    assert isinstance(err.value.cause, ParseError)
+    assert str(err.value.cause) == "no bracketed list in response"
     trace = err.value.trace
     assert list(trace.retrieval[-1]) == ["index", "offered", "prompt", "response"]
     assert trace.retrieval[-1]["index"] == 1
@@ -661,7 +665,7 @@ def test_assembly_matches_the_reference_on_random_graphs(seed):
     pipeline = Pipeline(g, tg, StaticBackend({}), k=3)
     trace = StageTrace()
     if expected is None:
-        with pytest.raises(AssemblyError):
+        with pytest.raises(RetrievalError, match=r"^sub-sentence \d+ has no anchored entities: "):
             pipeline.assemble(subsentences, retrieved, trace)
         return
     positions, bindings = expected
