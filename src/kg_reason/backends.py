@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-from .errors import BackendError, MockScriptError, read_lines
+from .errors import BackendError, FileError, read_lines
 from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION, task_sentence
 
 API_KEY_ENV = "KG_REASON_API_KEY"
@@ -71,7 +71,8 @@ def prompt_hash(prompt: str) -> str:
 
 @dataclass(frozen=True)
 class MockEntry:
-    """One scripted response, checked here whether built directly or read from a script."""
+    """One scripted response, checked here whether built directly or read from a script;
+    one that breaks a rule raises ``ValueError``."""
 
     stage: str
     match_kind: str  # "hash" | "sentence"
@@ -80,15 +81,13 @@ class MockEntry:
 
     def __post_init__(self) -> None:
         if not all(isinstance(x, str) for x in (self.stage, self.key, self.response)):
-            raise MockScriptError("-", "-", "stage, key and response must be strings")
+            raise ValueError("stage, key and response must be strings")
         if self.stage not in (SEGMENTATION, RETRIEVAL, INFERENCE):
-            raise MockScriptError("-", "-", f"unknown stage {self.stage!r}")
+            raise ValueError(f"unknown stage {self.stage!r}")
         if self.match_kind not in ("hash", "sentence"):
-            message = f'bad match_kind {self.match_kind!r}, not "hash" or "sentence"'
-            raise MockScriptError("-", "-", message)
+            raise ValueError(f'bad match_kind {self.match_kind!r}, not "hash" or "sentence"')
         if self.match_kind == "hash" and not _DIGEST.fullmatch(self.key):
-            message = f"hash key must be 64 lowercase hex digits, got {self.key!r}"
-            raise MockScriptError("-", "-", message)
+            raise ValueError(f"hash key must be 64 lowercase hex digits, got {self.key!r}")
 
 
 class MockBackend:
@@ -98,7 +97,10 @@ class MockBackend:
     sentence entry on (stage, the sentence the prompt asks about, as
     :func:`~kg_reason.prompts.task_sentence` reads it); a hash entry wins. No
     reply depends on call order, so the backend keeps no state. One (match
-    kind, stage, key) given two responses is a :class:`MockScriptError`.
+    kind, stage, key) given two responses raises ``ValueError``, and
+    :meth:`from_path` turns that, or any other bad line of a script, into a
+    :class:`~kg_reason.errors.FileError` naming the line. A call that no entry
+    answers raises :class:`~kg_reason.errors.BackendError`.
     """
 
     def __init__(self, entries: list[MockEntry]):
@@ -108,27 +110,20 @@ class MockBackend:
 
     def _add(self, e: MockEntry) -> None:
         if self._replies.setdefault((e.match_kind, e.stage, e.key), e.response) != e.response:
-            message = f"{e.stage} {e.match_kind} key {e.key!r} has two responses"
-            raise MockScriptError("-", "-", message)
+            raise ValueError(f"{e.stage} {e.match_kind} key {e.key!r} has two responses")
 
     @classmethod
     def from_path(cls, path: str) -> "MockBackend":
         backend = cls([])
-
-        def script_error(line: int | None, message: str) -> MockScriptError:
-            if line is not None:
-                message = f"{path}:{line}: {message}"
-            return MockScriptError("-", "-", message)
-
-        for lineno, line in read_lines(path, script_error):
+        for lineno, line in read_lines(path):
             try:
                 record = json.loads(line.strip())
                 fields = (record["stage"], record["match_kind"], record["key"], record["response"])
                 backend._add(MockEntry(*fields))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise script_error(lineno, f"bad record ({exc})") from exc
-            except MockScriptError as exc:  # a rule of MockEntry's, or a repeated key
-                raise script_error(lineno, exc.message) from None
+                raise FileError(path, lineno, f"bad record ({exc})") from exc
+            except ValueError as exc:  # a rule of MockEntry's, or a repeated key
+                raise FileError(path, lineno, str(exc)) from None
         return backend
 
     def complete(self, prompt: str, stage: str) -> str:
@@ -136,7 +131,8 @@ class MockBackend:
         for key in (("hash", stage, digest), ("sentence", stage, sentence)):
             if key in self._replies:
                 return self._replies[key]
-        raise MockScriptError(stage, digest, f"no entry for the prompt or for {sentence!r}")
+        message = f"no entry for the prompt or for {sentence!r}"
+        raise BackendError(f"stage={stage} hash={digest}: {message}")
 
 
 @dataclass

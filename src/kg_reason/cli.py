@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from .backends import BackendConfig, make_backend
 from .candidates import HOPS, VARIABLE, resolve_mention
-from .errors import BackendError, KGReasonError, OutputError, PipelineError, QueryError
+from .errors import BackendError, FileError, KGReasonError, PipelineError, QueryError
 from .evaluation import (
     QAExample,
     append_trace,
@@ -231,9 +231,9 @@ def main(argv: list[str] | None = None) -> int:
         # Fail before any work whose output could not be kept; verify and answer have no --report.
         for path in (args.trace, getattr(args, "report", None)):
             if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-                raise OutputError(path, "no such directory")
+                raise FileError(path, None, "no such directory")
             if path is not None and os.path.isdir(path):
-                raise OutputError(path, "is a directory")
+                raise FileError(path, None, "is a directory")
         return _COMMANDS[args.command](args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

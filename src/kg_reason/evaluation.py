@@ -14,11 +14,10 @@ import re
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import (
-    DatasetLoadError,
+    FileError,
     KGReasonError,
     PipelineError,
     QueryError,
@@ -54,34 +53,34 @@ class QAExample:
 def load_verification_dataset(path: str) -> list[VerificationExample]:
     """Load claim records from a line-delimited JSON file."""
     examples: list[VerificationExample] = []
-    for lineno, line in read_lines(path, partial(DatasetLoadError, path)):
+    for lineno, line in read_lines(path):
         try:
             record = json.loads(line.strip())
             claim = record["claim"]
             entities = record["entities"]
             label = _normalize_label(path, lineno, record["label"])
         except json.JSONDecodeError as exc:
-            raise DatasetLoadError(path, lineno, f"bad JSON ({exc})") from exc
+            raise FileError(path, lineno, f"bad JSON ({exc})") from exc
         except (KeyError, TypeError) as exc:
-            raise DatasetLoadError(path, lineno, f"missing field ({exc})") from exc
+            raise FileError(path, lineno, f"missing field ({exc})") from exc
         if not isinstance(claim, str) or not claim.strip():
-            raise DatasetLoadError(path, lineno, f"claim must be a non-blank string: {claim!r}")
+            raise FileError(path, lineno, f"claim must be a non-blank string: {claim!r}")
         if not isinstance(entities, list) or not all(
             isinstance(e, str) and e.strip() for e in entities
         ):
-            raise DatasetLoadError(
+            raise FileError(
                 path, lineno, f"entities must be a list of non-blank strings: {entities!r}"
             )
         if not entities:
-            raise DatasetLoadError(path, lineno, "entities must be non-empty")
+            raise FileError(path, lineno, "entities must be non-empty")
         reasoning = record.get("type")
         if reasoning is not None:
             reasoning = str(reasoning).strip().lower()
             if reasoning not in REASONING_TYPES:
-                raise DatasetLoadError(path, lineno, f"unknown reasoning type {reasoning!r}")
+                raise FileError(path, lineno, f"unknown reasoning type {reasoning!r}")
         examples.append(VerificationExample(claim, tuple(entities), label, reasoning))
     if not examples:
-        raise DatasetLoadError(path, None, "dataset is empty")
+        raise FileError(path, None, "dataset is empty")
     return examples
 
 
@@ -91,7 +90,7 @@ def _normalize_label(path: str, lineno: int, raw: object) -> str:
         return SUPPORTED
     if label == "refuted":
         return REFUTED
-    raise DatasetLoadError(path, lineno, f"unknown label {raw!r}")
+    raise FileError(path, lineno, f"unknown label {raw!r}")
 
 
 _BRACKETED_SEED = re.compile(r"\[([^\[\]]+)\]")
@@ -115,21 +114,21 @@ def load_qa_dataset(path: str, hops: int) -> list[QAExample]:
     if hops not in HOPS:
         raise ValueError(f"hops must be 1, 2 or 3, got {hops}")
     examples: list[QAExample] = []
-    for lineno, line in read_lines(path, partial(DatasetLoadError, path)):
+    for lineno, line in read_lines(path):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 2:
-            raise DatasetLoadError(path, lineno, "expected question<TAB>answers")
+            raise FileError(path, lineno, "expected question<TAB>answers")
         question, answer_field = parts
         try:
             text, seed = split_seed(question)
         except QueryError as exc:
-            raise DatasetLoadError(path, lineno, str(exc)) from exc
+            raise FileError(path, lineno, str(exc)) from exc
         answers = tuple(a.strip() for a in answer_field.split("|") if a.strip())
         if not answers:
-            raise DatasetLoadError(path, lineno, "no gold answers")
+            raise FileError(path, lineno, "no gold answers")
         examples.append(QAExample(question, text, seed, hops, answers))
     if not examples:
-        raise DatasetLoadError(path, None, "dataset is empty")
+        raise FileError(path, None, "dataset is empty")
     return examples
 
 

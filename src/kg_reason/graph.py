@@ -3,8 +3,9 @@
 The graph interns entity, relation and type labels to dense integer ids.
 Entity and type labels are compared after canonicalization (surrounding
 whitespace trimmed, underscores unified with spaces), so ``William Anders``
-and ``William_Anders`` name the same entity. Relation labels are compared
-case-sensitively and verbatim.
+and ``William_Anders`` name the same entity; a label of underscores alone
+keeps them, so ``_`` and ``__`` are two entities and neither is blank.
+Relation labels are compared case-sensitively and verbatim.
 
 Each distinct triple is stored once, at its load position in three id
 columns (``head``, ``relation`` and ``tail``); the position is the triple's
@@ -27,12 +28,13 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, ne, sub
 from typing import NamedTuple, TypeVar
 
-from .errors import GraphLoadError, read_chunks
+from .errors import FileError, read_chunks
 
 
 def canonical_label(label: str) -> str:
-    """Canonical comparison form for entity and type labels."""
-    return label.replace("_", " ").strip()
+    """Canonical comparison form for entity and type labels: underscores as spaces,
+    trimmed, unless that leaves nothing, when the label is only trimmed."""
+    return label.replace("_", " ").strip() or label.strip()
 
 
 _T = TypeVar("_T")
@@ -252,7 +254,7 @@ def load_graph(triples_path: str, types_path: str | None = None) -> KnowledgeGra
     types = () if types_path is None else _read_tsv(types_path, 2)
     g = KnowledgeGraph(_read_tsv(triples_path, 3), types)
     if not g.head:
-        raise GraphLoadError(triples_path, None, "no triples in file")
+        raise FileError(triples_path, None, "no triples in file")
     return g
 
 
@@ -271,7 +273,7 @@ def _flat_batches(rows: Iterable[Sequence[str]], width: int) -> Iterator[list[st
 
 def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
     """Each chunk's data lines as flat stripped fields, ``width`` to a line."""
-    for first, lines in read_chunks(path, functools.partial(GraphLoadError, path)):
+    for first, lines in read_chunks(path):
         joined = "\t".join(lines)
         fields = joined.split("\t")
         # Every line holds width fields exactly when the total is width a line and every
@@ -292,12 +294,12 @@ def _read_tsv(path: str, width: int) -> Iterator[list[str]]:
                     continue
                 row = raw.split("\t")
                 if len(row) != width:
-                    raise GraphLoadError(
+                    raise FileError(
                         path, lineno, f"expected {width} tab-separated fields, got {len(row)}"
                     )
                 fields += map(str.strip, row)
                 if "" in fields[-width:]:
-                    raise GraphLoadError(path, lineno, "empty field")
+                    raise FileError(path, lineno, "empty field")
         yield fields
 
 

@@ -15,8 +15,6 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import RenderError
-
 SEGMENTATION = "segmentation"
 RETRIEVAL = "retrieval"
 INFERENCE = "inference"
@@ -83,20 +81,18 @@ def render_prompt(template: PromptTemplate, bindings: dict[str, str], shots: int
     once; each call fills the name pieces of a copy in a single pass, so a
     value that looks like a placeholder is inserted verbatim.
 
-    Raises :class:`RenderError` when ``shots`` is out of range, a template
+    Raises ``ValueError`` when ``shots`` is out of range, a template
     placeholder has no binding (the first one in body order is named), or a
     binding names no placeholder.
     """
     if not 1 <= shots <= len(template.examples):
-        raise RenderError(
-            f"shots must be between 1 and {len(template.examples)}, got {shots}"
-        )
+        raise ValueError(f"shots must be between 1 and {len(template.examples)}, got {shots}")
     pieces, names = _split_body(template, shots)
     if bindings.keys() != names:
         for name in pieces[1::2]:
             if name not in bindings:
-                raise RenderError(f"no binding for placeholder {name}")
-        raise RenderError(f"bindings name no placeholder: {sorted(set(bindings) - names)}")
+                raise ValueError(f"no binding for placeholder {name}")
+        raise ValueError(f"bindings name no placeholder: {sorted(set(bindings) - names)}")
     filled = list(pieces)
     filled[1::2] = map(bindings.__getitem__, pieces[1::2])
     return "".join(filled)

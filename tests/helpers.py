@@ -26,7 +26,7 @@ from kg_reason import (
     render_relation_list,
     render_triple_list,
 )
-from kg_reason.errors import GraphLoadError
+from kg_reason.errors import FileError
 from kg_reason.prompts import task_sentence
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -116,7 +116,7 @@ def decoded_lines(path):
     a time: the bytes split after each LF, CRLF and CR, as text mode splits
     them, and a leading byte-order mark is dropped. Each line is decoded
     alone, ending included; the first that is not UTF-8 raises
-    ``load_graph``'s :class:`GraphLoadError`."""
+    ``load_graph``'s :class:`FileError`."""
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(codecs.BOM_UTF8)
     raw = re.split(rb"(?<=\n)|(?<=\r)(?!\n)", data)
@@ -124,7 +124,7 @@ def decoded_lines(path):
         try:
             yield lineno, line.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise GraphLoadError(path, lineno, f"not UTF-8 ({exc.reason})") from None
+            raise FileError(path, lineno, f"not UTF-8 ({exc.reason})") from None
 
 
 def read_tsv_rows(path, width):
@@ -141,10 +141,10 @@ def read_tsv_rows(path, width):
         fields = line.split("\t")
         if len(fields) != width:
             message = f"expected {width} tab-separated fields, got {len(fields)}"
-            raise GraphLoadError(path, lineno, message)
+            raise FileError(path, lineno, message)
         fields = tuple(field.strip() for field in fields)
         if not all(fields):
-            raise GraphLoadError(path, lineno, "empty field")
+            raise FileError(path, lineno, "empty field")
         rows.append(fields)
     return rows
 
@@ -155,7 +155,7 @@ def load_graph_reference(triples_path, types_path=None):
     rows = read_tsv_rows(triples_path, 3)
     types = [] if types_path is None else read_tsv_rows(types_path, 2)
     if not rows:
-        raise GraphLoadError(triples_path, None, "no triples in file")
+        raise FileError(triples_path, None, "no triples in file")
     return KnowledgeGraph.from_triples(rows, types)
 
 

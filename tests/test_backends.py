@@ -20,7 +20,7 @@ import kg_reason
 from kg_reason import BackendConfig, HttpBackend, MockBackend, backends, make_backend, prompt_hash
 from kg_reason import RETRIEVAL_TEMPLATE, VERIFICATION_INFERENCE_TEMPLATE, render_prompt
 from kg_reason.backends import MockEntry
-from kg_reason.errors import BackendError, MockScriptError
+from kg_reason.errors import BackendError, FileError
 
 
 def write_script(tmp_path, records):
@@ -69,8 +69,11 @@ def test_sentence_entries_answer_the_sentence_a_prompt_asks_about(tmp_path):
             assert backend.complete(prompt, "inference") == "True."
     bindings = {"SENTENCE": claim, "RELATION_SET": "['builder']", "TOP_K": "5"}
     assert backend.complete(render_prompt(RETRIEVAL_TEMPLATE, bindings, 12), "retrieval") == "['builder']"
-    with pytest.raises(MockScriptError, match="no entry for the prompt or for None$"):
+    with pytest.raises(BackendError) as err:
         backend.complete(claim, "inference")  # no footer: the prompt asks about no sentence
+    assert str(err.value) == (
+        f"stage=inference hash={prompt_hash(claim)}: no entry for the prompt or for None"
+    )
 
 
 def test_hash_match_takes_precedence_over_the_sentence(tmp_path):
@@ -88,8 +91,11 @@ def test_hash_match_takes_precedence_over_the_sentence(tmp_path):
     assert backend.complete(other, "inference") == "by sentence"
     assert backend.complete(special, "inference") == "hashed"
     assert backend.complete(other, "inference") == "by sentence"
-    with pytest.raises(MockScriptError):  # keyed per stage
+    with pytest.raises(BackendError) as err:  # keyed per stage
         backend.complete(other, "segmentation")
+    assert str(err.value) == (
+        f"stage=segmentation hash={prompt_hash(other)}: no entry for the prompt or for {claim!r}"
+    )
 
 
 @pytest.mark.parametrize("match_kind, key", [("sentence", "A claim."), ("hash", prompt_hash("p"))])
@@ -98,12 +104,15 @@ def test_a_key_given_two_responses_is_refused_with_its_line(tmp_path, match_kind
     other_stage = {**entry, "stage": "segmentation", "response": "1. A claim."}
     # the same response again is the same entry, and another stage another key
     path = write_script(tmp_path, [entry, other_stage, entry, {**entry, "response": "False."}])
-    with pytest.raises(MockScriptError) as err:
+    message = f"inference {match_kind} key {key!r} has two responses"
+    with pytest.raises(FileError) as err:
         MockBackend.from_path(path)
-    assert str(err.value) == f"stage=- hash=-: {path}:4: inference {match_kind} key {key!r} has two responses"
-    with pytest.raises(MockScriptError) as err:
+    assert (err.value.path, err.value.line) == (path, 4)
+    assert str(err.value) == f"{path}:4: {message}"
+    with pytest.raises(ValueError) as err:
         MockBackend([MockEntry(**entry), MockEntry(**{**entry, "response": "False."})])
-    assert str(err.value) == f"stage=- hash=-: inference {match_kind} key {key!r} has two responses"
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_a_sequence_entry_is_refused_naming_sentence_entries(tmp_path):
@@ -112,28 +121,28 @@ def test_a_sequence_entry_is_refused_naming_sentence_entries(tmp_path):
         tmp_path,
         [{"stage": "inference", "match_kind": "sequence", "key": "0", "response": "True."}],
     )
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(FileError) as err:
         MockBackend.from_path(path)
-    assert str(err.value) == (
-        f'stage=- hash=-: {path}:1: bad match_kind \'sequence\', not "hash" or "sentence"'
-    )
+    assert str(err.value) == f'{path}:1: bad match_kind \'sequence\', not "hash" or "sentence"'
 
 
 def test_mock_miss_reports_stage_and_hash(tmp_path):
     path = write_script(tmp_path, [])
     backend = MockBackend.from_path(path)
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(BackendError) as err:
         backend.complete("prompt", "segmentation")
-    assert err.value.stage == "segmentation"
-    assert err.value.prompt_hash == prompt_hash("prompt")
+    assert type(err.value) is BackendError
+    assert str(err.value) == (
+        f"stage=segmentation hash={prompt_hash('prompt')}: no entry for the prompt or for None"
+    )
 
 
 def test_bad_script_record_reports_line(tmp_path):
     path = tmp_path / "script.jsonl"
     path.write_text('{"stage": "inference"}\n', encoding="utf-8")
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(FileError) as err:
         MockBackend.from_path(str(path))
-    assert ":1" in str(err.value)
+    assert str(err.value) == f"{path}:1: bad record ('match_kind')"
 
 
 @pytest.mark.parametrize(
@@ -151,13 +160,13 @@ def test_bad_script_record_reports_line(tmp_path):
 def test_script_record_of_the_wrong_form_reports_path_and_line(tmp_path, change, message):
     good = {"stage": "inference", "match_kind": "sentence", "key": "A claim.", "response": "True."}
     path = write_script(tmp_path, [good, {**good, **change}])
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(FileError) as err:
         MockBackend.from_path(path)
-    assert str(err.value).endswith(f"{path}:2: {message}")
+    assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_bad_match_kind_rejected():
-    with pytest.raises(MockScriptError):
+    with pytest.raises(ValueError, match="^bad match_kind 'fuzzy', not \"hash\" or \"sentence\"$"):
         MockBackend([MockEntry("inference", "fuzzy", "A claim.", "x")])
 
 
@@ -172,9 +181,10 @@ def test_bad_match_kind_rejected():
     ids=["bad-stage", "none-response", "integer-key", "short-hash-key"],
 )
 def test_a_directly_built_entry_is_checked_like_a_script_line(entry, message):
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(ValueError) as err:
         MockBackend([MockEntry(*entry)])
-    assert str(err.value) == f"stage=- hash=-: {message}"
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
 
 
 def test_make_backend_dispatches_on_endpoint(tmp_path):
@@ -584,6 +594,6 @@ def test_hash_entry_whose_key_no_prompt_hash_can_equal_is_rejected(tmp_path, cha
     good = {"stage": "inference", "match_kind": "hash", "key": prompt_hash("p"), "response": "a"}
     bad = {"stage": "inference", "match_kind": "hash", "response": "b", **change}
     path = write_script(tmp_path, [good, bad])
-    with pytest.raises(MockScriptError) as err:
+    with pytest.raises(FileError) as err:
         MockBackend.from_path(path)
-    assert str(err.value) == f"stage=- hash=-: {path}:2: {message}"
+    assert str(err.value) == f"{path}:2: {message}"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from kg_reason import cli
-from kg_reason.backends import BackendConfig, HttpBackend, MockBackend
+from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, prompt_hash
 from kg_reason.cli import main
 
 from helpers import FIXTURES
@@ -120,20 +120,47 @@ def test_unknown_entity_is_a_data_error():
     assert main(args) == 2
 
 
-def test_exhausted_mock_script_is_a_backend_error(tmp_path):
+def test_exhausted_mock_script_is_a_backend_error(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    args = verify_args()
+    trace = tmp_path / "trace.jsonl"
+    args = verify_args() + ["--trace", str(trace)]
     args[args.index(f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}")] = f"mock:{empty}"
     assert main(args) == 3
+    prompt = json.loads(trace.read_text(encoding="utf-8"))["trace"]["segmentation"]["prompt"]
+    claim = args[args.index("--claim") + 1]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error[segmentation]: stage=segmentation hash={prompt_hash(prompt)}: "
+        f"no entry for the prompt or for {claim!r}"
+    ]
 
 
-def test_missing_mock_script_is_a_backend_error(capsys):
-    assert main(verify_args("no_such_script.jsonl")) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("backend error: ")
-    assert "no_such_script.jsonl" in err
-    assert len(err.splitlines()) == 1
+def test_missing_mock_script_is_a_data_error_naming_its_path(capsys):
+    script = str(FIXTURES / "no_such_script.jsonl")
+    assert main(verify_args("no_such_script.jsonl")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {script}: [Errno 2] No such file or directory: {script!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("{not json", "bad record (Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1))"),
+        ('{"stage": "Inference", "match_kind": "sentence", "key": "c", "response": "True"}',
+         "unknown stage 'Inference'"),
+    ],
+    ids=["not-json", "unknown-stage"],
+)
+def test_malformed_mock_script_is_a_data_error_naming_its_line(record, message, tmp_path, capsys):
+    script = tmp_path / "script.jsonl"
+    lines = (FIXTURES / "mock_cli_verify.jsonl").read_text(encoding="utf-8").splitlines()
+    script.write_text("\n".join(lines + ["", record]) + "\n", encoding="utf-8")
+    args = verify_args()
+    args[args.index(f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}")] = f"mock:{script}"
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {script}:{len(lines) + 2}: {message}"]
 
 
 def with_bad_line(tmp_path, fixture):
@@ -172,13 +199,13 @@ def test_dataset_not_utf8_is_a_one_line_data_error(task, fixture, hops, tmp_path
     ]
 
 
-def test_mock_script_not_utf8_is_a_one_line_backend_error(tmp_path, capsys):
+def test_mock_script_not_utf8_is_a_one_line_data_error(tmp_path, capsys):
     script, lineno = with_bad_line(tmp_path, "mock_cli_verify.jsonl")
     args = verify_args()
     args[args.index(f"mock:{FIXTURES / 'mock_cli_verify.jsonl'}")] = f"mock:{script}"
-    assert main(args) == 3
+    assert main(args) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"backend error: stage=- hash=-: {script}:{lineno}: not UTF-8 (invalid start byte)"
+        f"error: {script}:{lineno}: not UTF-8 (invalid start byte)"
     ]
 
 

@@ -15,7 +15,7 @@ from kg_reason import (
     make_backend,
 )
 from kg_reason.backends import BackendConfig, HttpBackend, MockBackend, MockEntry, prompt_hash
-from kg_reason.errors import DatasetLoadError, OutputError, QueryError
+from kg_reason.errors import FileError, QueryError
 from kg_reason.evaluation import (
     EvalReport,
     append_trace,
@@ -74,16 +74,18 @@ def test_label_normalization(tmp_path):
 def test_missing_entities_field_is_a_load_error(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"claim": "c", "label": "Supported"}\n', encoding="utf-8")
-    with pytest.raises(DatasetLoadError) as err:
+    with pytest.raises(FileError) as err:
         load_verification_dataset(str(path))
     assert err.value.line == 1
+    assert str(err.value) == f"{path}:1: missing field ('entities')"
 
 
 def test_unknown_label_is_a_load_error(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"claim": "c", "entities": ["e"], "label": "maybe"}\n', encoding="utf-8")
-    with pytest.raises(DatasetLoadError):
+    with pytest.raises(FileError) as err:
         load_verification_dataset(str(path))
+    assert str(err.value) == f"{path}:1: unknown label 'maybe'"
 
 
 @pytest.mark.parametrize(
@@ -101,7 +103,7 @@ def test_fields_of_the_wrong_type_are_a_load_error(tmp_path, claim, entities):
         {"claim": claim, "entities": entities, "label": "Supported"},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-    with pytest.raises(DatasetLoadError) as err:
+    with pytest.raises(FileError) as err:
         load_verification_dataset(str(path))
     assert err.value.line == 2
     assert str(err.value).startswith(f"{path}:2: ")
@@ -113,7 +115,7 @@ def test_fields_of_the_wrong_type_are_a_load_error(tmp_path, claim, entities):
 def test_a_dataset_of_blank_lines_is_a_load_error(load, tmp_path):
     path = tmp_path / "d"
     path.write_text("\n  \n", encoding="utf-8")
-    with pytest.raises(DatasetLoadError) as err:
+    with pytest.raises(FileError) as err:
         load(str(path))
     assert err.value.line is None
     assert str(err.value) == f"{path}: dataset is empty"
@@ -134,22 +136,25 @@ def test_load_qa_line():
 def test_qa_line_without_tab_is_a_load_error(tmp_path):
     path = tmp_path / "qa.txt"
     path.write_text("what does [X] do?\n", encoding="utf-8")
-    with pytest.raises(DatasetLoadError):
+    with pytest.raises(FileError) as err:
         load_qa_dataset(str(path), 1)
+    assert str(err.value) == f"{path}:1: expected question<TAB>answers"
 
 
 def test_qa_line_with_two_seeds_is_a_load_error(tmp_path):
     path = tmp_path / "qa.txt"
     path.write_text("what do [X] and [Y] do?\tZ\n", encoding="utf-8")
-    with pytest.raises(DatasetLoadError):
+    with pytest.raises(FileError) as err:
         load_qa_dataset(str(path), 1)
+    assert str(err.value) == f"{path}:1: expected exactly one bracketed seed, got 2"
 
 
 def test_qa_line_with_no_seed_is_a_load_error(tmp_path):
     path = tmp_path / "qa.txt"
     path.write_text("what does X do?\tZ\n", encoding="utf-8")
-    with pytest.raises(DatasetLoadError):
+    with pytest.raises(FileError) as err:
         load_qa_dataset(str(path), 1)
+    assert str(err.value) == f"{path}:1: expected exactly one bracketed seed, got 0"
 
 
 @pytest.mark.parametrize("hops", [0, 4, 5, -1])
@@ -627,9 +632,10 @@ def test_build_query_kinds(factkg_graph, factkg_type_graph):
     assert question.seed.kind == "concrete"
 
 
-def test_output_file_that_cannot_be_opened_is_an_output_error(tmp_path):
+def test_output_file_that_cannot_be_opened_is_a_file_error(tmp_path):
     # The CLI turns a directory away up front; a library caller meets it when the file is opened.
     for write in (lambda path: append_trace(path, {}), lambda path: write_report([], path)):
-        with pytest.raises(OutputError) as info:
+        with pytest.raises(FileError) as info:
             write(str(tmp_path))
-        assert info.value.path == str(tmp_path)
+        assert (info.value.path, info.value.line) == (str(tmp_path), None)
+        assert str(info.value) == f"{tmp_path}: Is a directory"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, errors, load_graph
-from kg_reason.errors import GraphLoadError
+from kg_reason.errors import FileError
 from kg_reason.graph import gather, match_triples_by_id, merge_positions, relations_within_n_hops
 
 from helpers import (
@@ -147,8 +147,11 @@ def test_from_triples_refuses_a_blank_field_as_load_graph_does(triples, entity_t
     for name, rows in (("triples.tsv", triples), ("types.tsv", entity_types)):
         paths.append(tmp_path / name)
         paths[-1].write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
-    with pytest.raises(GraphLoadError, match=":1: empty field$"):
+    with pytest.raises(FileError) as err:
         load_graph(*map(str, paths))
+    bad = str(paths[0] if any(not f.strip() for row in triples for f in row) else paths[1])
+    assert (err.value.path, err.value.line) == (bad, 1)
+    assert str(err.value) == f"{bad}:1: empty field"
 
 
 @contextmanager
@@ -168,24 +171,29 @@ def test_load_restores_caller_gc_state(tmp_path, enabled):
     with gc_set_to(enabled):
         load_graph(good)
         assert gc.isenabled() is enabled
-        with pytest.raises(GraphLoadError) as err:
+        with pytest.raises(FileError) as err:
             load_graph(bad)
         assert err.value.line == 3
+        assert str(err.value) == f"{bad}:3: expected 3 tab-separated fields, got 1"
         assert gc.isenabled() is enabled
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
-    for bad in ("broken line", "a\t \tb"):
+    for bad, message in (("broken line", "expected 3 tab-separated fields, got 1"),
+                         ("a\t \tb", "empty field")):
         path = write_graph(tmp_path, ["a\tr\tb", bad])
-        with pytest.raises(GraphLoadError) as err:
+        with pytest.raises(FileError) as err:
             load_graph(path)
         assert err.value.line == 2
+        assert str(err.value) == f"{path}:2: {message}"
 
 
 def test_load_empty_file_is_an_error(tmp_path):
     path = write_graph(tmp_path, ["# only a comment"])
-    with pytest.raises(GraphLoadError):
+    with pytest.raises(FileError) as err:
         load_graph(path)
+    assert (err.value.path, err.value.line) == (path, None)
+    assert str(err.value) == f"{path}: no triples in file"
 
 
 def test_load_skips_comments_and_blank_lines(tmp_path):
@@ -239,7 +247,7 @@ def test_a_chunked_load_equals_a_build_from_rows_read_line_by_line(
         paths[-1].write_bytes("".join(line + ending for line in lines).encode("utf-8"))
     monkeypatch.setattr(errors, "CHUNK_SIZE", chunk_size)
     graph_path, types_path = map(str, paths)
-    assert len(list(errors.read_chunks(graph_path, GraphLoadError))) > 10
+    assert len(list(errors.read_chunks(graph_path))) > 10
     g = load_graph(graph_path, types_path)
     reference = KnowledgeGraph.from_triples(
         read_tsv_rows(graph_path, 3), read_tsv_rows(types_path, 2)
@@ -329,7 +337,7 @@ def load_dir(tmp_path_factory):
 def load_outcome(load, *paths):
     try:
         return graph_state(load(*paths))
-    except GraphLoadError as exc:
+    except FileError as exc:
         return str(exc), exc.line
 
 
@@ -403,6 +411,21 @@ def test_canonicalization_is_idempotent_on_edge_underscores():
     for label in ("_a", "a_", "__a_b__", " _a_ ", "_", "a__b"):
         once = canonical_label(label)
         assert canonical_label(once) == once, label
+
+
+def test_a_label_of_underscores_alone_is_its_own_entity_not_a_blank_one(tmp_path):
+    # "_" and "__" keep their underscores, so no label is interned under the blank key
+    triples = [("a", "r", "_"), ("__", "r", "a")]
+    entity_types = [("_", "__"), ("__", "_")]
+    graph_path = write_graph(tmp_path, ["\t".join(row) for row in triples])
+    types_path = write_graph(tmp_path, ["\t".join(row) for row in entity_types], name="t.tsv")
+    for g in (load_graph(graph_path, types_path), KnowledgeGraph.from_triples(triples, entity_types)):
+        assert g.maybe_entity_id("") is None
+        assert g.maybe_entity_id("  ") is None
+        assert g.maybe_type_id("") is None
+        assert [g.maybe_entity_id(e) for e in ("a", "_", "__", " _ ")] == [0, 1, 2, 1]
+        assert [g.maybe_type_id(t) for t in ("__", "_")] == [0, 1]
+        assert g.entity_labels([1, 2]) == ["_", "__"]
 
 
 def test_relation_labels_are_case_sensitive():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from kg_reason import (
 from kg_reason.backends import MockBackend, MockEntry
 from kg_reason.errors import (
     BackendError,
-    MockScriptError,
     ParseError,
     PipelineError,
     QueryError,
@@ -509,7 +509,11 @@ def test_a_call_the_script_lacks_is_tagged_with_the_failing_stage(crewed_flight_
     with pytest.raises(PipelineError) as err:
         pipeline.run(crewed_flight_query(crewed_flight_graph, crewed_flight_type_graph))
     assert err.value.stage == "retrieval"
-    assert isinstance(err.value.cause, MockScriptError)
+    assert type(err.value.cause) is BackendError
+    assert re.fullmatch(
+        "stage=retrieval hash=[0-9a-f]{64}: no entry for the prompt or for '.+'",
+        str(err.value.cause),
+    )
     assert err.value.trace.retrieval[-1]["offered"] == ["birthPlace", "crewMembers"]
 
 

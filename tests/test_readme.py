@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
+import inspect
 import re
 import shlex
 
 import pytest
 
-from kg_reason import cli
+from kg_reason import cli, errors
 
 from helpers import FIXTURES
 
@@ -75,3 +77,16 @@ def test_readme_example_runs_after_the_first(after, monkeypatch, capsys):
     capsys.readouterr()
     exec(compile(block, "README.md", "exec"), namespace)
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_names_every_error_class_and_only_those():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    }
+    named = {m.rsplit(".", 1)[-1] for m in re.findall(r"`([\w.]*Error)`", readme)}
+    assert sorted(defined - named) == []  # every class is documented
+    # a name that is not Python's own is attributed to kg_reason, so it must exist there
+    assert sorted(n for n in named - defined if not hasattr(builtins, n)) == []
