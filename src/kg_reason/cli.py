@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Subcommands: ``verify`` (one claim), ``answer`` (one question), ``eval``
-(batch run) and ``ablate`` (k/shots grid). Exit codes: 0 success, 1 usage
-error, 2 data or load error (including unparseable responses), 3 backend
-error.
+Subcommands: ``verify`` (one claim), ``answer`` (one question) and ``eval``
+(a dataset, once per cell of its comma-separated ``--k`` and ``--shots``
+lists). Exit codes: 0 success, 1 usage error, 2 data or load error
+(including unparseable responses), 3 backend error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from collections.abc import Callable
@@ -78,7 +79,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="kg-reason", description="Knowledge-graph reasoning pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: _Parser, name: str) -> None:
+    def add_common(p: _Parser, grid: bool = False) -> None:
         p.add_argument("--graph", required=True, help="tab-separated triple file")
         p.add_argument("--types", help="tab-separated entity/type file")
         p.add_argument(
@@ -92,37 +93,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--top-p", type=float, default=BackendConfig.top_p)
         p.add_argument("--retries", type=int, default=BackendConfig.max_retries)
         p.add_argument("--timeout", type=float, default=BackendConfig.timeout)
-        if name != "ablate":  # ablate's grid comes from --k-values and --shot-values
-            p.add_argument("--shots", type=_SHOTS, default=MAX_SHOTS)
-            p.add_argument("--k", type=_K)
+        # eval's are comma-separated lists, e.g. 1,3,5: one run per (k, shots) cell
+        each = _int_list if grid else lambda item: item
+        p.add_argument("--shots", type=each(_SHOTS), default=[MAX_SHOTS] if grid else MAX_SHOTS)
+        p.add_argument("--k", type=each(_K))
         p.add_argument("--trace", help="append per-query trace records to this file")
 
     verify = sub.add_parser("verify", help="verify one claim")
-    add_common(verify, "verify")
+    add_common(verify)
     verify.add_argument("--claim", required=True)
     verify.add_argument("--entities", required=True, nargs="+")
 
     answer = sub.add_parser("answer", help="answer one question")
-    add_common(answer, "answer")
+    add_common(answer)
     answer.add_argument("--question", required=True, help="question with the seed in [brackets]")
     answer.add_argument("--hops", required=True, type=int, choices=HOPS)
 
-    for name in ("eval", "ablate"):
-        # No abbreviations for ablate, where "--k" would stand for "--k-values".
-        p = sub.add_parser(name, help=f"{name} over a dataset", allow_abbrev=name != "ablate")
-        add_common(p, name)
-        p.add_argument("--task", required=True, choices=("verification", "qa"))
-        p.add_argument("--dataset", required=True)
-        p.add_argument("--hops", type=int, choices=HOPS)
-        p.add_argument("--width", type=_int_in(1), default=1, help="worker pool width")
-        p.add_argument("--report", help="write the machine-readable report here")
-        if name == "ablate":
-            p.add_argument(
-                "--k-values", required=True, type=_int_list(_K), help="comma-separated, e.g. 1,3,5"
-            )
-            p.add_argument(
-                "--shot-values", required=True, type=_int_list(_SHOTS), help="e.g. 4,8,12"
-            )
+    batch = sub.add_parser(
+        "eval", help="evaluate over a dataset once per cell of the comma-separated --k and --shots"
+    )
+    add_common(batch, grid=True)
+    batch.add_argument("--task", required=True, choices=("verification", "qa"))
+    batch.add_argument("--dataset", required=True)
+    batch.add_argument("--hops", type=int, choices=HOPS)
+    batch.add_argument("--width", type=_int_in(1), default=1, help="worker pool width")
+    batch.add_argument("--report", help="write the machine-readable report here")
     return parser
 
 
@@ -137,8 +132,8 @@ def _backend_config(args: argparse.Namespace) -> BackendConfig:
     )
 
 
-def _default_k(args: argparse.Namespace, qa: bool) -> int:
-    return DEFAULT_K[QUESTION if qa else CLAIM] if args.k is None else args.k
+def _default_k(qa: bool) -> int:
+    return DEFAULT_K[QUESTION if qa else CLAIM]
 
 
 def _query(args: argparse.Namespace, g: KnowledgeGraph, tg: TypeGraph) -> Query:
@@ -164,7 +159,7 @@ def _cmd_query(args: argparse.Namespace, config: BackendConfig) -> int:
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
     backend = make_backend(config)
-    pipeline = Pipeline(g, tg, backend, k=_default_k(args, qa), shots=args.shots)
+    pipeline = Pipeline(g, tg, backend, k=args.k or _default_k(qa), shots=args.shots)
     try:
         outcome = pipeline.run(_query(args, g, tg))
     except KGReasonError as exc:
@@ -191,18 +186,21 @@ def _load_dataset(args: argparse.Namespace):
 
 
 def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
-    """One run per (k, shots) grid cell, k-major, all on one backend; ``eval`` is one cell."""
-    grid = args.command == "ablate"
+    """``eval``: one run per (k, shots) cell, k-major, all on one backend.
+
+    A run of more than one cell heads each text report with its cell and
+    writes the ``--report`` as a list; a one-cell run writes one object.
+    """
     dataset = _load_dataset(args)
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
     backend = make_backend(config)
-    k_values = args.k_values if grid else [_default_k(args, qa=args.task == "qa")]
-    shot_values = args.shot_values if grid else [args.shots]
+    k_values = args.k or [_default_k(qa=args.task == "qa")]
     pipelines = (
-        Pipeline(g, tg, backend, k=k, shots=shots) for k in k_values for shots in shot_values
+        Pipeline(g, tg, backend, k=k, shots=shots) for k in k_values for shots in args.shots
     )
     reports = [evaluate(dataset, p, width=args.width, trace_path=args.trace) for p in pipelines]
+    grid = len(reports) > 1
     for report in reports:
         if grid:
             print(f"--- k={report.config['k']} shots={report.config['shots']}")
@@ -210,14 +208,6 @@ def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
     if args.report:
         write_report(reports if grid else reports[0], args.report)
     return 0
-
-
-_COMMANDS = {
-    "verify": _cmd_query,
-    "answer": _cmd_query,
-    "eval": _cmd_batch,
-    "ablate": _cmd_batch,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,11 +220,12 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(str(exc)) from None
         # Fail before any work whose output could not be kept; verify and answer have no --report.
         for path in (args.trace, getattr(args, "report", None)):
+            # the words that opening the path would raise, as errors.writing gives them
             if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-                raise FileError(path, None, "no such directory")
+                raise FileError(path, None, os.strerror(errno.ENOENT))
             if path is not None and os.path.isdir(path):
-                raise FileError(path, None, "is a directory")
-        return _COMMANDS[args.command](args, config)
+                raise FileError(path, None, os.strerror(errno.EISDIR))
+        return (_cmd_batch if args.command == "eval" else _cmd_query)(args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

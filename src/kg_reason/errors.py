@@ -55,7 +55,7 @@ def read_chunks(path: str) -> Iterator[tuple[int, list[str]]]:
     try:
         handle = open(path, encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
-        raise FileError(path, None, str(exc)) from exc
+        raise FileError(path, None, exc.strerror or str(exc)) from exc
     with handle:
         first = 1
         while lines := handle.readlines(CHUNK_SIZE):

@@ -2,9 +2,10 @@
 
 All parsers accept arbitrary UTF-8 text and either return a value or raise
 :class:`~kg_reason.errors.ParseError`, the failure kind of a reply that
-cannot be used, with a message saying why; they never raise anything else.
-Callers may pass a ``notes`` list to collect trace remarks about skipped
-lines or dropped items.
+cannot be used, with a message saying why. The one other error is a
+caller's mistake: ``parse_relations`` raises ``ValueError`` for a ``k``
+below 1. Callers may pass a ``notes`` list to collect trace remarks about
+skipped lines or dropped items.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ class SubSentence:
 @dataclass(frozen=True)
 class Verdict:
     label: str  # SUPPORTED | REFUTED
-    rationale: str
 
 
 @dataclass(frozen=True)
 class AnswerCandidate:
     entity: str
-    rationale: str
 
 
 _SEGMENT_LINE = re.compile(
@@ -109,10 +108,10 @@ def parse_relations(
     note. The result keeps response order, has no duplicates, and is
     truncated to k. If every item was dropped, the first k offered labels
     are used instead. Raises :class:`ParseError` when no bracketed
-    list is present.
+    list is present, and ``ValueError`` when ``k`` is below 1.
     """
     if k < 1:
-        raise ParseError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     match = _BRACKETED.search(response)
     if match is None:
         raise ParseError("no bracketed list in response")
@@ -140,15 +139,12 @@ _VERDICT_TOKEN = re.compile(r"^\s*(true|false)\b", re.IGNORECASE)
 def parse_verdict(response: str) -> Verdict:
     """Map a leading True/False token to a verdict.
 
-    The rationale is whatever follows the first comma. Raises
-    :class:`ParseError` when neither token leads the response.
+    Raises :class:`ParseError` when neither token leads the response.
     """
     match = _VERDICT_TOKEN.match(response)
     if match is None:
         raise ParseError(f"response does not start with True/False: {response[:80]!r}")
-    label = SUPPORTED if match.group(1).lower() == "true" else REFUTED
-    rationale = response.split(",", 1)[1].strip() if "," in response else ""
-    return Verdict(label, rationale)
+    return Verdict(SUPPORTED if match.group(1).lower() == "true" else REFUTED)
 
 
 def parse_answer(
@@ -158,9 +154,9 @@ def parse_answer(
 
     The answer is the longest evidence endpoint label (canonicalized,
     case-insensitive) that the response mentions as whole tokens, never the
-    question's ``seed``. The full response is kept as the rationale. Raises
-    :class:`ParseError` when the evidence is empty or no endpoint
-    but the seed is mentioned, with a message of its own when the seed is.
+    question's ``seed``. Raises :class:`ParseError` when the evidence is
+    empty or no endpoint but the seed is mentioned, with a message of its
+    own when the seed is.
     """
     if not evidence:
         raise ParseError("cannot ground an answer in empty evidence")
@@ -183,7 +179,7 @@ def parse_answer(
         raise ParseError("the response names only the question's seed")
     if not others:
         raise ParseError("no evidence entity appears in the response")
-    return AnswerCandidate(entity=labels[max(others, key=len)], rationale=response)
+    return AnswerCandidate(labels[max(others, key=len)])
 
 
 def _note(notes: list[str] | None, message: str) -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -139,7 +141,7 @@ def test_missing_mock_script_is_a_data_error_naming_its_path(capsys):
     script = str(FIXTURES / "no_such_script.jsonl")
     assert main(verify_args("no_such_script.jsonl")) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: {script}: [Errno 2] No such file or directory: {script!r}"
+        f"error: {script}: No such file or directory"
     ]
 
 
@@ -188,7 +190,7 @@ def test_graph_file_not_utf8_is_a_one_line_data_error(tmp_path, capsys):
 )
 def test_dataset_not_utf8_is_a_one_line_data_error(task, fixture, hops, tmp_path, capsys):
     dataset, lineno = with_bad_line(tmp_path, fixture)
-    args = grid_args("eval")
+    args = grid_args()
     args[args.index("verification")] = task
     args[args.index(str(FIXTURES / "verification.jsonl"))] = dataset
     if hops:
@@ -209,18 +211,15 @@ def test_mock_script_not_utf8_is_a_one_line_data_error(tmp_path, capsys):
     ]
 
 
-def grid_args(command):
-    args = [
-        command,
+def grid_args():
+    return [
+        "eval",
         "--task", "verification",
         "--dataset", str(FIXTURES / "verification.jsonl"),
         "--graph", FACTKG,
         "--types", FACTKG_TYPES,
         "--backend", f"mock:{FIXTURES / 'mock_factkg.jsonl'}",
     ]
-    if command == "ablate":
-        args += ["--k-values", "5", "--shot-values", "12"]
-    return args
 
 
 @pytest.mark.parametrize(
@@ -233,15 +232,14 @@ def grid_args(command):
         ("eval", "--width", "-3"),
         ("verify", "--k", "-1"),
         ("verify", "--shots", "13"),
-        # the later value of a repeated flag wins over grid_args' own
-        ("ablate", "--k-values", ","),
-        ("ablate", "--k-values", "3,0"),
-        ("ablate", "--shot-values", ","),
-        ("ablate", "--shot-values", "12,13"),
+        ("eval", "--k", ","),
+        ("eval", "--k", "3,0"),
+        ("eval", "--shots", ","),
+        ("eval", "--shots", "12,13"),
     ],
 )
 def test_out_of_range_number_is_a_usage_error(command, flag, value, capsys):
-    args = verify_args() if command == "verify" else grid_args(command)
+    args = verify_args() if command == "verify" else grid_args()
     assert main(args + [flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -261,7 +259,7 @@ def test_timeout_out_of_range_is_a_usage_error_before_any_work(value, capsys, mo
     calls = []
     monkeypatch.setattr("kg_reason.cli.load_graph", lambda *a: calls.append("load_graph"))
     monkeypatch.setattr(HttpBackend, "complete", lambda self, prompt, stage: calls.append(stage))
-    args = grid_args("eval")
+    args = grid_args()
     args[args.index(f"mock:{FIXTURES / 'mock_factkg.jsonl'}")] = "http://127.0.0.1:9"
     assert main(args + ["--timeout", value]) == 1
     captured = capsys.readouterr()
@@ -276,7 +274,7 @@ def test_retries_below_zero_is_a_usage_error_before_any_work(value, tmp_path, ca
     monkeypatch.setattr("kg_reason.cli.load_graph", lambda *a: calls.append("load_graph"))
     # checked before the report's missing directory is
     report = str(tmp_path / "missing" / "report.json")
-    assert main(grid_args("eval") + ["--retries", value, "--report", report]) == 1
+    assert main(grid_args() + ["--retries", value, "--report", report]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {config_error(max_retries=int(value))}\n"
@@ -339,9 +337,8 @@ def test_backend_flags_reach_the_backend_config(flags, config, monkeypatch, caps
     assert built == [BackendConfig(endpoint=endpoint, **config)]
 
 
-@pytest.mark.parametrize("command", ["eval", "ablate"])
-def test_qa_batch_without_hops_is_a_usage_error(command, capsys):
-    args = grid_args(command)
+def test_qa_batch_without_hops_is_a_usage_error(capsys):
+    args = grid_args()
     args[args.index("verification")] = "qa"
     assert main(args) == 1
     assert capsys.readouterr().err == "usage error: --hops is required for --task qa\n"
@@ -351,20 +348,11 @@ def test_qa_batch_without_hops_is_a_usage_error(command, capsys):
 def test_given_k_overrides_the_task_default(k, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     trace_path = tmp_path / "trace.jsonl"
-    assert main(grid_args("eval") + ["--k", str(k), "--report", str(report_path)]) == 0
+    assert main(grid_args() + ["--k", str(k), "--report", str(report_path)]) == 0
     assert json.loads(report_path.read_text(encoding="utf-8"))["config"]["k"] == k
     assert main(verify_args() + ["--k", str(k), "--trace", str(trace_path)]) == 0
     (record,) = [json.loads(l) for l in trace_path.read_text(encoding="utf-8").splitlines()]
     assert record["k"] == k
-
-
-@pytest.mark.parametrize("flag, value", [("--k", "1"), ("--shots", "4")])
-def test_ablate_takes_no_k_or_shots(flag, value, capsys):
-    # the grid comes from --k-values and --shot-values alone
-    assert main(grid_args("ablate") + [flag, value]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"usage error: unrecognized arguments: {flag} {value}\n"
 
 
 def test_unparseable_response_is_a_data_error(tmp_path):
@@ -408,19 +396,19 @@ def test_unparseable_retrieval_reply_is_in_the_trace_record(tmp_path, capsys):
     assert record["trace"]["inference"] is None
 
 
-@pytest.mark.parametrize("command", ["eval", "ablate"])
-def test_a_script_scores_the_same_at_any_width(command, tmp_path, capsys):
+@pytest.mark.parametrize("cells", [[], ["--k", "5,10", "--shots", "4,12"]], ids=["one", "grid"])
+def test_a_script_scores_the_same_at_any_width(cells, tmp_path, capsys):
     reports, traces = [], []
     for width in ("1", "4"):
         report, trace = tmp_path / f"report-{width}.json", tmp_path / f"trace-{width}.jsonl"
         args = ["--width", width, "--report", str(report), "--trace", str(trace)]
-        assert main(grid_args(command) + args) == 0
+        assert main(grid_args() + cells + args) == 0
         reports.append(json.loads(report.read_text(encoding="utf-8")))
         traces.append([json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()])
         for record in traces[-1]:
             del record["trace"]["timings"]
     for report in reports:
-        for cell in report if command == "ablate" else [report]:
+        for cell in report if cells else [report]:
             assert cell["correct"] == 12
             del cell["config"]["width"]
     assert reports[0] == reports[1]
@@ -429,7 +417,7 @@ def test_a_script_scores_the_same_at_any_width(command, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args, flag",
-    [(grid_args("eval"), "--report"), (grid_args("eval"), "--trace"), (verify_args(), "--trace")],
+    [(grid_args(), "--report"), (grid_args(), "--trace"), (verify_args(), "--trace")],
 )
 def test_output_under_a_missing_directory_fails_before_any_backend_call(
     args, flag, tmp_path, capsys, monkeypatch
@@ -440,13 +428,13 @@ def test_output_under_a_missing_directory_fails_before_any_backend_call(
     assert main(args + [flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: no such directory\n"
+    assert captured.err == f"error: {path}: No such file or directory\n"
     assert calls == []
 
 
 @pytest.mark.parametrize(
     "args, flag",
-    [(grid_args("eval"), "--report"), (grid_args("eval"), "--trace"), (verify_args(), "--trace")],
+    [(grid_args(), "--report"), (grid_args(), "--trace"), (verify_args(), "--trace")],
 )
 def test_output_path_that_is_a_directory_fails_before_any_backend_call(
     args, flag, tmp_path, capsys, monkeypatch
@@ -456,12 +444,32 @@ def test_output_path_that_is_a_directory_fails_before_any_backend_call(
     assert main(args + [flag, str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {tmp_path}: is a directory\n"
+    assert captured.err == f"error: {tmp_path}: Is a directory\n"
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "flag, name, fault",
+    [
+        ("--graph", "missing.tsv", errno.ENOENT),
+        ("--dataset", "missing.jsonl", errno.ENOENT),
+        ("--backend", "missing.jsonl", errno.ENOENT),
+        ("--report", "missing/report.json", errno.ENOENT),
+        ("--report", "", errno.EISDIR),
+    ],
+    ids=["graph", "dataset", "mock-script", "report-in-missing-directory", "report-is-directory"],
+)
+def test_a_file_fault_names_the_path_once_in_the_system_words(flag, name, fault, tmp_path, capsys):
+    # whether found up front or when the file is opened
+    path = str(tmp_path / name) if name else str(tmp_path)
+    args = grid_args() + ["--report", str(tmp_path / "report.json")]
+    args[args.index(flag) + 1] = f"mock:{path}" if flag == "--backend" else path
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(fault)}\n"
+
+
 def test_report_path_that_is_a_directory_is_a_data_error(tmp_path, capsys):
-    assert main(grid_args("eval") + ["--report", str(tmp_path)]) == 2
+    assert main(grid_args() + ["--report", str(tmp_path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {tmp_path}: ")
 
@@ -580,17 +588,17 @@ def test_input_errors_write_a_query_stage_record(args, source, stderr, tmp_path,
     }
 
 
-def test_ablate_command_runs_grid(tmp_path, capsys):
+def test_eval_with_list_values_runs_grid(tmp_path, capsys):
     code = main(
         [
-            "ablate",
+            "eval",
             "--task", "qa",
             "--dataset", str(FIXTURES / "qa_1hop.txt"),
             "--hops", "1",
             "--graph", METAQA,
             "--backend", f"mock:{FIXTURES / 'mock_metaqa_1hop.jsonl'}",
-            "--k-values", "1,3",
-            "--shot-values", "12",
+            "--k", "1,3",
+            "--shots", "12",
             "--report", str(tmp_path / "grid_report.json"),
         ]
     )
@@ -600,6 +608,19 @@ def test_ablate_command_runs_grid(tmp_path, capsys):
     assert "--- k=3 shots=12" in out
     records = json.loads((tmp_path / "grid_report.json").read_text(encoding="utf-8"))
     assert len(records) == 2
+
+
+def test_ablate_is_an_unknown_command_found_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")  # reading any input would exit 2, naming it
+    argv = [
+        "ablate", "--task", "qa", "--hops", "1",
+        "--dataset", missing, "--graph", missing, "--backend", f"mock:{missing}",
+        "--k-values", "1,3", "--shot-values", "12",
+    ]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument command: invalid choice: 'ablate' ")
 
 
 def test_subprocess_entrypoint_exit_code():

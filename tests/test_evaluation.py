@@ -578,7 +578,7 @@ def test_one_backend_serves_a_pipeline_per_cell(metaqa_graph, metaqa_type_graph)
     assert backend.total_calls == 3 * one_cell.total_calls
 
 
-def test_ablate_command_runs_a_pipeline_per_cell_k_major_on_one_backend(
+def test_eval_command_runs_a_pipeline_per_cell_k_major_on_one_backend(
     tmp_path, monkeypatch, capsys
 ):
     built = []
@@ -590,11 +590,11 @@ def test_ablate_command_runs_a_pipeline_per_cell_k_major_on_one_backend(
     monkeypatch.setattr(cli, "make_backend", recording)
     report_path = tmp_path / "report.json"
     argv = [
-        "ablate", "--task", "qa", "--hops", "1",
+        "eval", "--task", "qa", "--hops", "1",
         "--dataset", str(FIXTURES / "qa_1hop.txt"),
         "--graph", str(FIXTURES / "metaqa_graph.tsv"),
         "--backend", f"mock:{FIXTURES / 'mock_metaqa_1hop.jsonl'}",
-        "--k-values", "5,1,3", "--shot-values", "12,4",
+        "--k", "5,1,3", "--shots", "12,4",
         "--report", str(report_path),
     ]
     assert cli.main(argv) == 0

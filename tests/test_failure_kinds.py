@@ -1,4 +1,5 @@
-"""Each raise site of a query's failure kinds: the class it raises and its message."""
+"""Each raise site of a query's failure kinds, and of a bad k given to parse_relations:
+the class it raises and its message."""
 
 from __future__ import annotations
 
@@ -48,9 +49,9 @@ SITES = {
         ParseError,
         "no response line matched the segmentation grammar",
     ),
-    "relations-k": (
+    "relations-k": (  # a caller's mistake, not a failure kind
         lambda: parse_relations("['r']", ["r"], 0),
-        ParseError,
+        ValueError,
         "k must be >= 1, got 0",
     ),
     "relations-unbracketed": (

@@ -217,12 +217,17 @@ def _load_types(path):
         (MockBackend.from_path, "script.jsonl",
          _GOOD_SCRIPT_LINE + "\n" + _GOOD_SCRIPT_LINE.replace('"inference"', '"Inference"'),
          2, "unknown stage 'Inference'"),
+        # an input that does not exist, in the words an output path gets
+        (load_graph, "missing.tsv", None, None, "No such file or directory"),
         # an output path that is the test's own directory, and one in a missing directory
         (lambda path: append_trace(path, {}), "", None, None, "Is a directory"),
         (lambda path: write_report([], path), "no_such_dir/report.json", None, None,
          "No such file or directory"),
     ],
-    ids=["graph", "types", "verification-dataset", "qa-dataset", "mock-script", "trace", "report"],
+    ids=[
+        "graph", "types", "verification-dataset", "qa-dataset", "mock-script", "missing-input",
+        "trace", "report",
+    ],
 )
 def test_every_file_fails_with_one_file_error(use, name, content, line, message, tmp_path):
     path = str(tmp_path / name)

@@ -175,8 +175,10 @@ def test_parse_relations_without_brackets_is_an_error():
 
 
 def test_parse_relations_rejects_bad_k():
-    with pytest.raises(ParseError, match="^k must be >= 1, got 0$"):
+    # a caller's mistake, not a reply that cannot be used
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$") as err:
         parse_relations("['a']", ["a"], 0)
+    assert type(err.value) is ValueError
 
 
 _LISTS = st.builds(
@@ -205,7 +207,6 @@ def test_a_one_relation_pool_parses_to_itself_or_fails(reply, k):
 def test_parse_verdict_false_with_rationale():
     got = parse_verdict("False, there is no evidence for Paul Nurse.")
     assert got.label == REFUTED
-    assert got.rationale == "there is no evidence for Paul Nurse."
 
 
 def test_parse_verdict_true():
@@ -238,7 +239,6 @@ def test_parse_verdict_token_boundary():
 def test_parse_answer_finds_entity():
     got = parse_answer("The answer is Short.", [("Six Shooter", "has_genre", "Short")])
     assert got.entity == "Short"
-    assert got.rationale == "The answer is Short."
 
 
 def test_parse_answer_longest_match_wins():
@@ -355,7 +355,6 @@ def test_verification_blocks_round_trip(block):
     verdict = parse_verdict(answer)
     expected = SUPPORTED if answer.startswith("True") else REFUTED
     assert verdict.label == expected
-    assert verdict.rationale == answer.split(", ", 1)[1]
 
 
 @pytest.mark.parametrize("block", QA_INFERENCE_TEMPLATE.examples)

@@ -34,7 +34,7 @@ def _cli_examples() -> list[list[str]]:
 
 
 def test_readme_has_four_cli_examples():
-    assert [argv[0] for argv in _cli_examples()] == ["verify", "answer", "eval", "ablate"]
+    assert [argv[0] for argv in _cli_examples()] == ["verify", "answer", "eval", "eval"]
 
 
 @pytest.mark.parametrize("argv", _cli_examples(), ids=lambda argv: argv[0])
