@@ -33,6 +33,7 @@ from .prompts import INFERENCE, RETRIEVAL, SEGMENTATION, task_sentence
 API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubling for each one after
+_USERINFO = re.compile(r"[^/?#]*//[^/?#]*@")  # a URL's user:password@, where urlsplit finds it
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,8 @@ class BackendConfig:
     timeout: float = 30.0
 
     def __post_init__(self) -> None:
+        if _USERINFO.match(self.endpoint):  # not echoed: the message would leak the password
+            raise ValueError(f"endpoint must not carry user:password@; set {API_KEY_ENV} instead")
         if type(self.max_retries) is not int or self.max_retries < 0:  # bools refused too
             raise ValueError(f"max_retries must be an int >= 0, got {self.max_retries}")
         if not 0 < self.timeout < math.inf:
@@ -291,13 +294,13 @@ def _proxy_for(scheme: str, netloc: str) -> tuple[str, int | None, dict[str, str
 
 def _split_url(url: str, what: str) -> SplitResult:
     """``url`` split, once it is known to be http(s) with a host and a valid port."""
-    parts = urlsplit(url)
-    if parts.scheme in ("http", "https") and parts.hostname:
-        try:
+    try:
+        parts = urlsplit(url)  # raises ValueError on an unbalanced bracket
+        if parts.scheme in ("http", "https") and parts.hostname:
             parts.port  # noqa: B018 - raises ValueError on a port out of range
             return parts
-        except ValueError:
-            pass
+    except ValueError:
+        pass
     raise BackendError(f"bad {what} URL {url!r}")
 
 

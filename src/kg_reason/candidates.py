@@ -1,9 +1,13 @@
-"""Relation candidate extraction for sub-sentences.
+"""Mention resolution and relation candidate extraction for sub-sentences.
 
-Two routes produce the candidate pool a sub-sentence's relation is chosen
-from: schema intersection over the relations within one hop of each entity
-mention (claim verification), and the union of relations within n hops of a
-seed entity (question answering). Both read the graph with one walker.
+A surface resolves against the graph and its type projection to an entity,
+a type or a variable. Two routes produce the candidate pool a sub-sentence's
+relation is chosen from: schema intersection over the relations within one
+hop of each entity mention (claim verification), and the union of relations
+within n hops of a seed entity (question answering). Both read the graph
+with one walker. A pool of variables alone raises
+:class:`~kg_reason.errors.RetrievalError`; a caller's mistake (no mention,
+more than two, or a hop count outside 1 to 3) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class Mention:
 
     kind: str
     surface: str
-    ref: int | str | None = None
+    ref: int | str
 
     @classmethod
     def concrete(cls, surface: str, entity_id: int) -> "Mention":
@@ -46,9 +50,7 @@ class Mention:
         return cls(VARIABLE, surface, surface)
 
 
-def resolve_mention(
-    surface: str, g: KnowledgeGraph, tg: TypeGraph | None = None
-) -> Mention:
+def resolve_mention(surface: str, g: KnowledgeGraph, tg: TypeGraph) -> Mention:
     """Resolve a surface form: graph entity first, then type, then variable."""
     eid = g.maybe_entity_id(surface)
     if eid is not None:
@@ -56,9 +58,9 @@ def resolve_mention(
     return type_or_variable(surface, tg)
 
 
-def type_or_variable(surface: str, tg: TypeGraph | None) -> Mention:
+def type_or_variable(surface: str, tg: TypeGraph) -> Mention:
     """A type mention when ``tg`` knows the surface as a type, else a variable."""
-    tid = None if tg is None else tg.graph.maybe_type_id(surface)
+    tid = tg.graph.maybe_type_id(surface)
     if tid is not None:
         return Mention.type_ref(surface, tid)
     return Mention.variable(surface)
@@ -84,9 +86,9 @@ def extract_relation_candidates(
     """
     mentions = tuple(mentions)
     if not mentions:
-        raise RetrievalError("no mentions given")
+        raise ValueError("no mentions given")
     if len(mentions) > 2:
-        raise RetrievalError(f"a sub-sentence carries at most two mentions, got {len(mentions)}")
+        raise ValueError(f"a sub-sentence carries at most two mentions, got {len(mentions)}")
     entity_pool: set[int] | None = None
     type_ids: list[int] = []
     for m in mentions:
@@ -112,6 +114,6 @@ def extract_nhop_candidates(
 ) -> RelationCandidates:
     """Candidate pool for a question: relations within ``hops`` of the seed entity."""
     if hops not in HOPS:
-        raise RetrievalError(f"hop count must be 1, 2 or 3, got {hops}")
+        raise ValueError(f"hop count must be 1, 2 or 3, got {hops}")
     rels = relations_within_n_hops(g, seed_id, hops)
     return RelationCandidates(tuple(sorted(g.relation_label(r) for r in rels)))

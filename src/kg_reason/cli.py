@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``verify`` (one claim), ``answer`` (one question) and ``eval``
-(a dataset, once per cell of its comma-separated ``--k`` and ``--shots``
-lists). Exit codes: 0 success, 1 usage error, 2 data or load error
-(including unparseable responses), 3 backend error.
+(a dataset of claims, or of questions when ``--hops`` is given, once per cell
+of its comma-separated ``--k`` and ``--shots`` lists). Exit codes: 0 success,
+1 usage error, 2 data or load error (including unparseable responses), 3
+backend error.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ def _build_parser() -> _Parser:
         "eval", help="evaluate over a dataset once per cell of the comma-separated --k and --shots"
     )
     add_common(batch, grid=True)
-    batch.add_argument("--task", required=True, choices=("verification", "qa"))
     batch.add_argument("--dataset", required=True)
-    batch.add_argument("--hops", type=int, choices=HOPS)
+    batch.add_argument(
+        "--hops", type=int, choices=HOPS, help="read the dataset as questions of this many hops"
+    )
     batch.add_argument("--width", type=_int_in(1), default=1, help="worker pool width")
     batch.add_argument("--report", help="write the machine-readable report here")
     return parser
@@ -175,27 +177,21 @@ def _cmd_query(args: argparse.Namespace, config: BackendConfig) -> int:
     return 0
 
 
-def _load_dataset(args: argparse.Namespace):
-    if args.task == "qa":
-        if args.hops is None:
-            raise _UsageError("--hops is required for --task qa")
-        return load_qa_dataset(args.dataset, args.hops)
-    if args.hops is not None:
-        raise _UsageError("--hops only applies to --task qa")
-    return load_verification_dataset(args.dataset)
-
-
 def _cmd_batch(args: argparse.Namespace, config: BackendConfig) -> int:
     """``eval``: one run per (k, shots) cell, k-major, all on one backend.
 
     A run of more than one cell heads each text report with its cell and
     writes the ``--report`` as a list; a one-cell run writes one object.
     """
-    dataset = _load_dataset(args)
+    qa = args.hops is not None
+    if qa:
+        dataset = load_qa_dataset(args.dataset, args.hops)
+    else:
+        dataset = load_verification_dataset(args.dataset)
     g = load_graph(args.graph, args.types)
     tg = build_type_graph(g)
     backend = make_backend(config)
-    k_values = args.k or [_default_k(qa=args.task == "qa")]
+    k_values = args.k or [_default_k(qa)]
     pipelines = (
         Pipeline(g, tg, backend, k=k, shots=shots) for k in k_values for shots in args.shots
     )

@@ -8,10 +8,11 @@ a ``k`` of 0 or a mock entry with an unknown stage, raises ``ValueError``.
 A query fails in one of four ways, one class each: :class:`QueryError` (the
 input cannot become a query; raised by ``Query``, ``split_seed``,
 ``build_query`` and the command line), :class:`RetrievalError` (the graph
-offers a sub-sentence nothing to match; raised by the candidate extractors and
-``Pipeline.retrieve`` and ``Pipeline.assemble``), :class:`ParseError` (a
-backend reply cannot be used; raised by the parsers of ``parsing``) and
-:class:`BackendError` (no reply at all; raised by the backends). A failed run
+offers a sub-sentence nothing to match; raised by
+``extract_relation_candidates``, ``Pipeline.retrieve`` and
+``Pipeline.assemble``), :class:`ParseError` (a backend reply cannot be used;
+raised by the parsers of ``parsing``) and :class:`BackendError` (no reply at
+all; raised by the backends). A failed run
 wraps its cause in :class:`PipelineError`, whose ``stage`` names the stage the
 failure is charged to; the cause's message says what happened.
 """
@@ -98,7 +99,7 @@ class ParseError(KGReasonError):
 
 class RetrievalError(KGReasonError):
     """The graph offers a sub-sentence nothing to match: no usable mention, no
-    candidate relation, no anchored entity, or a hop count outside 1 to 3."""
+    candidate relation, or no anchored entity."""
 
 
 class QueryError(KGReasonError):
@@ -109,7 +110,7 @@ class QueryError(KGReasonError):
 class PipelineError(KGReasonError):
     """Wraps a stage failure, keeping the partial trace for inspection."""
 
-    def __init__(self, stage: str, cause: Exception, trace=None):
+    def __init__(self, stage: str, cause: Exception, trace):
         self.stage = stage
         self.cause = cause
         self.trace = trace

@@ -13,7 +13,7 @@ import json
 import re
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .candidates import HOPS, VARIABLE, resolve_mention
 from .errors import (
@@ -142,7 +142,7 @@ class EvalReport:
     metric_value: float
     mean_evidence_triples: float | None
     stage_failures: dict[str, int]
-    config: dict = field(default_factory=dict)
+    config: dict
 
     @classmethod
     def from_records(cls, records: Iterable[dict], metric_name: str, config: dict) -> EvalReport:

@@ -4,8 +4,8 @@ All parsers accept arbitrary UTF-8 text and either return a value or raise
 :class:`~kg_reason.errors.ParseError`, the failure kind of a reply that
 cannot be used, with a message saying why. The one other error is a
 caller's mistake: ``parse_relations`` raises ``ValueError`` for a ``k``
-below 1. Callers may pass a ``notes`` list to collect trace remarks about
-skipped lines or dropped items.
+below 1. The segmentation and relation parsers append a trace remark to
+the caller's ``notes`` list for each line they skip or item they drop.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def _unquote(token: str) -> str:
 def parse_segmentation(
     response: str,
     query_mentions: Sequence[Mention],
-    type_graph: TypeGraph | None = None,
-    notes: list[str] | None = None,
+    type_graph: TypeGraph,
+    notes: list[str],
 ) -> list[SubSentence]:
     """Parse numbered ``<n>. <sentence>, Entity set: [...]`` lines.
 
@@ -73,15 +73,15 @@ def parse_segmentation(
             continue
         match = _SEGMENT_LINE.match(raw_line)
         if match is None:
-            _note(notes, f"line failed grammar: {raw_line!r}")
+            notes.append(f"line failed grammar: {raw_line!r}")
             continue
         surfaces = [_unquote(t) for t in re.split(r"\s*##\s*", match.group("entities"))]
         surfaces = [s for s in surfaces if s]
         if not surfaces:
-            _note(notes, f"line has an empty entity set: {raw_line!r}")
+            notes.append(f"line has an empty entity set: {raw_line!r}")
             continue
         if len(surfaces) > 2:
-            _note(notes, f"line carries more than two entities: {raw_line!r}")
+            notes.append(f"line carries more than two entities: {raw_line!r}")
             continue
         mentions = tuple(
             by_surface.get(canonical_label(s)) or type_or_variable(s, type_graph) for s in surfaces
@@ -100,7 +100,7 @@ def parse_relations(
     response: str,
     offered: Sequence[str],
     k: int,
-    notes: list[str] | None = None,
+    notes: list[str],
 ) -> RelationCandidates:
     """Parse the first bracketed list and filter it against the offered pool.
 
@@ -126,9 +126,9 @@ def parse_relations(
             if item not in kept:
                 kept.append(item)
         else:
-            _note(notes, f"dropped relation not in the offered set: {item!r}")
+            notes.append(f"dropped relation not in the offered set: {item!r}")
     if not kept:
-        _note(notes, "no offered relation matched; falling back to the first k offered")
+        notes.append("no offered relation matched; falling back to the first k offered")
         kept = list(offered[:k])
     return RelationCandidates(tuple(kept[:k]))
 
@@ -148,7 +148,7 @@ def parse_verdict(response: str) -> Verdict:
 
 
 def parse_answer(
-    response: str, evidence: Sequence[tuple[str, str, str]], seed: str | None = None
+    response: str, evidence: Sequence[tuple[str, str, str]], seed: str
 ) -> AnswerCandidate:
     """Ground the response in the evidence endpoints.
 
@@ -164,7 +164,7 @@ def parse_answer(
     # each distinct spelling is canonicalized once, in order of first appearance
     for spelling in dict.fromkeys(x for head, _, tail in evidence for x in (head, tail)):
         labels.setdefault(canonical_label(spelling).lower(), spelling)
-    seed_key = None if seed is None else canonical_label(seed).lower()
+    seed_key = canonical_label(seed).lower()
     haystack = canonical_label(response).lower()
     # the substring test first, so only labels present compile a pattern
     mentioned = [
@@ -180,8 +180,3 @@ def parse_answer(
     if not others:
         raise ParseError("no evidence entity appears in the response")
     return AnswerCandidate(labels[max(others, key=len)])
-
-
-def _note(notes: list[str] | None, message: str) -> None:
-    if notes is not None:
-        notes.append(message)

@@ -6,6 +6,7 @@ indexed implementation they check.
 
 from __future__ import annotations
 
+import ast
 import codecs
 import json
 import random
@@ -22,6 +23,7 @@ from kg_reason import (
     RETRIEVAL_TEMPLATE,
     SEGMENTATION_TEMPLATE,
     VERIFICATION_INFERENCE_TEMPLATE,
+    build_type_graph,
     render_entity_set,
     render_relation_list,
     render_triple_list,
@@ -373,6 +375,23 @@ def segmentations_from_script(name: str) -> dict[str, str]:
     for driving :class:`FirstKBackend` over a fixture dataset."""
     records = map(json.loads, (FIXTURES / name).read_text(encoding="utf-8").splitlines())
     return {r["key"]: r["response"] for r in records if r["stage"] == "segmentation"}
+
+
+# a type projection that knows no type, so the parsers read every unmatched surface as a variable
+NO_TYPES = build_type_graph(KnowledgeGraph.from_triples([("a", "r", "b")]))
+
+
+def qa_block(block: str) -> tuple[str, list[tuple[str, str, str]], str]:
+    """A stored question-answering example block's seed, evidence and answer.
+
+    The seed is the evidence endpoint, other than the answer, that the
+    question names, as a pipeline run would pass it to ``parse_answer``.
+    """
+    question, evidence_line, answer_line = block.splitlines()
+    evidence = [tuple(t) for t in ast.literal_eval(evidence_line[len("Evidence set: "):])]
+    answer = answer_line[len("Answer: "):]
+    (seed,) = {x for h, _, t in evidence for x in (h, t) if x in question and x != answer}
+    return seed, evidence, answer
 
 
 # --- frozen expected evidence for the fixture suites -------------------------

@@ -57,9 +57,11 @@ from helpers import (
     FirstKBackend,
     GOLDEN_BINDINGS,
     GOLDENS,
+    NO_TYPES,
     candidate_oracle,
     enumerate_nhop_relations,
     mock_backend,
+    qa_block,
     random_graph_data,
     segmentations_from_script,
 )
@@ -167,7 +169,8 @@ def test_every_stored_example_block_round_trips():
                 s.strip().strip("'\"")
                 for s in entity_line[len("Entity set: ["):].rstrip("]").split("##")
             ]
-            moves = parse_segmentation(answer.strip(), [Mention.variable(s) for s in surfaces])
+            query = [Mention.variable(s) for s in surfaces]
+            moves = parse_segmentation(answer.strip(), query, NO_TYPES, [])
             assert moves
             assert all(1 <= len(s.mentions) <= 2 for s in moves)
             total += 1
@@ -175,7 +178,7 @@ def test_every_stored_example_block_round_trips():
             lines = block.splitlines()
             words = ast.literal_eval(lines[1][len("Words set: "):])
             answer = lines[2][len("Top 2 Answer: "):]
-            got = parse_relations(answer, words, 2)
+            got = parse_relations(answer, words, 2, [])
             assert list(got.relations) == ast.literal_eval(answer)
             total += 1
         for block in VERIFICATION_INFERENCE_TEMPLATE.examples:
@@ -184,10 +187,8 @@ def test_every_stored_example_block_round_trips():
             assert verdict.label == (SUPPORTED if answer.startswith("True") else "Refuted")
             total += 1
         for block in QA_INFERENCE_TEMPLATE.examples:
-            lines = block.splitlines()
-            evidence = [tuple(t) for t in ast.literal_eval(lines[1][len("Evidence set: "):])]
-            answer = lines[2][len("Answer: "):]
-            assert parse_answer(answer, evidence).entity == answer
+            seed, evidence, answer = qa_block(block)
+            assert parse_answer(answer, evidence, seed).entity == answer
             total += 1
         assert total == 48
 
@@ -322,11 +323,11 @@ def test_parsers_survive_ten_thousand_fuzzed_responses():
         for _ in range(10_000):
             text = arbitrary_text()
             try:
-                parse_segmentation(text, query)
+                parse_segmentation(text, query, NO_TYPES, [])
             except ParseError:
                 pass
             try:
-                got = parse_relations(text, offered, 3)
+                got = parse_relations(text, offered, 3, [])
                 assert len(got.relations) <= 3
                 assert set(got.relations) <= set(offered)
             except ParseError:
@@ -336,8 +337,8 @@ def test_parsers_survive_ten_thousand_fuzzed_responses():
             except ParseError:
                 pass
             try:
-                found = parse_answer(text, evidence)
-                assert found.entity in {"Six Shooter", "Short", "a", "r", "b"}
+                found = parse_answer(text, evidence, "Six Shooter")
+                assert found.entity in {"Short", "a", "b"}
             except ParseError:
                 pass
 

@@ -110,13 +110,14 @@ def test_all_variables_is_an_error():
 def test_too_many_mentions_is_an_error():
     g, tg = graph_with_types([("A", "r1", "X")])
     mentions = [concrete(g, "A"), Mention.variable("b"), Mention.variable("c")]
-    with pytest.raises(RetrievalError, match="^a sub-sentence carries at most two mentions, got 3$"):
+    # a caller's mistake: no segmentation yields such a sub-sentence
+    with pytest.raises(ValueError, match="^a sub-sentence carries at most two mentions, got 3$"):
         extract_relation_candidates(mentions, g, tg)
 
 
 def test_no_mentions_is_an_error():
     g, tg = graph_with_types([("A", "r1", "X")])
-    with pytest.raises(RetrievalError, match="^no mentions given$"):
+    with pytest.raises(ValueError, match="^no mentions given$"):
         extract_relation_candidates([], g, tg)
 
 
@@ -210,7 +211,8 @@ def test_nhop_chain_fixture():
 
 def test_nhop_requires_known_hop_count():
     g, _ = graph_with_types([("a", "r", "b")])
-    with pytest.raises(RetrievalError, match="^hop count must be 1, 2 or 3, got 4$"):
+    # a caller's mistake: Query.question refuses such a hop count
+    with pytest.raises(ValueError, match="^hop count must be 1, 2 or 3, got 4$"):
         extract_nhop_candidates(g.maybe_entity_id("a"), 4, g)
 
 

@@ -590,7 +590,7 @@ def test_eval_command_runs_a_pipeline_per_cell_k_major_on_one_backend(
     monkeypatch.setattr(cli, "make_backend", recording)
     report_path = tmp_path / "report.json"
     argv = [
-        "eval", "--task", "qa", "--hops", "1",
+        "eval", "--hops", "1",
         "--dataset", str(FIXTURES / "qa_1hop.txt"),
         "--graph", str(FIXTURES / "metaqa_graph.tsv"),
         "--backend", f"mock:{FIXTURES / 'mock_metaqa_1hop.jsonl'}",

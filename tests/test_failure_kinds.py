@@ -1,5 +1,5 @@
-"""Each raise site of a query's failure kinds, and of a bad k given to parse_relations:
-the class it raises and its message."""
+"""Each raise site of a query's failure kinds, and of the caller's mistakes that
+parse_relations and the candidate extractors refuse: the class it raises and its message."""
 
 from __future__ import annotations
 
@@ -45,17 +45,17 @@ def _unknown_claim_entity():
 
 SITES = {
     "segmentation": (
-        lambda: parse_segmentation("no line fits", ()),
+        lambda: parse_segmentation("no line fits", (), TG, []),
         ParseError,
         "no response line matched the segmentation grammar",
     ),
     "relations-k": (  # a caller's mistake, not a failure kind
-        lambda: parse_relations("['r']", ["r"], 0),
+        lambda: parse_relations("['r']", ["r"], 0, []),
         ValueError,
         "k must be >= 1, got 0",
     ),
     "relations-unbracketed": (
-        lambda: parse_relations("r", ["r"], 1),
+        lambda: parse_relations("r", ["r"], 1, []),
         ParseError,
         "no bracketed list in response",
     ),
@@ -65,7 +65,7 @@ SITES = {
         "response does not start with True/False: 'Maybe.'",
     ),
     "answer-no-evidence": (
-        lambda: parse_answer("B", []),
+        lambda: parse_answer("B", [], "A"),
         ParseError,
         "cannot ground an answer in empty evidence",
     ),
@@ -75,18 +75,18 @@ SITES = {
         "the response names only the question's seed",
     ),
     "answer-nothing-named": (
-        lambda: parse_answer("I cannot tell.", [("A", "r", "B")]),
+        lambda: parse_answer("I cannot tell.", [("A", "r", "B")], "A"),
         ParseError,
         "no evidence entity appears in the response",
     ),
-    "candidates-no-mentions": (
+    "candidates-no-mentions": (  # a caller's mistake: no segmentation yields it
         lambda: extract_relation_candidates([], G, TG),
-        RetrievalError,
+        ValueError,
         "no mentions given",
     ),
-    "candidates-three-mentions": (
+    "candidates-three-mentions": (  # a caller's mistake: no segmentation yields it
         lambda: extract_relation_candidates([A, A, A], G, TG),
-        RetrievalError,
+        ValueError,
         "a sub-sentence carries at most two mentions, got 3",
     ),
     "candidates-only-variables": (
@@ -94,9 +94,9 @@ SITES = {
         RetrievalError,
         "all mentions are variables; nothing to retrieve from",
     ),
-    "candidates-hops": (
+    "candidates-hops": (  # a caller's mistake: Query.question refuses it
         lambda: extract_nhop_candidates(A.ref, 4, G),
-        RetrievalError,
+        ValueError,
         "hop count must be 1, 2 or 3, got 4",
     ),
     "assembly-unanchored": (

@@ -23,6 +23,8 @@ from kg_reason import (
 )
 from kg_reason.errors import ParseError
 
+from helpers import NO_TYPES, qa_block
+
 
 # --- segmentation ------------------------------------------------------------
 
@@ -33,7 +35,7 @@ def q(surfaces):
 
 def test_parse_single_line_claim():
     got = parse_segmentation(
-        "1. X's club is Y., Entity set: ['X' ## 'Y']", q(["X", "Y"])
+        "1. X's club is Y., Entity set: ['X' ## 'Y']", q(["X", "Y"]), NO_TYPES, []
     )
     assert len(got) == 1
     assert got[0].index == 1
@@ -47,7 +49,7 @@ def test_parse_two_lines_with_free_variable():
         "2. An academic journal is also Acta Math. Hungar., Entity set: ['academic journal' ## \"Acta Math. Hungar.\"]"
     )
     query = q(["Acta Math. Hungar.", "IJPHDE"])
-    got = parse_segmentation(response, query)
+    got = parse_segmentation(response, query, NO_TYPES, [])
     assert len(got) == 2
     first = got[0].mentions
     assert {m.surface for m in first} == {"academic journal", "IJPHDE"}
@@ -68,6 +70,7 @@ def test_parse_resolves_against_type_vocabulary():
         "Entity set: ['William_Anders' ## 'artificial satellite']",
         [Mention.concrete("William_Anders", g.maybe_entity_id("William_Anders"))],
         tg,
+        [],
     )
     kinds = {m.surface: m.kind for m in got[0].mentions}
     assert kinds["William_Anders"] == "concrete"
@@ -80,7 +83,7 @@ def test_three_entities_reject_line_but_keep_the_rest():
         "1. Bad line., Entity set: ['a' ## 'b' ## 'c']\n"
         "2. Good line., Entity set: ['a' ## 'b']"
     )
-    got = parse_segmentation(response, q(["a", "b", "c"]), notes=notes)
+    got = parse_segmentation(response, q(["a", "b", "c"]), NO_TYPES, notes)
     assert len(got) == 1
     assert got[0].text == "Good line."
     assert got[0].index == 1
@@ -95,7 +98,7 @@ def test_empty_entity_set_skips_the_line_with_a_note():
         "2. Only quotes., Entity set: ['' ## \"\"]\n"
         "3. Bare name., Entity set: [ abba ]"
     )
-    got = parse_segmentation(response, query, notes=notes)
+    got = parse_segmentation(response, query, NO_TYPES, notes)
     assert [(s.index, s.text) for s in got] == [(1, "Bare name.")]
     # an unquoted token is taken as it stands, trimmed, though it starts and ends alike
     assert got[0].mentions == (query[0],)
@@ -107,7 +110,7 @@ def test_empty_entity_set_skips_the_line_with_a_note():
 def test_garbage_lines_collect_notes():
     notes: list[str] = []
     with pytest.raises(ParseError, match="^no response line matched the segmentation grammar$"):
-        parse_segmentation("no structure here\nat all", q(["a"]), notes=notes)
+        parse_segmentation("no structure here\nat all", q(["a"]), NO_TYPES, notes)
     assert len(notes) == 2
 
 
@@ -115,6 +118,8 @@ def test_sentence_with_interior_commas():
     got = parse_segmentation(
         "2. William Anders received AFIT, M.S. 1962., Entity set: ['William_Anders' ## \"AFIT, M.S. 1962\"]",
         q(["William_Anders", "AFIT, M.S. 1962"]),
+        NO_TYPES,
+        [],
     )
     assert got[0].text == "William Anders received AFIT, M.S. 1962."
     assert {m.surface for m in got[0].mentions} == {"William_Anders", "AFIT, M.S. 1962"}
@@ -122,7 +127,9 @@ def test_sentence_with_interior_commas():
 
 def test_space_underscore_match_between_response_and_query():
     query = q(["Mean_Guns"])
-    got = parse_segmentation("1. Mean Guns released., Entity set: ['Mean Guns']", query)
+    got = parse_segmentation(
+        "1. Mean Guns released., Entity set: ['Mean Guns']", query, NO_TYPES, []
+    )
     assert got[0].mentions[0] is query[0]
 
 
@@ -130,13 +137,13 @@ def test_space_underscore_match_between_response_and_query():
 
 
 def test_parse_relations_keeps_offered_order_from_response():
-    got = parse_relations("['club', 'clubs']", ["club", "clubs", "parent"], 2)
+    got = parse_relations("['club', 'clubs']", ["club", "clubs", "parent"], 2, [])
     assert got.relations == ("club", "clubs")
 
 
 def test_parse_relations_table_answer_pair():
     offered = ["abbreviation", "placeOfBirth", "owner", "coden"]
-    got = parse_relations("['abbreviation', 'coden']", offered, 2)
+    got = parse_relations("['abbreviation', 'coden']", offered, 2, [])
     assert got.relations == ("abbreviation", "coden")
 
 
@@ -155,29 +162,29 @@ def test_parse_relations_falls_back_to_first_k_offered():
 
 
 def test_parse_relations_truncates_to_k():
-    got = parse_relations("['a', 'b', 'c']", ["a", "b", "c"], 2)
+    got = parse_relations("['a', 'b', 'c']", ["a", "b", "c"], 2, [])
     assert got.relations == ("a", "b")
 
 
 def test_parse_relations_dedupes():
-    got = parse_relations("['a', 'a', 'b']", ["a", "b"], 3)
+    got = parse_relations("['a', 'a', 'b']", ["a", "b"], 3, [])
     assert got.relations == ("a", "b")
 
 
 def test_parse_relations_case_sensitive():
-    got = parse_relations("['birthplace', 'birthPlace']", ["birthPlace"], 2)
+    got = parse_relations("['birthplace', 'birthPlace']", ["birthPlace"], 2, [])
     assert got.relations == ("birthPlace",)
 
 
 def test_parse_relations_without_brackets_is_an_error():
     with pytest.raises(ParseError, match="^no bracketed list in response$"):
-        parse_relations("club and clubs", ["club"], 2)
+        parse_relations("club and clubs", ["club"], 2, [])
 
 
 def test_parse_relations_rejects_bad_k():
     # a caller's mistake, not a reply that cannot be used
     with pytest.raises(ValueError, match="^k must be >= 1, got 0$") as err:
-        parse_relations("['a']", ["a"], 0)
+        parse_relations("['a']", ["a"], 0, [])
     assert type(err.value) is ValueError
 
 
@@ -194,7 +201,7 @@ def test_a_one_relation_pool_parses_to_itself_or_fails(reply, k):
     # The premise of taking such a pool without a backend call: no reply can
     # pick anything else from it.
     try:
-        got = parse_relations(reply, ["r"], k)
+        got = parse_relations(reply, ["r"], k, [])
     except ParseError as exc:
         assert str(exc) == "no bracketed list in response"
         return
@@ -237,18 +244,21 @@ def test_parse_verdict_token_boundary():
 
 
 def test_parse_answer_finds_entity():
-    got = parse_answer("The answer is Short.", [("Six Shooter", "has_genre", "Short")])
+    got = parse_answer(
+        "The answer is Short.", [("Six Shooter", "has_genre", "Short")], "Six Shooter"
+    )
     assert got.entity == "Short"
 
 
 def test_parse_answer_longest_match_wins():
     evidence = [("The Red Baron", "directed_by", "Red")]
-    got = parse_answer("It was The Red Baron.", evidence)
+    got = parse_answer("It was The Red Baron.", evidence, "Nikolai Müllerschön")
     assert got.entity == "The Red Baron"
 
 
 def test_parse_answer_space_underscore_insensitive():
-    got = parse_answer("Meyer Werft built it.", [("AIDAstella", "shipBuilder", "Meyer_Werft")])
+    evidence = [("AIDAstella", "shipBuilder", "Meyer_Werft")]
+    got = parse_answer("Meyer Werft built it.", evidence, "AIDAstella")
     assert got.entity == "Meyer_Werft"
 
 
@@ -256,16 +266,16 @@ def test_parse_answer_skips_the_seed_when_another_endpoint_is_named():
     evidence = [("Cobra", "starred_actors", "Brigitte Nielsen"), ("Cobra", "release_year", "1986")]
     response = "Brigitte Nielsen appears in Cobra."
     assert parse_answer(response, evidence, "Brigitte_Nielsen").entity == "Cobra"
-    # without a seed the longest endpoint still wins
-    assert parse_answer(response, evidence).entity == "Brigitte Nielsen"
+    # with another seed the longest endpoint named wins
+    assert parse_answer(response, evidence, "1986").entity == "Brigitte Nielsen"
 
 
 def test_parse_answer_never_returns_the_seed():
     evidence = [("Cobra", "starred_actors", "Brigitte Nielsen")]
     with pytest.raises(ParseError, match="^the response names only the question's seed$"):
         parse_answer("It is Brigitte Nielsen.", evidence, "Brigitte_Nielsen")
-    # without a seed the same endpoint grounds the answer
-    assert parse_answer("It is Brigitte Nielsen.", evidence).entity == "Brigitte Nielsen"
+    # when Cobra is the seed, the same endpoint grounds the answer
+    assert parse_answer("It is Brigitte Nielsen.", evidence, "Cobra").entity == "Brigitte Nielsen"
 
 
 @pytest.mark.parametrize(
@@ -298,19 +308,19 @@ def test_parse_answer_requires_token_boundaries(response, expected):
     evidence = [("Six Shooter", "has_genre", "Short")]
     if expected is None:
         with pytest.raises(ParseError, match="^no evidence entity appears in the response$"):
-            parse_answer(response, evidence)
+            parse_answer(response, evidence, "Six Shooter")
     else:
-        assert parse_answer(response, evidence).entity == expected
+        assert parse_answer(response, evidence, "Six Shooter").entity == expected
 
 
 def test_parse_answer_no_grounding():
     with pytest.raises(ParseError, match="^no evidence entity appears in the response$"):
-        parse_answer("I do not know.", [("a", "r", "b")])
+        parse_answer("I do not know.", [("a", "r", "b")], "a")
 
 
 def test_parse_answer_empty_evidence():
     with pytest.raises(ParseError, match="^cannot ground an answer in empty evidence$"):
-        parse_answer("anything", [])
+        parse_answer("anything", [], "a")
 
 
 # --- round trips over the stored example blocks --------------------------------------
@@ -328,7 +338,7 @@ def test_segmentation_blocks_round_trip(block):
         for s in entity_line[len("Entity set: ["):].rstrip("]").split("##")
     ]
     query = [Mention.variable(s) for s in surfaces]
-    got = parse_segmentation(answer.strip(), query)
+    got = parse_segmentation(answer.strip(), query, NO_TYPES, [])
     assert got, block
     assert [s.index for s in got] == list(range(1, len(got) + 1))
     for sub in got:
@@ -343,7 +353,7 @@ def test_retrieval_blocks_round_trip(block):
     words = ast.literal_eval(lines[1][len("Words set: "):])
     answer = lines[2][len("Top 2 Answer: "):]
     expected = ast.literal_eval(answer)
-    got = parse_relations(answer, words, 2)
+    got = parse_relations(answer, words, 2, [])
     assert list(got.relations) == expected
     assert set(got.relations) <= set(words)
     assert len(got.relations) <= 2
@@ -359,11 +369,8 @@ def test_verification_blocks_round_trip(block):
 
 @pytest.mark.parametrize("block", QA_INFERENCE_TEMPLATE.examples)
 def test_qa_blocks_round_trip(block):
-    lines = block.splitlines()
-    evidence = [tuple(t) for t in ast.literal_eval(lines[1][len("Evidence set: "):])]
-    answer = lines[2][len("Answer: "):]
-    got = parse_answer(answer, evidence)
-    assert got.entity == answer
+    seed, evidence, answer = qa_block(block)
+    assert parse_answer(answer, evidence, seed).entity == answer
 
 
 # --- fuzz safety -----------------------------------------------------------------
@@ -374,10 +381,10 @@ def test_parsers_never_crash_on_arbitrary_text(text):
     offered = ["r1", "r2", "birthPlace"]
     evidence = [("a", "r", "b")]
     for call in (
-        lambda: parse_segmentation(text, q(["a", "b"])),
-        lambda: parse_relations(text, offered, 2),
+        lambda: parse_segmentation(text, q(["a", "b"]), NO_TYPES, []),
+        lambda: parse_relations(text, offered, 2, []),
         lambda: parse_verdict(text),
-        lambda: parse_answer(text, evidence),
+        lambda: parse_answer(text, evidence, "a"),
     ):
         try:
             call()
@@ -389,7 +396,7 @@ def test_parsers_never_crash_on_arbitrary_text(text):
 def test_retrieved_relations_invariants_hold_under_fuzz(text, k):
     offered = ["r1", "r2", "r3", "club", "clubs"]
     try:
-        got = parse_relations(text, offered, k)
+        got = parse_relations(text, offered, k, [])
     except ParseError:
         return
     assert len(got.relations) <= k
