@@ -34,6 +34,8 @@ API_KEY_ENV = "KG_REASON_API_KEY"
 CHAT_COMPLETIONS_PATH = "/v1/chat/completions"
 BACKOFF_BASE = 0.5  # seconds before the second attempt, doubling for each one after
 _USERINFO = re.compile(r"[^/?#]*//[^/?#]*@")  # a URL's user:password@, where urlsplit finds it
+# what an error message leaves out of a URL: up to its last @, as a password may hold / or @
+_HIDDEN = re.compile(r"(?<=//).*@")
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,8 @@ def _proxy_for(scheme: str, netloc: str) -> tuple[str, int | None, dict[str, str
         return None
     parts = _split_url(proxy if "://" in proxy else "http://" + proxy, "proxy")
     if parts.scheme != "http":
-        raise BackendError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+        shown = _HIDDEN.sub("", proxy, 1)
+        raise BackendError(f"unsupported proxy {shown!r}: only http:// proxies are supported")
     headers = {}
     if parts.username is not None:
         userinfo = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
@@ -301,7 +304,7 @@ def _split_url(url: str, what: str) -> SplitResult:
             return parts
     except ValueError:
         pass
-    raise BackendError(f"bad {what} URL {url!r}")
+    raise BackendError(f"bad {what} URL {_HIDDEN.sub('', url, 1)!r}")
 
 
 def _readable(sock: socket.socket) -> bool:

@@ -223,11 +223,13 @@ class KnowledgeGraph:
         """The head, relation and tail labels of the triple at each position, in order."""
         if not isinstance(positions, Sized):
             positions = tuple(positions)
+        # one getter serves the three id columns; gather handles fewer than two positions
+        ids_at = itemgetter(*positions) if len(positions) > 1 else lambda c: gather(c, positions)
         entity, relation = self._entities.labels, self._relations.labels
         # column by column, so that one id tuple at a time is alive
-        heads = gather(entity, gather(self.head, positions))
-        relations = gather(relation, gather(self.relation, positions))
-        return heads, relations, gather(entity, gather(self.tail, positions))
+        heads = gather(entity, ids_at(self.head))
+        relations = gather(relation, ids_at(self.relation))
+        return heads, relations, gather(entity, ids_at(self.tail))
 
 
 @dataclass
@@ -360,16 +362,15 @@ def relations_within_n_hops(g: KnowledgeGraph, seed_id: int, n: int) -> set[int]
 def match_triples_by_id(
     g: KnowledgeGraph, endpoint_ids: set[int], relation_ids: set[int]
 ) -> list[int]:
-    """Load positions, ascending and deduplicated, of the triples whose
-    relation is in ``relation_ids`` and whose head or tail is in
-    ``endpoint_ids``. Ids the graph never handed out match nothing.
-    """
+    """Load positions, in no particular order, of the triples whose relation is in
+    ``relation_ids``, once per endpoint in ``endpoint_ids``: a triple with both endpoints
+    anchored, a self-loop too, is listed twice. Ids the graph never handed out match
+    nothing. :func:`merge_positions` sorts and deduplicates."""
     wanted = sorted(relation_ids)
     known = len(g._out.first_run) - 1  # the ids handed out are 0 .. known - 1
     anchors = [eid for eid in endpoint_ids if 0 <= eid < known]
-    found = []
+    positions: list[int] = []
     for first_run, run_relation, run_start, perm, _ in (g._out, g._in):
-        positions: list[int] = []
         for eid in anchors:
             lo, hi = first_run[eid], first_run[eid + 1]
             # the entity's runs ascend by relation id, so each wanted one is a bisection
@@ -379,16 +380,11 @@ def match_triples_by_id(
                     break
                 if run_relation[lo] == rid:
                     positions += perm[run_start[lo] : run_start[lo + 1]]
-        found.append(positions)
-    # a side's runs are disjoint slices of a permutation, so no side repeats a position
-    return merge_positions(found)
+    return positions
 
 
 def merge_positions(lists: Iterable[list[int]]) -> list[int]:
-    """The ascending union of position lists, none of which repeats a position."""
-    filled = list(filter(None, lists))
-    if len(filled) == 1:
-        return sorted(filled[0])
-    merged = sorted(chain.from_iterable(filled))
-    # a position repeats only across lists, where sorting puts its copies side by side
+    """The ascending union of position lists, each in any order and with repeats."""
+    merged = sorted(chain.from_iterable(lists))
+    # sorting puts a position's copies side by side
     return list(compress(merged, map(ne, merged, chain((-1,), merged))))

@@ -291,7 +291,7 @@ class Pipeline:
         """
         g = self.graph
         bindings: dict[str, tuple[list[int], set[int]]] = {}  # sources, see bound_entities
-        runs: list[list[int]] = []  # each sub-sentence's ascending positions
+        runs: list[list[int]] = []  # each sub-sentence's matched positions, unordered
         for sub in subsentences:
             relation_ids = set(map(g.maybe_relation_id, retrieved[sub.index].relations)) - {None}
             anchors: set[int] = set()

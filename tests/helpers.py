@@ -211,11 +211,15 @@ def enumerate_nhop_relations(triples, seed, n):
 
 
 def scan_matching(triples, endpoints, relations):
+    """The distinct triples whose relation is in ``relations``, in load order, each
+    listed once per endpoint in ``endpoints``: a triple matched from its head's side
+    and from its tail's, a self-loop on an endpoint too, is listed twice."""
     endpoints, relations = set(endpoints), set(relations)
     return [
         (h, r, t)
         for h, r, t in dict.fromkeys(triples)
-        if r in relations and (h in endpoints or t in endpoints)
+        if r in relations
+        for _ in range((h in endpoints) + (t in endpoints))
     ]
 
 

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kg_reason import KnowledgeGraph, build_type_graph, canonical_label, errors, load_graph
 from kg_reason.errors import FileError
@@ -637,7 +637,7 @@ def test_matching_equals_full_scan(seed):
     g = KnowledgeGraph.from_triples(triples)
     endpoints = set(rng.sample(entities, rng.randint(0, min(4, len(entities)))))
     rels = set(rng.sample(relations, rng.randint(0, min(3, len(relations)))))
-    got = labelled(g, matching(g, endpoints, rels))
+    got = labelled(g, sorted(matching(g, endpoints, rels)))
     assert got == scan_matching(triples, endpoints, rels)
 
     # A hub heads a run on every relation and tails runs on all but some.
@@ -652,11 +652,10 @@ def test_matching_equals_full_scan(seed):
     # the smallest and largest ids, one past the last, and a random subset
     wanted = {0, n_relations - 1, n_relations}
     wanted.update(rng.sample(range(n_relations), rng.randint(0, n_relations)))
-    assert match_triples_by_id(g, anchors, wanted) == [
-        p
-        for p, (h, r, t) in enumerate(zip(g.head, g.relation, g.tail))
-        if r in wanted and (h in anchors or t in anchors)
-    ]
+    # one position per anchored endpoint: the head side's matches and the tail side's
+    heads = [p for p, (h, r) in enumerate(zip(g.head, g.relation)) if r in wanted and h in anchors]
+    tails = [p for p, (t, r) in enumerate(zip(g.tail, g.relation)) if r in wanted and t in anchors]
+    assert sorted(match_triples_by_id(g, anchors, wanted)) == sorted(heads + tails)
 
 
 @given(st.integers(0, 10_000))
@@ -666,25 +665,37 @@ def test_matching_with_self_loops_and_both_endpoints_anchored(seed):
     rng = random.Random(seed)
     entities, relations, triples, _ = random_graph_data(rng, 12, 5, 60, self_loops=True)
     loop = rng.choice(entities)
-    triples.insert(rng.randint(0, len(triples)), (loop, rng.choice(relations), loop))
+    loop_triple = (loop, rng.choice(relations), loop)
+    triples.insert(rng.randint(0, len(triples)), loop_triple)
     g = KnowledgeGraph.from_triples(triples)
-    picked = [loop, *rng.choice(triples)[::2]]
+    chosen = rng.choice(triples)
+    picked = [loop, chosen[0], chosen[2]]
     endpoints = set(picked + rng.sample(entities, rng.randint(0, min(3, len(entities)))))
     rels = {r for h, r, t in triples if h in picked and t in picked}
     rels.update(rng.sample(relations, rng.randint(0, len(relations))))
     got = matching(g, endpoints, rels)
-    assert labelled(g, got) == scan_matching(triples, endpoints, rels)
-    assert got == sorted(set(got))
+    assert labelled(g, sorted(got)) == scan_matching(triples, endpoints, rels)
+    # both are listed twice, once from each side
+    every = labelled(g, range(len(g.head)))
+    assert got.count(every.index(loop_triple)) == 2
+    assert got.count(every.index(chosen)) == 2
 
 
 def test_matching_returns_load_order(factkg_graph):
+    # each relation's run is listed in turn, so only the merge gives load order
     positions = matching(factkg_graph, {"Alfredo_Zitarrosa"}, {"deathPlace", "birthPlace"})
-    assert len(positions) >= 2
-    assert positions == sorted(set(positions))
+    assert sorted(positions) == merge_positions([positions])  # no triple matched twice
+    assert labelled(factkg_graph, merge_positions([positions])) == [
+        ("Alfredo_Zitarrosa", "deathPlace", "Uruguay"),
+        ("Alfredo_Zitarrosa", "birthPlace", "Uruguay"),
+        ("Alfredo_Zitarrosa", "deathPlace", "Montevideo"),
+        ("Alfredo_Zitarrosa", "birthPlace", "Montevideo"),
+    ]
 
 
-# lists without inner repeats, each in any order, some empty, overlapping one another
-@given(st.lists(st.lists(st.integers(0, 40), unique=True, max_size=12), max_size=5))
+# lists in any order, with repeats inside and across them, some empty
+@given(st.lists(st.lists(st.integers(0, 40), max_size=12), max_size=5))
+@example([[5, 2, 5]])  # one list, which must be deduplicated as several are
 def test_merge_positions_is_the_ascending_union(lists):
     assert merge_positions(lists) == sorted(set().union(*lists))
 
@@ -723,8 +734,8 @@ def test_ids_never_handed_out_reach_nothing(triples, types):
         assert match_triples_by_id(g, {bad}, every_relation) == []
         for n in (1, 2, 3):
             assert relations_within_n_hops(g, bad, n) == set()
-    # the ids next to them still answer
-    assert match_triples_by_id(g, set(ids), every_relation) == [0, 1]
+    # the ids next to them still answer: with every entity anchored, from both sides
+    assert sorted(match_triples_by_id(g, set(ids), every_relation)) == [0, 0, 1, 1]
     assert relations_within_n_hops(g, ids[0], 2) == every_relation
 
 

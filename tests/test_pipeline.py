@@ -404,6 +404,24 @@ def test_evidence_order_follows_graph_load_order(factkg_graph, factkg_type_graph
     assert positions == sorted(positions)
 
 
+def test_one_subsentence_evidence_lists_each_triple_once_in_load_order():
+    # A -> B has both endpoints anchored and A -> A is a self-loop on an anchor, so the
+    # match lists each from both sides; the one merge keeps one copy of each
+    triples = [("C", "rel", "A"), ("A", "rel", "B"), ("B", "rel", "D"), ("A", "rel", "A")]
+    g = KnowledgeGraph.from_triples(triples)
+    tg = build_type_graph(g)
+    backend = scripted(
+        "A rel B.",
+        seg="1. A rel B., Entity set: ['A' ## 'B']",
+        inf="True, A rel B.",
+    )
+    pipeline = Pipeline(g, tg, backend, k=5, shots=12)
+    conclusion = pipeline.run(claim_query(g, tg, "A rel B.", ["A", "B"]))
+    assert len(conclusion.trace.segmentation["subsentences"]) == 1
+    assert conclusion.evidence.positions == (0, 1, 2, 3)
+    assert conclusion.evidence.labels() == triples
+
+
 # --- linearize -------------------------------------------------------------------
 
 
